@@ -39,8 +39,6 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
 		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
 		incremental  = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
-		portfolio    = flag.Int("portfolio", 0, "race this many diverse CDCL configurations on hard queries (0 or 1 = off); results are identical either way")
-		batch        = flag.Bool("batch", false, "group per-patch feasibility checks into chunked solver queries; results are identical either way")
 		paranoid     = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
 		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink caches and retire idle solver contexts above it; measured tables are identical either way")
 		memHigh      = flag.String("mem-high", "", "high memory watermark: additionally spill frontier cold tails to disk; measured tables are identical either way")
@@ -102,13 +100,9 @@ func main() {
 	opts.Core.SMT.Incremental = *incremental
 	opts.CEGIS.SMT.Incremental = *incremental
 	opts.Baselines.SMT.Incremental = *incremental
-	opts.Core.SMT.Paranoid = *paranoid
-	opts.CEGIS.SMT.Paranoid = *paranoid
-	opts.Baselines.SMT.Paranoid = *paranoid
-	opts.Core.SMT.Portfolio = *portfolio
-	opts.CEGIS.SMT.Portfolio = *portfolio
-	opts.Baselines.SMT.Portfolio = *portfolio
-	opts.Core.Batch = *batch
+	opts.Core.SMT.Guard.Paranoid = *paranoid
+	opts.CEGIS.SMT.Guard.Paranoid = *paranoid
+	opts.Baselines.SMT.Guard.Paranoid = *paranoid
 	if *shards > 0 {
 		cfg := shard.Config{Heartbeat: *shardHB, Timeout: *shardTimeout, Hedge: *shardHedge}
 		opts.Core.NewDistributor = shard.SpawnFactory(*shards, []string{"-shard-worker"}, cfg, warnf)

@@ -69,8 +69,6 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
 		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
 		incr         = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
-		portfolio    = flag.Int("portfolio", 0, "race this many diverse CDCL configurations on hard queries (0 or 1 = off); results are identical either way")
-		batch        = flag.Bool("batch", false, "group per-patch feasibility checks into chunked solver queries; results are identical either way")
 		paranoid     = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
 		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
 		memHigh      = flag.String("mem-high", "", "high memory watermark: additionally spill the frontier's cold tail to disk (see -spill-dir); results are identical either way")
@@ -144,7 +142,7 @@ func main() {
 	// run resumable with -resume. A second signal terminates immediately.
 	tok, stopSignals := cpr.WithSignalCancel(nil, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	opts := cpr.Options{Workers: *workers, Cancel: tok, Batch: *batch}
+	opts := cpr.Options{Workers: *workers, Cancel: tok}
 	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, func(format string, args ...any) { log.Printf(format, args...) })
 	if err != nil {
 		log.Fatal(err)
@@ -152,8 +150,7 @@ func main() {
 	opts.Govern = gov
 	opts.SpillDir = *spillDir
 	opts.SMT.Incremental = *incr
-	opts.SMT.Paranoid = *paranoid
-	opts.SMT.Portfolio = *portfolio
+	opts.SMT.Guard.Paranoid = *paranoid
 	opts.Checkpoint = cpr.CheckpointOptions{
 		Dir:      *ckptDir,
 		Interval: *ckptIvl,
@@ -307,14 +304,6 @@ func runJob(job cpr.Job, dev *cpr.Term, top int, withCEGIS bool, opts cpr.Option
 	if st.SatTime+st.LIATime+st.ValidateTime > 0 {
 		fmt.Printf("solver time: SAT %v, LIA %v, validation %v\n",
 			st.SatTime.Round(time.Millisecond), st.LIATime.Round(time.Millisecond), st.ValidateTime.Round(time.Millisecond))
-	}
-	if st.PortfolioRaces > 0 {
-		fmt.Printf("portfolio: %d races (%d won by a non-leader config), %d learned clauses shared\n",
-			st.PortfolioRaces, st.PortfolioMirrorWins, st.PortfolioShared)
-	}
-	if st.BatchQueries > 0 {
-		fmt.Printf("batching: %d group queries answered %d items (%d bisections)\n",
-			st.BatchQueries, st.BatchItems, st.BatchBisections)
 	}
 	if n := st.SolverUnknowns + st.SolverPanics + st.ExecPanics + st.FlipsDropped; n > 0 {
 		fmt.Printf("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips requeued %d / dropped %d\n",

@@ -77,11 +77,9 @@ func main() {
 		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs additionally spill frontier cold tails under -state, new submits shed while a retry backlog drains, and new shard fleets are halved")
 		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After and new shard fleets are skipped")
 
-		ckptIvl   = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
-		incr      = flag.Bool("incremental", true, "incremental solver contexts per job")
-		portfolio = flag.Int("portfolio", 0, "race this many diverse CDCL configurations on hard queries (0 or 1 = off); results are identical either way")
-		batch     = flag.Bool("batch", false, "group per-patch feasibility checks into chunked solver queries; results are identical either way")
-		paranoid  = flag.Bool("paranoid", false, "force 100% solver verdict validation")
+		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
+		incr     = flag.Bool("incremental", true, "incremental solver contexts per job")
+		paranoid = flag.Bool("paranoid", false, "force 100% solver verdict validation")
 
 		drainTO = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint on shutdown")
 
@@ -156,8 +154,6 @@ func main() {
 		CheckpointInterval:   *ckptIvl,
 		Incremental:          *incr,
 		Paranoid:             *paranoid,
-		Portfolio:            *portfolio,
-		Batch:                *batch,
 		Warn:                 func(msg string) { log.Print(msg) },
 	}
 	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, warnf)

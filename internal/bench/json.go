@@ -57,16 +57,6 @@ type JSONRow struct {
 	LIAMS      float64 `json:"lia_ms"`
 	ValidateMS float64 `json:"validate_ms"`
 
-	// Portfolio-race counters; omitted when racing is off or never fired.
-	PortfolioRaces      uint64 `json:"portfolio_races,omitempty"`
-	PortfolioMirrorWins uint64 `json:"portfolio_mirror_wins,omitempty"`
-	PortfolioShared     uint64 `json:"portfolio_shared,omitempty"`
-
-	// Batched-feasibility counters; omitted when batching is off.
-	BatchQueries    uint64 `json:"batch_queries,omitempty"`
-	BatchItems      uint64 `json:"batch_items,omitempty"`
-	BatchBisections uint64 `json:"batch_bisections,omitempty"`
-
 	// Sharding counters; omitted on non-distributed runs. Informational
 	// only — result-equality comparisons (e.g. CI's multi-shard
 	// differential) must ignore them, the same as wall time and solver
@@ -159,12 +149,6 @@ func JSONRows(rows []SubjectResult) []JSONRow {
 			row.SatMS = float64(r.CPR.SatTime.Microseconds()) / 1e3
 			row.LIAMS = float64(r.CPR.LIATime.Microseconds()) / 1e3
 			row.ValidateMS = float64(r.CPR.ValidateTime.Microseconds()) / 1e3
-			row.PortfolioRaces = r.CPR.PortfolioRaces
-			row.PortfolioMirrorWins = r.CPR.PortfolioMirrorWins
-			row.PortfolioShared = r.CPR.PortfolioShared
-			row.BatchQueries = r.CPR.BatchQueries
-			row.BatchItems = r.CPR.BatchItems
-			row.BatchBisections = r.CPR.BatchBisections
 			row.Shards = uint64(r.CPR.Shards)
 			row.ShardSteals = r.CPR.ShardSteals
 			row.ShardDeaths = r.CPR.ShardDeaths

@@ -22,7 +22,7 @@ func TestSelfHealCountersReachTables(t *testing.T) {
 	opts := RunOptions{Budget: fastBudget}
 	opts.Core.Workers = 1
 	opts.Core.SMT.Incremental = true
-	opts.Core.SMT.Paranoid = true
+	opts.Core.SMT.Guard.Paranoid = true
 
 	s := Catalog(SuiteSVCOMP)[0]
 	row := runCPR(s, opts)

@@ -338,8 +338,6 @@ func solverSummary(rows []SubjectResult) string {
 	var queries, hits, misses uint64
 	var encHits, encMisses, learned, kept, deleted, cores, coreLits uint64
 	var validations, valFailures, quarantines, fallbacks, rebuilds, trips uint64
-	var races, mirrorWins, shared uint64
-	var batchQ, batchItems, batchBisect uint64
 	var shardMax int
 	var steals, deaths, impVerdicts, impCores, rejImports uint64
 	var hbMissed, hedges, hedgeWins, hedgeLosses, reconnects, lateJoins, degraded uint64
@@ -387,12 +385,6 @@ func solverSummary(rows []SubjectResult) string {
 		fallbacks += r.CPR.FallbackSolves
 		rebuilds += r.CPR.RebuildRetries
 		trips += r.CPR.BreakerTrips
-		races += r.CPR.PortfolioRaces
-		mirrorWins += r.CPR.PortfolioMirrorWins
-		shared += r.CPR.PortfolioShared
-		batchQ += r.CPR.BatchQueries
-		batchItems += r.CPR.BatchItems
-		batchBisect += r.CPR.BatchBisections
 		governPolls += r.CPR.GovernPolls
 		rungSoft += r.CPR.MemRungSoft
 		rungHigh += r.CPR.MemRungHigh
@@ -433,14 +425,6 @@ func solverSummary(rows []SubjectResult) string {
 	if satTime+liaTime+valTime > 0 {
 		out += fmt.Sprintf("solver time: SAT %s, LIA %s, validation %s (rest is exploration + synthesis)\n",
 			satTime.Round(time.Millisecond), liaTime.Round(time.Millisecond), valTime.Round(time.Millisecond))
-	}
-	if races > 0 {
-		out += fmt.Sprintf("portfolio: %d races (%d non-leader wins), %d learned clauses shared\n",
-			races, mirrorWins, shared)
-	}
-	if batchQ > 0 {
-		out += fmt.Sprintf("batching: %d group queries answered %d items (%d bisections)\n",
-			batchQ, batchItems, batchBisect)
 	}
 	if encHits+encMisses > 0 { // incremental contexts were in play
 		encRate := float64(encHits) / float64(encHits+encMisses)

@@ -81,9 +81,6 @@ type Stats struct {
 	RebuildRetries, BreakerTrips    uint64
 	// Solver wall-time breakdown — see the matching core.Stats fields.
 	SatTime, LIATime, ValidateTime time.Duration
-	// Portfolio-race counters (zero with SMT.Portfolio < 2) — see the
-	// matching core.Stats fields.
-	PortfolioRaces, PortfolioMirrorWins, PortfolioShared uint64
 }
 
 // ReductionRatio is 1 − PFinal/PInit.
@@ -323,9 +320,6 @@ func fillSolverStats(stats *Stats, solver *smt.Solver, base smt.Stats) {
 	stats.SatTime = ss.SatTime
 	stats.LIATime = ss.LIATime
 	stats.ValidateTime = ss.ValidateTime
-	stats.PortfolioRaces = ss.PortfolioRaces
-	stats.PortfolioMirrorWins = ss.PortfolioMirrorWins
-	stats.PortfolioShared = ss.PortfolioShared
 }
 
 func sumExcept(counts []int64, skip int) int64 {

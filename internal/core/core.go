@@ -107,14 +107,6 @@ type Options struct {
 	// whose control flow the patch affects, so patches that fire on most
 	// of a partition (functionality-deletion behavior) gain less.
 	ModelCountRanking bool
-	// Batch groups per-patch feasibility checks — pool-reduction
-	// compatibility tests and flip-feasibility scans — into chunked group
-	// queries (smt.DecideBatch): one solver call covers a whole chunk when
-	// the verdicts agree, and an assumption core or bisection attributes
-	// mixed verdicts. Per-patch verdicts are identical with batching on or
-	// off, and models still come from the exact unbatched query, so the
-	// repair result does not change; only solver work does.
-	Batch bool
 	// Queue selects the exploration frontier policy (ablation of the
 	// §3.4 input ranking; default QueueRanked).
 	Queue QueuePolicy
@@ -244,18 +236,9 @@ type Stats struct {
 	Quarantines, FallbackSolves     uint64
 	RebuildRetries, BreakerTrips    uint64
 	// Wall-time breakdown of solver work, summed across workers: CDCL
-	// search (portfolio races included), the LIA procedure, and verdict
-	// validation (model replays plus sampled cross-checks).
+	// search, the LIA procedure, and verdict validation (model replays
+	// plus sampled cross-checks).
 	SatTime, LIATime, ValidateTime time.Duration
-	// Portfolio counters, aggregated across workers (all zero with
-	// SMT.Portfolio < 2): races escalated past the leader-alone threshold,
-	// races a non-default configuration won, and learned clauses imported
-	// from race winners.
-	PortfolioRaces, PortfolioMirrorWins, PortfolioShared uint64
-	// Batched-feasibility counters (all zero with Options.Batch off):
-	// group queries issued, per-patch verdicts answered by a group result
-	// rather than an individual solve, and mixed-verdict bisection splits.
-	BatchQueries, BatchItems, BatchBisections uint64
 	// Sharding counters (all zero without Options.NewDistributor). Shards
 	// is the configured shard count; ShardSteals counts work chunks
 	// executed away from their statically-owning shard (rebalancing),
@@ -537,6 +520,25 @@ func Repair(job Job, opts Options) (*Result, error) {
 	for _, w := range eng.workers {
 		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
 	}
+	if eng.dist != nil {
+		// Shard solvers did the distributed batches' work; their counters
+		// fold into the same aggregate the local workers feed.
+		agg = agg.Add(eng.dist.SolverStats())
+		dc := eng.dist.Counters()
+		stats.Shards = dc.Shards
+		stats.ShardSteals = dc.Steals
+		stats.ShardDeaths = dc.Deaths
+		stats.ShardImportedVerdicts = dc.ImportedVerdicts
+		stats.ShardImportedCores = dc.ImportedCores
+		stats.ShardRejectedImports = dc.RejectedImports
+		stats.ShardHeartbeatsMissed = dc.HeartbeatsMissed
+		stats.ShardHedges = dc.Hedges
+		stats.ShardHedgeWins = dc.HedgeWins
+		stats.ShardHedgeLosses = dc.HedgeLosses
+		stats.ShardReconnects = dc.Reconnects
+		stats.ShardLateJoins = dc.LateJoins
+		stats.ShardDegradedStarts = dc.DegradedStarts
+	}
 	stats.SolverQueries = agg.Queries
 	stats.CacheHits = agg.CacheHits
 	stats.CacheMisses = agg.CacheMisses
@@ -556,56 +558,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 	stats.SatTime = agg.SatTime
 	stats.LIATime = agg.LIATime
 	stats.ValidateTime = agg.ValidateTime
-	stats.PortfolioRaces = agg.PortfolioRaces
-	stats.PortfolioMirrorWins = agg.PortfolioMirrorWins
-	stats.PortfolioShared = agg.PortfolioShared
-	stats.BatchQueries = agg.BatchQueries
-	stats.BatchItems = agg.BatchItems
-	stats.BatchBisections = agg.BatchBisections
-	if eng.dist != nil {
-		// Shard solvers did the distributed batches' work; their counters
-		// fold into the same aggregate the local workers feed.
-		sagg := agg.Add(eng.dist.SolverStats())
-		stats.SolverQueries = sagg.Queries
-		stats.CacheHits = sagg.CacheHits
-		stats.CacheMisses = sagg.CacheMisses
-		stats.EncodeCacheHits = sagg.EncodeCacheHits
-		stats.EncodeCacheMisses = sagg.EncodeCacheMisses
-		stats.ClausesLearned = sagg.ClausesLearned
-		stats.ClausesKept = sagg.ClausesKept
-		stats.ClausesDeleted = sagg.ClausesDeleted
-		stats.AssumptionCores = sagg.AssumptionCores
-		stats.AssumptionCoreLits = sagg.AssumptionCoreLits
-		stats.Validations = sagg.Validations
-		stats.ValidationFailures = sagg.ValidationFailures
-		stats.Quarantines = sagg.Quarantines
-		stats.FallbackSolves = sagg.FallbackSolves
-		stats.RebuildRetries = sagg.RebuildRetries
-		stats.BreakerTrips = sagg.BreakerTrips
-		stats.SatTime = sagg.SatTime
-		stats.LIATime = sagg.LIATime
-		stats.ValidateTime = sagg.ValidateTime
-		stats.PortfolioRaces = sagg.PortfolioRaces
-		stats.PortfolioMirrorWins = sagg.PortfolioMirrorWins
-		stats.PortfolioShared = sagg.PortfolioShared
-		stats.BatchQueries = sagg.BatchQueries
-		stats.BatchItems = sagg.BatchItems
-		stats.BatchBisections = sagg.BatchBisections
-		dc := eng.dist.Counters()
-		stats.Shards = dc.Shards
-		stats.ShardSteals = dc.Steals
-		stats.ShardDeaths = dc.Deaths
-		stats.ShardImportedVerdicts = dc.ImportedVerdicts
-		stats.ShardImportedCores = dc.ImportedCores
-		stats.ShardRejectedImports = dc.RejectedImports
-		stats.ShardHeartbeatsMissed = dc.HeartbeatsMissed
-		stats.ShardHedges = dc.Hedges
-		stats.ShardHedgeWins = dc.HedgeWins
-		stats.ShardHedgeLosses = dc.HedgeLosses
-		stats.ShardReconnects = dc.Reconnects
-		stats.ShardLateJoins = dc.LateJoins
-		stats.ShardDegradedStarts = dc.DegradedStarts
-	}
 	cacheEnd := opts.SMT.Cache.Stats()
 	stats.CacheEvictions = eng.baseCacheEvict + (cacheEnd.Evictions - cacheStart.Evictions)
 	stats.CacheSubsumed = eng.baseCacheSub + (cacheEnd.Subsumed - cacheStart.Subsumed)
@@ -1057,10 +1009,6 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 		return it, true, false
 	}
 
-	if e.opts.Batch && len(e.pool.Ranked()) > 1 {
-		return e.pickNewInputBatched(flip, cons, bounds, solver, buildItem)
-	}
-
 	unknown := false
 	for _, p := range e.pool.Ranked() {
 		psi := e.patchFormula(p, flip.HoleHits)
@@ -1117,13 +1065,8 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	patches := e.pool.Patches
 	outs := make([]ReduceOutcome, len(patches))
 	if !e.distributeReduce(rc, outs) {
-		feas := e.batchFeasibility(rc.Phi, rc.HoleHits, patches)
 		e.fanOut(len(patches), func(w *workerCtx, i int) {
-			var fv *smt.BatchVerdict
-			if feas != nil {
-				fv = &feas[i]
-			}
-			outs[i] = e.reduceOne(rc, patches[i], fv, w.solver)
+			outs[i] = e.reduceOne(rc, patches[i], w.solver)
 		})
 	}
 	// Commit in pool order: patches aliases the pool's backing array and
@@ -1168,21 +1111,15 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 // (which snapshots its own degradation atomics around the call to fill
 // the outcome's Unknowns/Panics; on the local path those stay zero and
 // the commit loop's additions are no-ops).
-func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, fv *smt.BatchVerdict, solver *smt.Solver) ReduceOutcome {
+func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver) ReduceOutcome {
 	var out ReduceOutcome
 	solver.BeginEpoch() // scope cache-write journaling to this patch
 	psi := e.patchFormula(p, rc.HoleHits)
-	if fv != nil {
-		if e.noteSolverErr(fv.Err) || fv.Status != smt.Sat {
-			return out // cannot reason about ρ on this path
-		}
-	} else {
-		pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
-		b := e.boundsWithParams(e.curBounds, p)
-		sat, err := solver.IsSat(pi, b)
-		if e.noteSolverErr(err) || !sat {
-			return out // cannot reason about ρ on this path
-		}
+	pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
+	b := e.boundsWithParams(e.curBounds, p)
+	sat, err := solver.IsSat(pi, b)
+	if e.noteSolverErr(err) || !sat {
+		return out // cannot reason about ρ on this path
 	}
 	if rc.HitBug {
 		ref := &patch.Refiner{Solver: solver, InputBounds: e.curBounds}

@@ -121,7 +121,7 @@ func (e *engine) governAtBarrier(st *exploreState) {
 		}
 	}
 	// Retire incremental solver contexts (workers are idle at a barrier).
-	// The next query rebuilds; same mechanism as the MaxContextClauses cap.
+	// The next query rebuilds; same mechanism as the context clause cap.
 	for _, w := range e.workers {
 		r, f := w.solver.TrimMemory()
 		r2, f2 := w.retrySolver.TrimMemory()

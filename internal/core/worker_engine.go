@@ -154,25 +154,17 @@ func (we *WorkerEngine) RunFlips(flips []concolic.Flip) []FlipOutcome {
 }
 
 // RunReduce executes a reduce chunk: reduceOne for pool indices [lo, hi)
-// under the already-synced pool. With Options.Batch the chunk's
-// feasibility tests are grouped exactly like the local engine's — chunk
-// boundaries differ between a sharded and a local run, but per-patch
-// verdicts are batching-invariant, so outcomes do not.
+// under the already-synced pool.
 func (we *WorkerEngine) RunReduce(rc ReduceContext, lo, hi int) []ReduceOutcome {
 	e := we.eng
 	if lo < 0 || hi > len(e.pool.Patches) || lo > hi {
 		return nil
 	}
 	chunk := e.pool.Patches[lo:hi]
-	feas := e.batchFeasibility(rc.Phi, rc.HoleHits, chunk)
 	outs := make([]ReduceOutcome, len(chunk))
 	for i, p := range chunk {
 		u0, p0 := e.solverUnknowns.Load(), e.solverPanics.Load()
-		var fv *smt.BatchVerdict
-		if feas != nil {
-			fv = &feas[i]
-		}
-		out := e.reduceOne(rc, p, fv, e.solver)
+		out := e.reduceOne(rc, p, e.solver)
 		out.Unknowns = e.solverUnknowns.Load() - u0
 		out.Panics = e.solverPanics.Load() - p0
 		outs[i] = out

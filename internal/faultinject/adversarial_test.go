@@ -55,7 +55,7 @@ func runLying(t *testing.T, kind faultinject.Fault, workers int) *core.Result {
 	defer faultinject.Deactivate()
 	opts := core.Options{Workers: workers}
 	opts.SMT.Incremental = true
-	opts.SMT.Paranoid = true
+	opts.SMT.Guard.Paranoid = true
 	res, err := core.Repair(divZeroJob(), opts)
 	if err != nil {
 		t.Fatalf("lying Repair (kind=%d workers=%d): %v", kind, workers, err)

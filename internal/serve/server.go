@@ -96,12 +96,6 @@ type Config struct {
 	// CLIs do.
 	Incremental bool
 	Paranoid    bool
-	// Portfolio races that many diverse CDCL configurations on hard
-	// queries (0 or 1 = off); Batch groups per-patch feasibility checks
-	// into chunked group queries. Both change only solver wall time,
-	// never repair results.
-	Portfolio int
-	Batch     bool
 
 	// NewDistributor, when set, gives every job attempt a distributed
 	// exploration backend (cmd/cprd wires shard.SpawnFactory here for
@@ -822,14 +816,13 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 		// the remaining wall clock on the time already spent.
 		cj.Budget.MaxDuration = time.Duration(j.spec.TimeoutMS) * time.Millisecond
 	}
-	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok, Batch: s.cfg.Batch}
+	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok}
 	opts.NewDistributor = s.cfg.NewDistributor
 	if s.cfg.Shards > 0 && s.cfg.MakeDistributor != nil {
 		opts.NewDistributor = s.shardFactory()
 	}
 	opts.SMT.Incremental = s.cfg.Incremental
-	opts.SMT.Paranoid = s.cfg.Paranoid
-	opts.SMT.Portfolio = s.cfg.Portfolio
+	opts.SMT.Guard.Paranoid = s.cfg.Paranoid
 	// Governed attempts spill their frontier cold tail under StateDir
 	// (beside the checkpoints) rather than a process temp dir, so the
 	// operator's disk budget and the daemon's durable state live together.
@@ -1080,12 +1073,6 @@ func aggStats(dst *core.Stats, s core.Stats) {
 	dst.SatTime += s.SatTime
 	dst.LIATime += s.LIATime
 	dst.ValidateTime += s.ValidateTime
-	dst.PortfolioRaces += s.PortfolioRaces
-	dst.PortfolioMirrorWins += s.PortfolioMirrorWins
-	dst.PortfolioShared += s.PortfolioShared
-	dst.BatchQueries += s.BatchQueries
-	dst.BatchItems += s.BatchItems
-	dst.BatchBisections += s.BatchBisections
 	// Shard fleet size is a configuration, not a tally: report the widest
 	// fleet any attempt ran with, and sum the event counters.
 	if s.Shards > dst.Shards {

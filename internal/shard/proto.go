@@ -32,8 +32,10 @@ import (
 
 // protoVersion is the shard protocol version; both ends refuse a peer
 // speaking another one. Version 2 added the heartbeat interval to the
-// hello and the kHeartbeat frame.
-const protoVersion = 2
+// hello and the kHeartbeat frame; version 3 dropped four retired solver
+// options from the hello (leaving one paranoid bit) and six retired
+// counters from the worker stats.
+const protoVersion = 3
 
 // Frame kinds. Start frames carry batch-wide state and have no reply;
 // chunk frames are strict request/reply on one connection — except

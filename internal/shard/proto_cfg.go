@@ -155,7 +155,6 @@ func encOptions(m *journal.Encoder, o core.Options) {
 	m.Int(o.MaxQueue)
 	m.Int(o.MaxStepsPerRun)
 	m.Bool(o.ModelCountRanking)
-	m.Bool(o.Batch)
 	m.U64(uint64(o.Queue))
 	s := o.SMT
 	m.I64(s.DefaultBounds.Lo)
@@ -166,10 +165,7 @@ func encOptions(m *journal.Encoder, o core.Options) {
 	m.Int(s.MaxTheoryRounds)
 	m.U64(s.MaxConflicts)
 	m.Dur(s.MaxQueryDuration)
-	m.Int(s.Portfolio)
 	m.Bool(s.Incremental)
-	m.Int(s.MaxContextClauses)
-	m.Bool(s.Paranoid)
 	m.Int(s.Guard.CrossCheckEvery)
 	m.Bool(s.Guard.Paranoid)
 	m.Int(s.Guard.BreakerThreshold)
@@ -184,7 +180,6 @@ func decOptions(d *journal.Decoder) (core.Options, error) {
 	o.MaxQueue = d.Int()
 	o.MaxStepsPerRun = d.Int()
 	o.ModelCountRanking = d.Bool()
-	o.Batch = d.Bool()
 	o.Queue = core.QueuePolicy(d.U64())
 	o.SMT = smt.Options{
 		DefaultBounds: interval.Interval{Lo: d.I64(), Hi: d.I64()},
@@ -195,10 +190,7 @@ func decOptions(d *journal.Decoder) (core.Options, error) {
 	o.SMT.MaxTheoryRounds = d.Int()
 	o.SMT.MaxConflicts = d.U64()
 	o.SMT.MaxQueryDuration = d.Dur()
-	o.SMT.Portfolio = d.Int()
 	o.SMT.Incremental = d.Bool()
-	o.SMT.MaxContextClauses = d.Int()
-	o.SMT.Paranoid = d.Bool()
 	o.SMT.Guard = guard.Config{
 		CrossCheckEvery:   d.Int(),
 		Paranoid:          d.Bool(),
@@ -233,12 +225,6 @@ func encWorkerStats(m *journal.Encoder, s workerStats) {
 	m.Dur(s.SatTime)
 	m.Dur(s.LIATime)
 	m.Dur(s.ValidateTime)
-	m.U64(s.PortfolioRaces)
-	m.U64(s.PortfolioMirrorWins)
-	m.U64(s.PortfolioShared)
-	m.U64(s.BatchQueries)
-	m.U64(s.BatchItems)
-	m.U64(s.BatchBisections)
 	m.U64(s.Validations)
 	m.U64(s.ValidationFailures)
 	m.U64(s.Quarantines)
@@ -267,12 +253,6 @@ func decWorkerStats(d *journal.Decoder) workerStats {
 	s.SatTime = d.Dur()
 	s.LIATime = d.Dur()
 	s.ValidateTime = d.Dur()
-	s.PortfolioRaces = d.U64()
-	s.PortfolioMirrorWins = d.U64()
-	s.PortfolioShared = d.U64()
-	s.BatchQueries = d.U64()
-	s.BatchItems = d.U64()
-	s.BatchBisections = d.U64()
 	s.Validations = d.U64()
 	s.ValidationFailures = d.U64()
 	s.Quarantines = d.U64()

@@ -45,12 +45,12 @@ void main(int x) {
 		InputBounds: map[string]interval.Interval{"x": interval.New(-50, 50)},
 		Budget:      core.Budget{MaxIterations: 9, ValidationIterations: 3},
 	}
-	opts := core.Options{Workers: 1, Batch: true, MaxQueue: 77}
+	opts := core.Options{Workers: 1, ModelCountRanking: true, MaxQueue: 77}
 	opts.SMT.Incremental = true
-	opts.SMT.Portfolio = 3
 	opts.SMT.MaxConflicts = 1234
 	opts.SMT.MaxQueryDuration = 250 * time.Millisecond
 	opts.SMT.Guard.CrossCheckEvery = 16
+	opts.SMT.Guard.Paranoid = true
 	return job, opts
 }
 
@@ -88,6 +88,9 @@ func TestHelloRoundTrip(t *testing.T) {
 	if gotOpts.SMT.Guard.CrossCheckEvery != opts.SMT.Guard.CrossCheckEvery {
 		t.Errorf("Guard.CrossCheckEvery %d != %d", gotOpts.SMT.Guard.CrossCheckEvery, opts.SMT.Guard.CrossCheckEvery)
 	}
+	if !gotOpts.SMT.Guard.Paranoid {
+		t.Error("Guard.Paranoid lost on the wire")
+	}
 }
 
 func TestWorkerStatsRoundTrip(t *testing.T) {
@@ -100,10 +103,8 @@ func TestWorkerStatsRoundTrip(t *testing.T) {
 	s.ClausesLearned, s.ClausesKept, s.ClausesDeleted = 31, 37, 41
 	s.AssumptionCores, s.AssumptionCoreLits = 43, 47
 	s.SatTime, s.LIATime, s.ValidateTime = 53*time.Millisecond, 59*time.Millisecond, 61*time.Millisecond
-	s.PortfolioRaces, s.PortfolioMirrorWins, s.PortfolioShared = 67, 71, 73
-	s.BatchQueries, s.BatchItems, s.BatchBisections = 79, 83, 89
-	s.Validations, s.ValidationFailures, s.Quarantines = 97, 101, 103
-	s.FallbackSolves, s.RebuildRetries, s.BreakerTrips = 107, 109, 113
+	s.Validations, s.ValidationFailures, s.Quarantines = 67, 71, 73
+	s.FallbackSolves, s.RebuildRetries, s.BreakerTrips = 79, 83, 89
 
 	p := buildPayload(func(m *journal.Encoder, te *journal.TermEncoder) { encWorkerStats(m, s) })
 	d, _, err := openPayload(p)

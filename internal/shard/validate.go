@@ -43,7 +43,7 @@ func newValidator(tok *cancel.Token) *validator {
 }
 
 // trustedOpts mirrors the smt layer's own trusted-scratch configuration:
-// non-incremental, cacheless, portfolio-free, with budgets tight enough
+// non-incremental and cacheless, with budgets tight enough
 // that a hostile peer cannot stall the coordinator on pathological
 // formulas.
 func (v *validator) trusted(def interval.Interval) *smt.Solver {
@@ -54,7 +54,6 @@ func (v *validator) trusted(def interval.Interval) *smt.Solver {
 		DefaultBounds:   def,
 		Incremental:     false,
 		Cache:           nil,
-		Portfolio:       0,
 		MaxConflicts:    2000,
 		MaxTheoryRounds: 1000,
 		Cancel:          v.tok,

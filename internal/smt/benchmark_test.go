@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"fmt"
 	"testing"
 
 	"cpr/internal/expr"
@@ -154,79 +153,5 @@ func BenchmarkTermHash(b *testing.B) {
 		if f.Op != expr.OpAnd {
 			b.Fatal("unexpected shape")
 		}
-	}
-}
-
-// batchedFeasibilityFixture builds one group-feasibility call the batcher
-// sees in the repair loop: a shared path-constraint prefix and 16 patch
-// guards. unsatEvery > 0 makes every that-many-th guard contradict the
-// prefix, so mixed groups exercise core attribution and bisection;
-// unsatEvery == 0 is the uniform-feasible shape where one group query
-// absorbs the whole chunk. Returns the common part, items, and bounds.
-func batchedFeasibilityFixture(unsatEvery int64) (*expr.Term, []BatchItem, map[string]interval.Interval) {
-	x := expr.IntVar("x")
-	y := expr.IntVar("y")
-	common := expr.And(
-		expr.Ge(x, expr.Int(0)),
-		expr.Lt(x, expr.Int(50)),
-		expr.Ne(y, expr.Int(0)),
-		expr.Or(expr.Eq(y, expr.Int(1)), expr.Eq(y, expr.Int(2)), expr.Eq(y, expr.Int(3))),
-		expr.Or(expr.Lt(expr.Add(x, y), expr.Int(40)), expr.Gt(x, expr.Int(45))),
-	)
-	bounds := map[string]interval.Interval{
-		"x": interval.New(-100, 100),
-		"y": interval.New(-100, 100),
-	}
-	var items []BatchItem
-	for j := int64(0); j < 16; j++ {
-		a := expr.IntVar(fmt.Sprintf("a!b%d", j))
-		bounds[fmt.Sprintf("a!b%d", j)] = interval.New(-10, 10)
-		var guard *expr.Term
-		if unsatEvery > 0 && j%unsatEvery == unsatEvery-1 {
-			guard = expr.Lt(x, expr.Int(-1-j)) // contradicts the prefix: unsat
-		} else {
-			guard = expr.Ge(expr.Add(x, y), expr.Add(a, expr.Int(j)))
-		}
-		items = append(items, BatchItem{ID: int(j), F: guard})
-	}
-	return common, items, bounds
-}
-
-// BenchmarkBatchedFeasibility compares per-patch feasibility resolved one
-// query at a time against the chunked group queries of DecideBatch, on a
-// 16-item fixture in two shapes. "allsat" is the repair loop's common
-// case — every patch feasible on the path — where one group query absorbs
-// the whole chunk. "mixed" plants an infeasible patch in every third slot,
-// the adversarial shape where group answers split via core attribution,
-// common-prefix probes, and bisection; it bounds the worst-case overhead
-// the engine pays before its per-item fallback.
-func BenchmarkBatchedFeasibility(b *testing.B) {
-	for _, shape := range []struct {
-		name       string
-		unsatEvery int64
-	}{{"allsat", 0}, {"mixed", 3}} {
-		common, items, bounds := batchedFeasibilityFixture(shape.unsatEvery)
-		b.Run(shape.name+"/individual", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := NewSolver(Options{Incremental: true})
-				for _, it := range items {
-					if _, err := s.Decide(expr.And(common, it.F), bounds); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(shape.name+"/batched", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := NewSolver(Options{Incremental: true})
-				for _, v := range s.DecideBatch(common, items, bounds) {
-					if v.Err != nil {
-						b.Fatal(v.Err)
-					}
-				}
-			}
-		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"cpr/internal/smt/cache"
 	"cpr/internal/smt/guard"
 	"cpr/internal/smt/lia"
-	"cpr/internal/smt/portfolio"
 	"cpr/internal/smt/sat"
 )
 
@@ -39,10 +38,6 @@ type Context struct {
 	enc     *encoder
 	auxNext int // global purifier counter: aux names never collide across conjuncts
 
-	// port is the racing engine behind enc.sat when Options.Portfolio ≥ 2,
-	// kept typed for counter syncing; nil for single-strategy contexts.
-	port *portfolio.Engine
-
 	groups   map[*expr.Term]*group
 	selGroup map[sat.Lit]*expr.Term
 	boxes    map[string]*boxState
@@ -54,15 +49,15 @@ type Context struct {
 
 	// Deltas already folded into stats, so clausesLearned/Deleted stay
 	// monotone across decide calls.
-	lastLearned, lastDeleted           uint64
-	lastRaces, lastMirrors, lastShared uint64
+	lastLearned, lastDeleted uint64
 
 	// verifyTick counts sat answers for sampled model self-checks: the
 	// retained clause database grows with every query, and replaying a
 	// model against all of it each theory round is the single biggest
 	// fixed cost of incremental solving. The check only ever catches CDCL
 	// bugs (nothing downstream depends on it answering), so it runs on a
-	// deterministic 1-in-16 sample — and on every round under Paranoid.
+	// deterministic 1-in-16 sample — and on every round under paranoid
+	// mode (see selfCheck).
 	verifyTick uint64
 }
 
@@ -97,17 +92,10 @@ type conKey struct {
 }
 
 func newContext(opts Options, stats *solverStats) *Context {
-	engine := cdcl(sat.New())
-	var port *portfolio.Engine
-	if opts.Portfolio >= 2 {
-		port = portfolio.New(sat.Portfolio(opts.Portfolio)...)
-		engine = port
-	}
 	return &Context{
 		opts:      opts,
 		stats:     stats,
-		enc:       newEncoderWith(engine),
-		port:      port,
+		enc:       newEncoder(),
 		groups:    make(map[*expr.Term]*group),
 		selGroup:  make(map[sat.Lit]*expr.Term),
 		boxes:     make(map[string]*boxState),
@@ -179,21 +167,13 @@ func (c *Context) boxFor(bounds map[string]interval.Interval) *boxState {
 	return b
 }
 
-// syncClauseStats folds the CDCL clause (and portfolio) counters into the
-// solver stats.
+// syncClauseStats folds the CDCL clause counters into the solver stats.
 func (c *Context) syncClauseStats() {
-	st := c.enc.sat.Snapshot()
+	st := c.enc.sat.Statist
 	c.stats.clausesLearned.Add(st.Learned - c.lastLearned)
 	c.stats.clausesDeleted.Add(st.Deleted - c.lastDeleted)
 	c.lastLearned, c.lastDeleted = st.Learned, st.Deleted
 	c.stats.clausesKept.Store(uint64(c.enc.sat.NumLearnts()))
-	if c.port != nil {
-		ps := c.port.Stats()
-		c.stats.portfolioRaces.Add(ps.Races - c.lastRaces)
-		c.stats.portfolioMirrorWins.Add(ps.MirrorWins - c.lastMirrors)
-		c.stats.portfolioShared.Add(ps.SharedLearnt - c.lastShared)
-		c.lastRaces, c.lastMirrors, c.lastShared = ps.Races, ps.MirrorWins, ps.SharedLearnt
-	}
 }
 
 // decide runs the DPLL(T) loop for f under bounds on the persistent state
@@ -235,16 +215,16 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		stop = qtok.Expired
 		lopts.Stop = qtok.Expired
 	}
-	c.enc.sat.SetLimits(c.opts.MaxConflicts, stop)
+	c.enc.sat.MaxConflicts, c.enc.sat.Stop = c.opts.MaxConflicts, stop
 
-	conflictsAtStart := c.enc.sat.Snapshot().Conflicts
+	conflictsAtStart := c.enc.sat.Statist.Conflicts
 	budgetErr := func(stage string, round int, detail error) error {
 		c.stats.unknowns.Add(1)
 		return &BudgetError{
 			Stage:        stage,
 			Query:        query,
 			TheoryRounds: round,
-			Conflicts:    c.enc.sat.Snapshot().Conflicts - conflictsAtStart,
+			Conflicts:    c.enc.sat.Statist.Conflicts - conflictsAtStart,
 			Clauses:      c.enc.sat.NumClauses(),
 			Atoms:        len(c.enc.atomVar),
 			Detail:       detail,
@@ -270,8 +250,7 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 			}
 			return Unknown, nil, budgetErr(stage, round, nil)
 		}
-		c.verifyTick++
-		if c.opts.Paranoid || c.verifyTick&15 == 0 {
+		if c.selfCheck() {
 			if !c.enc.sat.VerifyModel() {
 				// The retained clause database produced a model that does
 				// not satisfy it. The solver quarantines this context and
@@ -319,6 +298,15 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		}
 	}
 	return Unknown, nil, budgetErr("theory-rounds", c.opts.MaxTheoryRounds, nil)
+}
+
+// selfCheck counts a sat round and reports whether its model is replayed
+// against the retained clause database. Paranoid mode is the guard's
+// resolved setting (Guard.Paranoid or CPR_PARANOID; NewSolver stores it in
+// opts.Guard), so both switches reach this check.
+func (c *Context) selfCheck() bool {
+	c.verifyTick++
+	return c.opts.Guard.Paranoid || c.verifyTick&15 == 0
 }
 
 // constraintFor memoizes atom→LIA-constraint translation per polarity.

@@ -6,7 +6,7 @@ package smt
 // bound across queries, so it is what the governor's soft rung retires.
 //
 // Retiring a context is the same mechanism incrementalCtx already uses
-// when the clause DB outgrows MaxContextClauses: drop it and let the next
+// when the clause DB outgrows maxContextClauses: drop it and let the next
 // query rebuild from the formula. It is proven result-neutral (the context
 // is a pure acceleration structure). Note this is deliberately NOT
 // quarantineCtx: no guard escalation, no epoch abort — the context is

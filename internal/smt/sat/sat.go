@@ -112,10 +112,6 @@ type Solver struct {
 	varInc   float64
 	claInc   float64
 
-	cfg       Config  // search strategy (defaults applied)
-	varDecayF float64 // per-conflict multiplier on varInc: 1/cfg.VarDecay
-	claDecayF float64 // per-conflict multiplier on claInc: 1/cfg.ClaDecay
-
 	// Arena-style allocation pools for the solve hot loop: clause headers
 	// come from slabs, literal storage from a chunked arena, and clauses
 	// dropped by reduceDB go on a freelist that newClause recycles
@@ -164,17 +160,19 @@ type Solver struct {
 	polls uint64
 }
 
-// New returns an empty solver with the default search strategy.
-func New() *Solver { return NewWith(Config{}) }
+// The search strategy is MiniSat's defaults: Luby restarts with a base of
+// restartBase conflicts, VSIDS variable-activity decay 0.95 and
+// learned-clause activity decay 0.999 per conflict (applied by growing the
+// increments), and negative-first saved phases.
+const (
+	restartBase = 100
+	varDecayF   = 1 / 0.95  // per-conflict multiplier on varInc
+	claDecayF   = 1 / 0.999 // per-conflict multiplier on claInc
+)
 
-// NewWith returns an empty solver using the given search strategy.
-func NewWith(cfg Config) *Solver {
-	cfg = cfg.withDefaults()
-	s := &Solver{ok: true, varInc: 1, claInc: 1,
-		cfg:       cfg,
-		varDecayF: 1 / cfg.VarDecay,
-		claDecayF: 1 / cfg.ClaDecay,
-	}
+// New returns an empty solver.
+func New() *Solver {
+	s := &Solver{ok: true, varInc: 1, claInc: 1}
 	s.heap.act = &s.activity
 	return s
 }
@@ -185,7 +183,7 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, s.cfg.PhaseTrue)
+	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -586,17 +584,9 @@ func (s *Solver) SolveUnder(assumptions ...Lit) Status {
 	restarts := uint64(0)
 	conflictsAtStart := s.Statist.Conflicts
 	maxLearnts := len(s.clauses)/3 + 100
-	geomBudget := float64(s.cfg.RestartBase)
 	for {
 		restarts++
-		var budget uint64
-		if s.cfg.Geometric {
-			budget = uint64(geomBudget)
-			geomBudget *= s.cfg.RestartGrow
-		} else {
-			budget = luby(restarts) * s.cfg.RestartBase
-		}
-		st := s.search(budget, &maxLearnts, conflictsAtStart)
+		st := s.search(luby(restarts)*restartBase, &maxLearnts, conflictsAtStart)
 		if st != Unknown {
 			return st
 		}
@@ -641,8 +631,8 @@ func (s *Solver) search(budget uint64, maxLearnts *int, conflictsAtStart uint64)
 				s.bumpClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			s.varInc *= s.varDecayF
-			s.claInc *= s.claDecayF
+			s.varInc *= varDecayF
+			s.claInc *= claDecayF
 			continue
 		}
 		if conflicts >= budget {

@@ -92,14 +92,6 @@ type Options struct {
 	// hits return exactly what re-solving would, so sharing does not
 	// change results, only speed.
 	Cache *cache.Cache
-	// Portfolio, when ≥ 2, races that many diverse CDCL configurations
-	// (restart policy, VSIDS decay, phase polarity — see sat.Portfolio)
-	// inside the incremental context, with first-to-answer cancellation
-	// and winner-to-leader learned-clause sharing. Only verdict-tier
-	// queries race; models always come from the deterministic scratch
-	// path, so repair results do not depend on this flag. No effect
-	// without Incremental.
-	Portfolio int
 	// Incremental enables the persistent solving context (see Context):
 	// per-conjunct Tseitin encodings are cached, the CDCL clause database
 	// with its learned clauses is retained across queries, per-query
@@ -109,29 +101,25 @@ type Options struct {
 	// produced by the deterministic scratch path, so repair results do not
 	// depend on this flag — only speed does. Off by default.
 	Incremental bool
-	// MaxContextClauses caps the incremental context's retained clause
-	// database. Every incremental solve decides the variables of the whole
-	// retained database, so dead encodings from a long run (per-patch
-	// renamed conjuncts that will never be queried again, batch groups
-	// from finished partitions) make each query slower than the last. When
-	// the database ends a query above this limit the context is retired
-	// and rebuilt lazily from the next query's conjuncts — a speed-only
-	// policy: retirement changes which learned clauses are available, never
-	// verdicts or models. 0 means the default (1000, the knee of the
-	// end-to-end bench sweep — see EXPERIMENTS.md); negative disables
-	// retirement.
-	MaxContextClauses int
-	// Paranoid forces 100% verdict validation in the guard layer: every
-	// unsat answer is cross-checked by an independent scratch solve (sat
-	// models are replayed on every answer regardless). Equivalent to
-	// Guard.Paranoid; the CPR_PARANOID environment variable forces it
-	// process-wide.
-	Paranoid bool
 	// Guard tunes the validation and self-healing layer (sampling rate,
 	// quarantine backoff, circuit-breaker threshold). The zero value gets
-	// production defaults.
+	// production defaults. Guard.Paranoid (or the CPR_PARANOID environment
+	// variable, process-wide) forces 100% verdict validation: every unsat
+	// answer is cross-checked by an independent scratch solve and every
+	// incremental sat round's model is replayed against the clause set.
 	Guard guard.Config
 }
+
+// maxContextClauses caps the incremental context's retained clause
+// database. Every incremental solve decides the variables of the whole
+// retained database, so dead encodings from a long run (per-patch
+// conjuncts that will never be queried again) make each query slower than
+// the last. When the database ends a query above this limit the context is
+// retired and rebuilt lazily from the next query's conjuncts — a
+// speed-only policy: retirement changes which learned clauses are
+// available, never verdicts or models. 1000 is the knee of the end-to-end
+// bench sweep (see EXPERIMENTS.md).
+const maxContextClauses = 1000
 
 func (o Options) withDefaults() Options {
 	if o.DefaultBounds == (interval.Interval{}) {
@@ -139,9 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTheoryRounds == 0 {
 		o.MaxTheoryRounds = 10000
-	}
-	if o.MaxContextClauses == 0 {
-		o.MaxContextClauses = 1000
 	}
 	return o
 }
@@ -182,29 +167,13 @@ type Stats struct {
 	AssumptionCores    uint64
 	AssumptionCoreLits uint64
 	// Wall-time breakdown of solver work: SatTime is spent in CDCL
-	// search (including portfolio races), LIATime in the arithmetic
+	// search, LIATime in the arithmetic
 	// procedure, ValidateTime in verdict validation (model replays and
 	// sampled unsat cross-checks, including the trusted re-solves they
 	// trigger). Aggregated race-free from atomic nanosecond counters.
 	SatTime      time.Duration
 	LIATime      time.Duration
 	ValidateTime time.Duration
-	// Portfolio counters: PortfolioRaces counts solves that escalated to
-	// a configuration race (hard queries past the leader-alone conflict
-	// threshold), PortfolioMirrorWins races decided by a non-leader
-	// configuration, and PortfolioShared learned clauses imported from
-	// race winners into the leader. All zero when Options.Portfolio < 2.
-	PortfolioRaces      uint64
-	PortfolioMirrorWins uint64
-	PortfolioShared     uint64
-	// Batched-feasibility counters (DecideBatch): BatchQueries counts
-	// group queries issued to the solver (including bisection subgroups),
-	// BatchItems items whose verdict came from a group answer rather than
-	// an individual solve, and BatchBisections mixed-verdict groups split
-	// in half. All zero when batching is off.
-	BatchQueries    uint64
-	BatchItems      uint64
-	BatchBisections uint64
 	// Self-healing health counters (package guard). Validations counts
 	// verdict validations run (model replays + unsat cross-checks);
 	// ValidationFailures counts verdicts they rejected — each such verdict
@@ -242,12 +211,6 @@ func (a Stats) Add(b Stats) Stats {
 	a.SatTime += b.SatTime
 	a.LIATime += b.LIATime
 	a.ValidateTime += b.ValidateTime
-	a.PortfolioRaces += b.PortfolioRaces
-	a.PortfolioMirrorWins += b.PortfolioMirrorWins
-	a.PortfolioShared += b.PortfolioShared
-	a.BatchQueries += b.BatchQueries
-	a.BatchItems += b.BatchItems
-	a.BatchBisections += b.BatchBisections
 	a.Validations += b.Validations
 	a.ValidationFailures += b.ValidationFailures
 	a.Quarantines += b.Quarantines
@@ -280,14 +243,6 @@ type solverStats struct {
 	satNanos      atomic.Int64
 	liaNanos      atomic.Int64
 	validateNanos atomic.Int64
-
-	portfolioRaces      atomic.Uint64
-	portfolioMirrorWins atomic.Uint64
-	portfolioShared     atomic.Uint64
-
-	batchQueries    atomic.Uint64
-	batchItems      atomic.Uint64
-	batchBisections atomic.Uint64
 }
 
 // timeSat/timeLIA/timeValidate fold an elapsed interval into the wall-time
@@ -333,9 +288,13 @@ const maxJournal = 8192
 // NewSolver returns a Solver with the given options.
 func NewSolver(opts Options) *Solver {
 	opts = opts.withDefaults()
-	gcfg := opts.Guard
-	gcfg.Paranoid = gcfg.Paranoid || opts.Paranoid
-	return &Solver{opts: opts, guard: guard.New(gcfg)}
+	g := guard.New(opts.Guard)
+	// Keep the guard's resolved configuration (defaults applied,
+	// CPR_PARANOID folded in), so every layer reading opts.Guard — the
+	// incremental context's model self-check included — sees the setting
+	// the guard enforces.
+	opts.Guard = g.Config()
+	return &Solver{opts: opts, guard: g}
 }
 
 // Stats returns a consistent snapshot of the accumulated counters. It is
@@ -363,14 +322,6 @@ func (s *Solver) Stats() Stats {
 		SatTime:      time.Duration(s.stats.satNanos.Load()),
 		LIATime:      time.Duration(s.stats.liaNanos.Load()),
 		ValidateTime: time.Duration(s.stats.validateNanos.Load()),
-
-		PortfolioRaces:      s.stats.portfolioRaces.Load(),
-		PortfolioMirrorWins: s.stats.portfolioMirrorWins.Load(),
-		PortfolioShared:     s.stats.portfolioShared.Load(),
-
-		BatchQueries:    s.stats.batchQueries.Load(),
-		BatchItems:      s.stats.batchItems.Load(),
-		BatchBisections: s.stats.batchBisections.Load(),
 
 		Validations:        gc.Validations,
 		ValidationFailures: gc.ValidationFailures,
@@ -682,7 +633,6 @@ func (s *Solver) trustedScratch() *Solver {
 	if s.scratch == nil {
 		o := s.opts
 		o.Incremental = false
-		o.Portfolio = 0
 		o.Cache = nil
 		s.scratch = NewSolver(o)
 		s.scratch.trusted = true
@@ -764,12 +714,11 @@ func (s *Solver) storeValue(f *expr.Term, bounds map[string]interval.Interval, v
 }
 
 // incrementalCtx returns the persistent context, creating it on first use.
-// A context whose clause database outgrew Options.MaxContextClauses is
-// retired first: the accumulated encodings are mostly dead (finished
-// patches, spent batch groups), and every solve pays for all of them.
+// A context whose clause database outgrew maxContextClauses is retired
+// first: the accumulated encodings are mostly dead (finished patches), and
+// every solve pays for all of them.
 func (s *Solver) incrementalCtx() *Context {
-	if s.ctx != nil && s.opts.MaxContextClauses > 0 &&
-		s.ctx.enc.sat.NumClauses() > s.opts.MaxContextClauses {
+	if s.ctx != nil && s.ctx.enc.sat.NumClauses() > maxContextClauses {
 		s.ctx = nil
 	}
 	if s.ctx == nil {
@@ -817,7 +766,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 
 	enc := newEncoder()
 	defer func() { // scratch solves learn too; only retention is incremental-only
-		st := enc.sat.Snapshot()
+		st := enc.sat.Statist
 		s.stats.clausesLearned.Add(st.Learned)
 		s.stats.clausesDeleted.Add(st.Deleted)
 	}()
@@ -826,18 +775,18 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 	if qtok != nil {
 		stop = qtok.Expired
 	}
-	enc.sat.SetLimits(s.opts.MaxConflicts, stop)
+	enc.sat.MaxConflicts, enc.sat.Stop = s.opts.MaxConflicts, stop
 	if !enc.sat.AddClause(root) {
 		return Result{Status: Unsat}, nil
 	}
-	conflictsAtStart := enc.sat.Snapshot().Conflicts
+	conflictsAtStart := enc.sat.Statist.Conflicts
 	budgetErr := func(stage string, round int, detail error) error {
 		s.stats.unknowns.Add(1)
 		return &BudgetError{
 			Stage:        stage,
 			Query:        query,
 			TheoryRounds: round,
-			Conflicts:    enc.sat.Snapshot().Conflicts - conflictsAtStart,
+			Conflicts:    enc.sat.Statist.Conflicts - conflictsAtStart,
 			Clauses:      enc.sat.NumClauses(),
 			Atoms:        len(enc.atomVar),
 			Detail:       detail,
@@ -981,25 +930,18 @@ func clamp(pref int64, iv interval.Interval) int64 {
 // scratch mode it is Check minus the model; in incremental mode it runs
 // entirely on the persistent context, which is the fast path the repair
 // loop's feasibility checks (IsSat, Valid) ride on.
-func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (Status, error) {
-	st, _, err := s.DecideCore(f, bounds)
-	return st, err
-}
-
-// DecideCore is Decide plus the assumption core: on Unsat it also returns
-// the subset of f's top-level conjuncts the incremental context found
-// sufficient for the conflict (already cross-check-vetted exactly like
-// the cores feeding the cache's subsumption index). A nil core carries no
-// information: scratch mode, cache hits, and non-narrowing cores all
-// return nil. The batcher (DecideBatch) uses cores to rule out many batch
-// items per solve.
-func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (st Status, coreOut []*expr.Term, err error) {
+//
+// An incremental unsat answer's assumption core (the subset of f's
+// top-level conjuncts the context found sufficient for the conflict) is
+// vetted by verifyUnsat and stored as its own cache entry, feeding the
+// cache's subsumption index.
+func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st Status, err error) {
 	if !s.opts.Incremental {
 		res, err := s.Check(f, bounds)
-		return res.Status, nil, err
+		return res.Status, err
 	}
 	if f.Sort != expr.SortBool {
-		return Unknown, nil, fmt.Errorf("smt: Decide: formula has sort %v, want Bool", f.Sort)
+		return Unknown, fmt.Errorf("smt: Decide: formula has sort %v, want Bool", f.Sort)
 	}
 	query := s.stats.queries.Add(1)
 	defer func() {
@@ -1012,7 +954,7 @@ func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (
 			s.ctx = nil // may be mid-mutation: discard, rebuilt lazily
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
-			st, coreOut = Unknown, nil
+			st = Unknown
 			err = fmt.Errorf("%w: %v", ErrSolverPanic, r)
 		}
 	}()
@@ -1021,19 +963,19 @@ func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (
 		panic(faultinject.PanicMsg)
 	case faultinject.SolverTimeout:
 		s.stats.unknowns.Add(1)
-		return Unknown, nil, &BudgetError{Stage: "fault-injection", Query: query}
+		return Unknown, &BudgetError{Stage: "fault-injection", Query: query}
 	case faultinject.SolverFail:
-		return Unknown, nil, faultinject.ErrInjected
+		return Unknown, faultinject.ErrInjected
 	}
 	if c := s.opts.Cache; c != nil {
 		if isSat, ok := c.LookupVerdict(f, bounds, s.opts.DefaultBounds); ok {
 			s.stats.cacheHits.Add(1)
 			if isSat {
 				s.stats.satAnswers.Add(1)
-				return Sat, nil, nil
+				return Sat, nil
 			}
 			s.stats.unsatAnswers.Add(1)
-			return Unsat, nil, nil
+			return Unsat, nil
 		}
 		s.stats.cacheMisses.Add(1)
 	}
@@ -1046,8 +988,7 @@ func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (
 		// (with full vetting and cache participation — a breaker-pinned
 		// worker keeps cache benefits, it only loses the retained context).
 		s.guard.NoteFallback()
-		st, err = s.scratchDecide(f, bounds, qtok, query)
-		return st, nil, err
+		return s.scratchDecide(f, bounds, qtok, query)
 	}
 	st, core, err := s.incrementalCtx().decide(f, bounds, qtok, query)
 	st, core = s.applyLieDecide(st, core)
@@ -1059,8 +1000,7 @@ func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (
 			s.guard.NoteFailure()
 			s.quarantineCtx()
 			s.guard.NoteFallback()
-			st, err = s.scratchDecide(f, bounds, qtok, query)
-			return st, nil, err
+			return s.scratchDecide(f, bounds, qtok, query)
 		}
 	case Sat:
 		s.stats.satAnswers.Add(1)
@@ -1078,13 +1018,12 @@ func (s *Solver) DecideCore(f *expr.Term, bounds map[string]interval.Interval) (
 			s.quarantineCtx()
 			s.guard.NoteFallback()
 			res, ferr := s.finish(f, bounds, tres, nil)
-			return res.Status, nil, ferr
+			return res.Status, ferr
 		}
 		s.stats.unsatAnswers.Add(1)
 		s.storeUnsat(f, bounds, core2)
-		return st, core2, err
 	}
-	return st, nil, err
+	return st, err
 }
 
 // scratchDecide serves a Decide query from the scratch rung, with full

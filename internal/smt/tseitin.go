@@ -11,7 +11,7 @@ import (
 // formula into a CDCL solver, keeping the map from theory atoms to SAT
 // variables for the DPLL(T) loop.
 type encoder struct {
-	sat      cdcl
+	sat      *sat.Solver
 	atomVar  map[*expr.Term]int // theory atom → SAT var
 	atoms    []*expr.Term       // atoms in first-encounter order (determinism)
 	boolVar  map[string]int     // named boolean variable → SAT var
@@ -20,13 +20,9 @@ type encoder struct {
 	haveTrue bool
 }
 
-func newEncoder() *encoder { return newEncoderWith(sat.New()) }
-
-// newEncoderWith builds an encoder over an explicit boolean engine (a
-// portfolio, for racing contexts).
-func newEncoderWith(engine cdcl) *encoder {
+func newEncoder() *encoder {
 	return &encoder{
-		sat:     engine,
+		sat:     sat.New(),
 		atomVar: make(map[*expr.Term]int),
 		boolVar: make(map[string]int),
 		cache:   make(map[*expr.Term]sat.Lit),
