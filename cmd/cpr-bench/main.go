@@ -14,41 +14,34 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"cpr"
 	"cpr/internal/bench"
 	"cpr/internal/buildinfo"
 	"cpr/internal/core"
 	"cpr/internal/govern"
-	"cpr/internal/shard"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpr-bench: ")
 	var (
-		version      = flag.Bool("version", false, "print version and exit")
-		what         = flag.String("what", "all", "what to run: figure1, table1..table6, anytime, pathreduction, all")
-		budget       = flag.Int("budget", 0, "override per-subject iteration budget (0 = subject defaults)")
-		timeout      = flag.Duration("timeout", 0, "per-subject wall-clock cap (0 = unbounded); hung subjects become timeout rows")
-		workers      = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
-		shards       = flag.Int("shards", 0, "distribute exploration across N local shard worker processes (0 = off); results are identical at any shard count")
-		shardWorker  = flag.Bool("shard-worker", false, "internal: serve as a shard worker over stdin/stdout (spawned by -shards)")
-		shardHB      = flag.Duration("shard-heartbeat", time.Second, "shard liveness heartbeat interval (0 disables heartbeats)")
-		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
-		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
-		incremental  = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
-		paranoid     = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
-		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink caches and retire idle solver contexts above it; measured tables are identical either way")
-		memHigh      = flag.String("mem-high", "", "high memory watermark: additionally spill frontier cold tails to disk; measured tables are identical either way")
-		memLimit     = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%)")
-		jsonOut      = flag.String("json", "", "write per-subject measurements (wall time, iterations, solver queries, cache hit rate) to this JSON file (committed atomically)")
-		ckptDir      = flag.String("checkpoint-dir", "", "directory for crash-safe suite journals and per-subject engine snapshots (empty = off)")
-		resume       = flag.Bool("resume", false, "resume a killed suite run: completed subjects replay from the journal, the interrupted one continues from its snapshot")
-		quiet        = flag.Bool("q", false, "suppress progress lines")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		version     = flag.Bool("version", false, "print version and exit")
+		what        = flag.String("what", "all", "what to run: figure1, table1..table6, anytime, pathreduction, all")
+		budget      = flag.Int("budget", 0, "override per-subject iteration budget (0 = subject defaults)")
+		timeout     = flag.Duration("timeout", 0, "per-subject wall-clock cap (0 = unbounded); hung subjects become timeout rows")
+		workers     = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
+		incremental = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
+		paranoid    = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
+		memSoft     = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink caches and retire idle solver contexts above it; measured tables are identical either way")
+		memHigh     = flag.String("mem-high", "", "high memory watermark: additionally spill frontier cold tails to disk; measured tables are identical either way")
+		memLimit    = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%)")
+		jsonOut     = flag.String("json", "", "write per-subject measurements (wall time, iterations, solver queries, cache hit rate) to this JSON file (committed atomically)")
+		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-safe suite journals and per-subject engine snapshots (empty = off)")
+		resume      = flag.Bool("resume", false, "resume a killed suite run: completed subjects replay from the journal, the interrupted one continues from its snapshot")
+		quiet       = flag.Bool("q", false, "suppress progress lines")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	if *version {
@@ -56,12 +49,6 @@ func main() {
 		return
 	}
 	warnf := func(format string, args ...any) { log.Printf(format, args...) }
-	if *shardWorker {
-		if err := shard.ServeStdio(warnf); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -103,10 +90,6 @@ func main() {
 	opts.Core.SMT.Guard.Paranoid = *paranoid
 	opts.CEGIS.SMT.Guard.Paranoid = *paranoid
 	opts.Baselines.SMT.Guard.Paranoid = *paranoid
-	if *shards > 0 {
-		cfg := shard.Config{Heartbeat: *shardHB, Timeout: *shardTimeout, Hedge: *shardHedge}
-		opts.Core.NewDistributor = shard.SpawnFactory(*shards, []string{"-shard-worker"}, cfg, warnf)
-	}
 	if *budget > 0 {
 		opts.Budget = core.Budget{MaxIterations: *budget, ValidationIterations: 8}
 	}

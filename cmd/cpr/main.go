@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,47 +39,39 @@ import (
 	"cpr"
 	"cpr/internal/buildinfo"
 	"cpr/internal/govern"
-	"cpr/internal/shard"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpr: ")
 	var (
-		version      = flag.Bool("version", false, "print version and exit")
-		list         = flag.Bool("list", false, "list benchmark subjects and exit")
-		subject      = flag.String("subject", "", "benchmark subject to repair (Project/BugID)")
-		file         = flag.String("file", "", "mini-C program file to repair")
-		spec         = flag.String("spec", "", "specification at the bug location (s-expression)")
-		failing      = flag.String("failing", "", "failing input, e.g. 'x=7,y=0'")
-		params       = flag.String("params", "a,b", "template parameter names")
-		pLo          = flag.Int64("param-lo", -10, "parameter range lower bound")
-		pHi          = flag.Int64("param-hi", 10, "parameter range upper bound")
-		inLo         = flag.Int64("input-lo", -100, "input bound (lower) for exploration")
-		inHi         = flag.Int64("input-hi", 100, "input bound (upper) for exploration")
-		budget       = flag.Int("budget", 40, "repair-loop iteration budget")
-		timeout      = flag.Duration("timeout", 0, "wall-clock repair budget (0 = unbounded); on expiry the best-so-far pool is printed")
-		workers      = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
-		shards       = flag.Int("shards", 0, "distribute exploration across N local shard worker processes (0 = off); results are identical at any shard count")
-		shardConnect = flag.String("shard-connect", "", "comma-separated remote shard worker addresses (host:port); overrides -shards")
-		shardListen  = flag.String("shard-listen", "", "serve as a remote shard worker on this address (never returns)")
-		shardWorker  = flag.Bool("shard-worker", false, "internal: serve as a shard worker over stdin/stdout (spawned by -shards)")
-		shardHB      = flag.Duration("shard-heartbeat", time.Second, "shard liveness heartbeat interval (0 disables heartbeats)")
-		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
-		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
-		incr         = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
-		paranoid     = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
-		memSoft      = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
-		memHigh      = flag.String("mem-high", "", "high memory watermark: additionally spill the frontier's cold tail to disk (see -spill-dir); results are identical either way")
-		memLimit     = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
-		spillDir     = flag.String("spill-dir", "", "directory for frontier spill files (default: a temp dir, removed at exit)")
-		ckptDir      = flag.String("checkpoint-dir", "", "directory for crash-safe run snapshots (empty = checkpointing off)")
-		ckptIvl      = flag.Int("checkpoint-interval", 0, "generation barriers between snapshots (0 = default)")
-		resume       = flag.Bool("resume", false, "resume from the latest intact snapshot in -checkpoint-dir")
-		top          = flag.Int("top", 5, "ranked patches to print")
-		cegis        = flag.Bool("cegis", false, "also run the CEGIS baseline for comparison")
-		fuzz         = flag.Bool("fuzz", false, "fuzz for a failing input when -failing is not given")
-		localize     = flag.String("localize", "", "';'-separated inputs: rank suspicious statements instead of repairing")
+		version  = flag.Bool("version", false, "print version and exit")
+		list     = flag.Bool("list", false, "list benchmark subjects and exit")
+		subject  = flag.String("subject", "", "benchmark subject to repair (Project/BugID)")
+		file     = flag.String("file", "", "mini-C program file to repair")
+		spec     = flag.String("spec", "", "specification at the bug location (s-expression)")
+		failing  = flag.String("failing", "", "failing input, e.g. 'x=7,y=0'")
+		params   = flag.String("params", "a,b", "template parameter names")
+		pLo      = flag.Int64("param-lo", -10, "parameter range lower bound")
+		pHi      = flag.Int64("param-hi", 10, "parameter range upper bound")
+		inLo     = flag.Int64("input-lo", -100, "input bound (lower) for exploration")
+		inHi     = flag.Int64("input-hi", 100, "input bound (upper) for exploration")
+		budget   = flag.Int("budget", 40, "repair-loop iteration budget")
+		timeout  = flag.Duration("timeout", 0, "wall-clock repair budget (0 = unbounded); on expiry the best-so-far pool is printed")
+		workers  = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
+		incr     = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
+		paranoid = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
+		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
+		memHigh  = flag.String("mem-high", "", "high memory watermark: additionally spill the frontier's cold tail to disk (see -spill-dir); results are identical either way")
+		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
+		spillDir = flag.String("spill-dir", "", "directory for frontier spill files (default: a temp dir, removed at exit)")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for crash-safe run snapshots (empty = checkpointing off)")
+		ckptIvl  = flag.Int("checkpoint-interval", 0, "generation barriers between snapshots (0 = default)")
+		resume   = flag.Bool("resume", false, "resume from the latest intact snapshot in -checkpoint-dir")
+		top      = flag.Int("top", 5, "ranked patches to print")
+		cegis    = flag.Bool("cegis", false, "also run the CEGIS baseline for comparison")
+		fuzz     = flag.Bool("fuzz", false, "fuzz for a failing input when -failing is not given")
+		localize = flag.String("localize", "", "';'-separated inputs: rank suspicious statements instead of repairing")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -90,22 +81,6 @@ func main() {
 		fmt.Println(buildinfo.String("cpr"))
 		return
 	}
-	warnf := func(format string, args ...any) { log.Printf(format, args...) }
-	if *shardWorker {
-		if err := shard.ServeStdio(warnf); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shardListen != "" {
-		l, err := net.Listen("tcp", *shardListen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("shard worker listening on %s", l.Addr())
-		log.Fatal(shard.Serve(l, warnf))
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -156,13 +131,6 @@ func main() {
 		Interval: *ckptIvl,
 		Resume:   *resume,
 		Warn:     func(msg string) { log.Print(msg) },
-	}
-	shardCfg := shard.Config{Heartbeat: *shardHB, Timeout: *shardTimeout, Hedge: *shardHedge}
-	switch {
-	case *shardConnect != "":
-		opts.NewDistributor = shard.DialFactory(strings.Split(*shardConnect, ","), shardCfg, warnf)
-	case *shards > 0:
-		opts.NewDistributor = shard.SpawnFactory(*shards, []string{"-shard-worker"}, shardCfg, warnf)
 	}
 
 	switch {
@@ -325,15 +293,6 @@ func runJob(job cpr.Job, dev *cpr.Term, top int, withCEGIS bool, opts cpr.Option
 		fmt.Printf("peaks: frontier %d items (%s), seen %d (%s), pool %s\n",
 			st.FrontierPeak, fmtBytes(st.FrontierPeakBytes),
 			st.SeenPeak, fmtBytes(st.SeenPeakBytes), fmtBytes(st.PoolPeakBytes))
-	}
-	if st.Shards > 0 {
-		fmt.Printf("shards: %d, chunks stolen %d, deaths %d, knowledge imported %d verdicts / %d cores, rejected %d\n",
-			st.Shards, st.ShardSteals, st.ShardDeaths, st.ShardImportedVerdicts, st.ShardImportedCores, st.ShardRejectedImports)
-		if n := st.ShardHeartbeatsMissed + st.ShardHedges + st.ShardReconnects + st.ShardDegradedStarts; n > 0 {
-			fmt.Printf("resilience: heartbeats missed %d, hedges %d (%d won / %d lost), reconnects %d (%d late joins), degraded starts %d\n",
-				st.ShardHeartbeatsMissed, st.ShardHedges, st.ShardHedgeWins, st.ShardHedgeLosses,
-				st.ShardReconnects, st.ShardLateJoins, st.ShardDegradedStarts)
-		}
 	}
 	if dev != nil {
 		if rank, ok := cpr.CorrectPatchRank(res, dev, job.InputBounds); ok {

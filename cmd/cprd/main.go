@@ -36,10 +36,8 @@ import (
 	"time"
 
 	"cpr/internal/buildinfo"
-	"cpr/internal/core"
 	"cpr/internal/govern"
 	"cpr/internal/serve"
-	"cpr/internal/shard"
 )
 
 func main() {
@@ -51,14 +49,8 @@ func main() {
 		state   = flag.String("state", "", "state directory: job journal + per-job checkpoints (required)")
 		resume  = flag.Bool("resume", false, "replay the journal in -state and resume unfinished jobs")
 
-		runners      = flag.Int("runners", 2, "concurrently running jobs")
-		workers      = flag.Int("engine-workers", 1, "exploration workers per job (results identical for any value)")
-		shards       = flag.Int("shards", 0, "distribute each job's exploration across N local shard worker processes (0 = off); results are identical at any shard count")
-		shardBudget  = flag.Int("shard-budget", 0, "daemon-wide cap on shard worker processes across all running jobs (0 = unlimited); a job that cannot get slots runs with fewer shards or locally, results unchanged")
-		shardWorker  = flag.Bool("shard-worker", false, "internal: serve as a shard worker over stdin/stdout (spawned by -shards)")
-		shardHB      = flag.Duration("shard-heartbeat", time.Second, "shard liveness heartbeat interval (0 disables heartbeats)")
-		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "declare a shard dead after this long without any frame (0 disables the watchdog)")
-		shardHedge   = flag.Duration("shard-hedge", 500*time.Millisecond, "age floor before a straggling chunk is speculatively re-issued to an idle shard (0 disables hedging)")
+		runners = flag.Int("runners", 2, "concurrently running jobs")
+		workers = flag.Int("engine-workers", 1, "exploration workers per job (results identical for any value)")
 
 		queueMax  = flag.Int("queue-max", 64, "global queued-job bound; submits beyond it are shed with 503")
 		tenantOut = flag.Int("tenant-max", 8, "per-tenant outstanding-job quota; submits beyond it get 429")
@@ -74,8 +66,8 @@ func main() {
 		runTO   = flag.Duration("run-timeout", 0, "wall-clock bound per attempt (0 = none)")
 
 		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): jobs shrink caches and retire idle solver contexts above it; results are identical either way")
-		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs additionally spill frontier cold tails under -state, new submits shed while a retry backlog drains, and new shard fleets are halved")
-		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After and new shard fleets are skipped")
+		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs additionally spill frontier cold tails under -state, and new submits shed while a retry backlog drains")
+		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After")
 
 		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
 		incr     = flag.Bool("incremental", true, "incremental solver contexts per job")
@@ -92,12 +84,6 @@ func main() {
 		return
 	}
 	warnf := func(format string, args ...any) { log.Printf(format, args...) }
-	if *shardWorker {
-		if err := shard.ServeStdio(warnf); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *state == "" {
 		log.Fatal("-state is required")
 	}
@@ -161,14 +147,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Govern = gov
-	if *shards > 0 {
-		shardCfg := shard.Config{Heartbeat: *shardHB, Timeout: *shardTimeout, Hedge: *shardHedge}
-		cfg.Shards = *shards
-		cfg.ShardBudget = *shardBudget
-		cfg.MakeDistributor = func(n int) func(core.Job, core.Options) (core.Distributor, error) {
-			return shard.SpawnFactory(n, []string{"-shard-worker"}, shardCfg, warnf)
-		}
-	}
 	srv, err := serve.New(cfg)
 	if err != nil {
 		log.Fatal(err)

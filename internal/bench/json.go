@@ -57,32 +57,9 @@ type JSONRow struct {
 	LIAMS      float64 `json:"lia_ms"`
 	ValidateMS float64 `json:"validate_ms"`
 
-	// Sharding counters; omitted on non-distributed runs. Informational
-	// only — result-equality comparisons (e.g. CI's multi-shard
-	// differential) must ignore them, the same as wall time and solver
-	// traffic.
-	Shards                uint64 `json:"shards,omitempty"`
-	ShardSteals           uint64 `json:"shard_steals,omitempty"`
-	ShardDeaths           uint64 `json:"shard_deaths,omitempty"`
-	ShardImportedVerdicts uint64 `json:"shard_imported_verdicts,omitempty"`
-	ShardImportedCores    uint64 `json:"shard_imported_cores,omitempty"`
-	ShardRejectedImports  uint64 `json:"shard_rejected_imports,omitempty"`
-
-	// Fleet-resilience counters; omitted on non-distributed or fault-free
-	// runs. Excluded from equality comparisons like the rest of the shard
-	// block: liveness kills, hedges, and reconnects move wall time only.
-	ShardHeartbeatsMissed uint64 `json:"shard_heartbeats_missed,omitempty"`
-	ShardHedges           uint64 `json:"shard_hedges,omitempty"`
-	ShardHedgeWins        uint64 `json:"shard_hedge_wins,omitempty"`
-	ShardHedgeLosses      uint64 `json:"shard_hedge_losses,omitempty"`
-	ShardReconnects       uint64 `json:"shard_reconnects,omitempty"`
-	ShardLateJoins        uint64 `json:"shard_late_joins,omitempty"`
-	ShardDegradedStarts   uint64 `json:"shard_degraded_starts,omitempty"`
-
-	// Memory-governance counters; omitted on ungoverned runs. Like the
-	// shard block these describe scheduling, not results: equality
-	// comparisons (e.g. CI's constrained-vs-unconstrained differential)
-	// must ignore them.
+	// Memory-governance counters; omitted on ungoverned runs. These
+	// describe scheduling, not results: equality comparisons (e.g. CI's
+	// constrained-vs-unconstrained differential) must ignore them.
 	GovernPolls          uint64 `json:"govern_polls,omitempty"`
 	MemRungSoft          uint64 `json:"mem_rung_soft,omitempty"`
 	MemRungHigh          uint64 `json:"mem_rung_high,omitempty"`
@@ -149,19 +126,6 @@ func JSONRows(rows []SubjectResult) []JSONRow {
 			row.SatMS = float64(r.CPR.SatTime.Microseconds()) / 1e3
 			row.LIAMS = float64(r.CPR.LIATime.Microseconds()) / 1e3
 			row.ValidateMS = float64(r.CPR.ValidateTime.Microseconds()) / 1e3
-			row.Shards = uint64(r.CPR.Shards)
-			row.ShardSteals = r.CPR.ShardSteals
-			row.ShardDeaths = r.CPR.ShardDeaths
-			row.ShardImportedVerdicts = r.CPR.ShardImportedVerdicts
-			row.ShardImportedCores = r.CPR.ShardImportedCores
-			row.ShardRejectedImports = r.CPR.ShardRejectedImports
-			row.ShardHeartbeatsMissed = r.CPR.ShardHeartbeatsMissed
-			row.ShardHedges = r.CPR.ShardHedges
-			row.ShardHedgeWins = r.CPR.ShardHedgeWins
-			row.ShardHedgeLosses = r.CPR.ShardHedgeLosses
-			row.ShardReconnects = r.CPR.ShardReconnects
-			row.ShardLateJoins = r.CPR.ShardLateJoins
-			row.ShardDegradedStarts = r.CPR.ShardDegradedStarts
 			row.GovernPolls = r.CPR.GovernPolls
 			row.MemRungSoft = r.CPR.MemRungSoft
 			row.MemRungHigh = r.CPR.MemRungHigh

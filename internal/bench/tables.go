@@ -338,9 +338,6 @@ func solverSummary(rows []SubjectResult) string {
 	var queries, hits, misses uint64
 	var encHits, encMisses, learned, kept, deleted, cores, coreLits uint64
 	var validations, valFailures, quarantines, fallbacks, rebuilds, trips uint64
-	var shardMax int
-	var steals, deaths, impVerdicts, impCores, rejImports uint64
-	var hbMissed, hedges, hedgeWins, hedgeLosses, reconnects, lateJoins, degraded uint64
 	var governPolls, rungSoft, rungHigh, rungCritical uint64
 	var shrinks, shrinkBytes, retires, retireBytes uint64
 	var spills, spilledItems, reloads, spillFails, memStopped uint64
@@ -350,21 +347,6 @@ func solverSummary(rows []SubjectResult) string {
 		if r.NA {
 			continue
 		}
-		if r.CPR.Shards > shardMax {
-			shardMax = r.CPR.Shards
-		}
-		steals += r.CPR.ShardSteals
-		deaths += r.CPR.ShardDeaths
-		impVerdicts += r.CPR.ShardImportedVerdicts
-		impCores += r.CPR.ShardImportedCores
-		rejImports += r.CPR.ShardRejectedImports
-		hbMissed += r.CPR.ShardHeartbeatsMissed
-		hedges += r.CPR.ShardHedges
-		hedgeWins += r.CPR.ShardHedgeWins
-		hedgeLosses += r.CPR.ShardHedgeLosses
-		reconnects += r.CPR.ShardReconnects
-		lateJoins += r.CPR.ShardLateJoins
-		degraded += r.CPR.ShardDegradedStarts
 		wall += r.Wall
 		satTime += r.CPR.SatTime
 		liaTime += r.CPR.LIATime
@@ -438,14 +420,6 @@ func solverSummary(rows []SubjectResult) string {
 	if validations > 0 {
 		out += fmt.Sprintf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips\n",
 			validations, valFailures, quarantines, fallbacks, rebuilds, trips)
-	}
-	if shardMax > 0 {
-		out += fmt.Sprintf("shards: %d, chunks stolen %d, deaths %d, knowledge imported %d verdicts / %d cores, rejected %d\n",
-			shardMax, steals, deaths, impVerdicts, impCores, rejImports)
-	}
-	if n := hbMissed + hedges + reconnects + degraded; n > 0 {
-		out += fmt.Sprintf("resilience: heartbeats missed %d, hedges %d (%d won / %d lost), reconnects %d (%d late joins), degraded starts %d\n",
-			hbMissed, hedges, hedgeWins, hedgeLosses, reconnects, lateJoins, degraded)
 	}
 	if governPolls > 0 { // a memory governor was in play
 		out += fmt.Sprintf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B), spills %d (%d items, %d reloads, %d failures)\n",

@@ -137,15 +137,13 @@ type Options struct {
 	// means a per-run temp directory created on first spill and removed at
 	// the end of the run.
 	SpillDir string
-	// NewDistributor, when non-nil, supplies a shard distributor (see
-	// internal/shard): the engine ships its flip-feasibility scans and pool
-	// reductions to shard processes instead of the in-process worker pool,
-	// merging outcomes at the same generation barriers — the plausible-patch
-	// pool is identical for every shard count, exactly as for Workers. The
-	// factory runs after the engine resolves its options; a factory error
-	// aborts the run (a half-connected shard fleet must not half-run), but
-	// a (nil, nil) return means "run locally this time" — the escape hatch
-	// for callers whose shard capacity is a shared budget.
+	// NewDistributor, when non-nil, supplies a Distributor (see dist.go):
+	// the engine hands its flip-feasibility scans and pool reductions to it
+	// instead of the in-process worker pool, merging outcomes at the same
+	// generation barriers — the plausible-patch pool is identical either
+	// way, exactly as for Workers. The factory runs after the engine
+	// resolves its options; a factory error aborts the run, and a
+	// (nil, nil) return means "run locally".
 	NewDistributor func(job Job, opts Options) (Distributor, error)
 }
 
@@ -239,26 +237,6 @@ type Stats struct {
 	// search, the LIA procedure, and verdict validation (model replays
 	// plus sampled cross-checks).
 	SatTime, LIATime, ValidateTime time.Duration
-	// Sharding counters (all zero without Options.NewDistributor). Shards
-	// is the configured shard count; ShardSteals counts work chunks
-	// executed away from their statically-owning shard (rebalancing),
-	// ShardDeaths shard connections lost mid-run. The import counters
-	// measure cross-shard knowledge sharing: verdict-cache entries and
-	// subsumption cores accepted after guard validation, and entries
-	// rejected by it (a lying or corrupted peer cannot poison a shard).
-	// The resilience counters measure fleet self-healing under gray
-	// failures: liveness deadlines tripped, stragglers hedged (with the
-	// win/loss split), dead slots re-admitted (late joiners re-sync at the
-	// next batch start), and whether the fleet started degraded.
-	// None of these fields enter any stats-equality fingerprint — like
-	// Workers and the wall-time fields they describe the schedule, not the
-	// repair trajectory.
-	Shards                                                          int
-	ShardSteals, ShardDeaths                                        uint64
-	ShardImportedVerdicts, ShardImportedCores, ShardRejectedImports uint64
-	ShardHeartbeatsMissed                                           uint64
-	ShardHedges, ShardHedgeWins, ShardHedgeLosses                   uint64
-	ShardReconnects, ShardLateJoins, ShardDegradedStarts            uint64
 	// Memory-governor counters (all zero without Options.Govern): barrier
 	// polls classified at each rung, verdict-cache shrinks (count and bytes
 	// freed), incremental solver contexts retired (count and approximate
@@ -266,9 +244,10 @@ type Stats struct {
 	// unreadable batches), and whether sustained critical pressure stopped
 	// the run (MemStopped implies TimedOut: the stop IS the budget-expiry
 	// path). GovernPolls/GovernTransitions count this run's own barrier
-	// polls and the rung changes they observed. Like the shard counters,
-	// none of these enter snapshot codecs or stats-equality fingerprints —
-	// they describe memory scheduling, not the repair trajectory.
+	// polls and the rung changes they observed. Like Workers and the
+	// wall-time fields, none of these enter snapshot codecs or
+	// stats-equality fingerprints — they describe memory scheduling, not
+	// the repair trajectory.
 	MemRungSoft, MemRungHigh, MemRungCritical uint64
 	MemCacheShrinks, MemCacheShrinkBytes      uint64
 	MemContextRetires, MemContextRetireBytes  uint64
@@ -420,12 +399,9 @@ func Repair(job Job, opts Options) (*Result, error) {
 	if opts.NewDistributor != nil {
 		dist, err := opts.NewDistributor(job, opts)
 		if err != nil {
-			return nil, fmt.Errorf("core: shard distributor: %w", err)
+			return nil, fmt.Errorf("core: distributor: %w", err)
 		}
 		if dist != nil {
-			// A (nil, nil) return means "run locally this time" — e.g. a
-			// daemon whose global shard budget is exhausted; results are
-			// identical either way.
 			eng.dist = dist
 			defer dist.Close()
 		}
@@ -521,23 +497,9 @@ func Repair(job Job, opts Options) (*Result, error) {
 		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
 	}
 	if eng.dist != nil {
-		// Shard solvers did the distributed batches' work; their counters
-		// fold into the same aggregate the local workers feed.
+		// The replicas' solvers did the distributed batches' work; their
+		// counters fold into the same aggregate the local workers feed.
 		agg = agg.Add(eng.dist.SolverStats())
-		dc := eng.dist.Counters()
-		stats.Shards = dc.Shards
-		stats.ShardSteals = dc.Steals
-		stats.ShardDeaths = dc.Deaths
-		stats.ShardImportedVerdicts = dc.ImportedVerdicts
-		stats.ShardImportedCores = dc.ImportedCores
-		stats.ShardRejectedImports = dc.RejectedImports
-		stats.ShardHeartbeatsMissed = dc.HeartbeatsMissed
-		stats.ShardHedges = dc.Hedges
-		stats.ShardHedgeWins = dc.HedgeWins
-		stats.ShardHedgeLosses = dc.HedgeLosses
-		stats.ShardReconnects = dc.Reconnects
-		stats.ShardLateJoins = dc.LateJoins
-		stats.ShardDegradedStarts = dc.DegradedStarts
 	}
 	stats.SolverQueries = agg.Queries
 	stats.CacheHits = agg.CacheHits
@@ -603,8 +565,8 @@ type engine struct {
 	// workers hold the per-worker solvers; workers[0] aliases
 	// solver/retrySolver. See parallel.go.
 	workers []*workerCtx
-	// dist, when non-nil, ships flip scans and pool reductions to shard
-	// processes (see dist.go); a failed batch falls back to the workers.
+	// dist, when non-nil, runs flip scans and pool reductions outside the
+	// worker pool (see dist.go); a failed batch falls back to the workers.
 	dist Distributor
 	// curBounds are the input bounds of the explore phase in progress.
 	curBounds map[string]interval.Interval
@@ -1071,10 +1033,10 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	}
 	// Commit in pool order: patches aliases the pool's backing array and
 	// Remove shifts it in place, so collect the doomed IDs before the
-	// first removal. Outcomes from shards carry absolute patch state (the
-	// replica matched this pool at batch start); outcomes computed locally
-	// re-assign values reduceOne already wrote — both paths land on the
-	// same pool.
+	// first removal. Outcomes from a distributor carry absolute patch
+	// state (the replica matched this pool at batch start); outcomes
+	// computed locally re-assign values reduceOne already wrote — both
+	// paths land on the same pool.
 	var doomed []int
 	for i, o := range outs {
 		e.solverUnknowns.Add(o.Unknowns)
@@ -1107,9 +1069,9 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 // specification-driven refinement, and the ranking update, reported as a
 // ReduceOutcome. It mutates p (its own task owns it) but leaves the
 // engine's removal/refinement counters to the coordinator's commit loop,
-// so the same function serves both the local fan-out and a shard replica
-// (which snapshots its own degradation atomics around the call to fill
-// the outcome's Unknowns/Panics; on the local path those stay zero and
+// so the same function serves both the local fan-out and a WorkerEngine
+// replica (which snapshots its own degradation atomics around the call to
+// fill the outcome's Unknowns/Panics; on the local path those stay zero and
 // the commit loop's additions are no-ops).
 func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver) ReduceOutcome {
 	var out ReduceOutcome

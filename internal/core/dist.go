@@ -4,68 +4,39 @@ import (
 	"cpr/internal/concolic"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
-	"cpr/internal/journal"
 	"cpr/internal/smt"
-	"cpr/internal/smt/cache"
 )
 
 // Distribution: the engine's two fan-out points — the per-flip
 // path-reduction scan and the per-patch pool reduction — are independent
-// per item, so a Distributor can ship them to shard processes instead of
-// the in-process worker pool. The coordinator stays the single owner of
-// the frontier, the pool, and seq; a batch carries the full pool state, so
-// shards hold no authoritative state and any batch can be recomputed
-// anywhere (work-stealing, dead-shard recovery, local fallback) with
-// bit-identical outcomes.
+// per item, so a Distributor can run them somewhere other than the
+// engine's own worker pool. The engine stays the single owner of the
+// frontier, the pool, and seq; a batch carries the full pool state, so a
+// distributor's replicas hold no authoritative state and any batch can be
+// recomputed anywhere (including the local fallback) with bit-identical
+// outcomes.
 
-// Distributor runs engine batches on remote shards. Implementations live
-// outside core (internal/shard); the engine only requires the determinism
-// contract: outcome i of a batch must equal what its own worker pool would
-// compute for item i. A nil return from RunFlips/RunReduce means the
-// distributor could not complete the batch (every shard died); the engine
-// then recomputes the whole batch locally.
+// Distributor runs engine batches outside the engine's worker pool,
+// typically on WorkerEngine replicas. The engine only requires the
+// determinism contract: outcome i of a batch must equal what its own
+// worker pool would compute for item i. A nil or short return from
+// RunFlips/RunReduce means the distributor could not complete the batch;
+// the engine then recomputes the whole batch locally.
 type Distributor interface {
 	RunFlips(b FlipBatch) []FlipOutcome
 	RunReduce(b ReduceBatch) []ReduceOutcome
-	// Counters reports the distribution counters accumulated so far.
-	Counters() DistCounters
-	// SolverStats aggregates the live shards' solver counters.
+	// SolverStats aggregates the replicas' solver counters.
 	SolverStats() smt.Stats
 	Close() error
 }
 
-// DistCounters are the shard-layer measurements surfaced in Stats.
-type DistCounters struct {
-	// Shards is the configured shard count.
-	Shards int
-	// Steals counts chunks executed by a shard other than their static
-	// owner (work rebalancing); Deaths counts shard connections lost
-	// mid-run (their chunks were re-dispatched or recomputed locally).
-	Steals, Deaths uint64
-	// ImportedVerdicts/ImportedCores count peer cache entries accepted
-	// after guard validation; RejectedImports counts entries that failed
-	// it (lying or corrupted peers) or could not be revalidated in budget.
-	ImportedVerdicts, ImportedCores, RejectedImports uint64
-	// HeartbeatsMissed counts liveness-deadline expiries: a shard that
-	// produced no frame (data or heartbeat) within the timeout and was
-	// declared dead without a transport error.
-	HeartbeatsMissed uint64
-	// Hedges counts chunks speculatively re-issued to an idle shard after
-	// their inflight time passed the straggler threshold; HedgeWins and
-	// HedgeLosses split hedged chunks by whether the hedge copy or the
-	// original committed first (duplicates are discarded either way).
-	Hedges, HedgeWins, HedgeLosses uint64
-	// Reconnects counts dead shard slots re-admitted after a successful
-	// redial and handshake; LateJoins are re-admissions after the first
-	// batch (the joiner re-synced via the next batch-start frame).
-	// DegradedStarts is 1 when the fleet started with unreachable members
-	// instead of aborting.
-	Reconnects, LateJoins, DegradedStarts uint64
-}
+// DistCounters carries no measurements. It remains only because
+// internal/perf's traced distributor still names it.
+type DistCounters struct{}
 
-// PatchState is one pool patch's replicated state: everything a shard
-// needs to bring its own deterministically re-synthesized patch replica up
-// to date. Batches carry the whole pool's state (pools are small — tens of
+// PatchState is one pool patch's replicated state: everything a replica
+// needs to bring its own deterministically re-synthesized patch up to
+// date. Batches carry the whole pool's state (pools are small — tens of
 // templates after validation).
 type PatchState struct {
 	ID        int
@@ -84,7 +55,7 @@ type FlipBatch struct {
 
 // FlipOutcome mirrors one pickNewInput result. Unknowns/Panics are the
 // solver-degradation counts observed while computing it, so the
-// coordinator's counters match a local run's.
+// engine's counters match a local run's.
 type FlipOutcome struct {
 	OK, Unknown bool
 	Input       map[string]int64
@@ -116,8 +87,8 @@ type ReduceBatch struct {
 }
 
 // ReduceOutcome is one patch's reduction result, as absolute values: the
-// replica's state equals the coordinator's at batch start and each patch
-// is owned by exactly one task, so the coordinator commits Score /
+// replica's state equals the engine's at batch start and each patch
+// is owned by exactly one task, so the engine commits Score /
 // Deletions / Region verbatim in pool order.
 type ReduceOutcome struct {
 	// Touched reports the patch was feasible on the path and its fields
@@ -145,9 +116,9 @@ func (e *engine) poolState() []PatchState {
 	return ps
 }
 
-// distributeFlips ships one generation's flip scan to the shards. False
-// means the caller must compute the batch locally (no distributor, or
-// every shard died mid-batch).
+// distributeFlips hands one generation's flip scan to the distributor.
+// False means the caller must compute the batch locally (no distributor,
+// or the distributor could not complete the batch).
 func (e *engine) distributeFlips(fresh []concolic.Flip, bounds map[string]interval.Interval, verdicts []flipVerdict) bool {
 	if e.dist == nil || len(fresh) == 0 {
 		return false
@@ -174,7 +145,8 @@ func (e *engine) distributeFlips(fresh []concolic.Flip, bounds map[string]interv
 	return true
 }
 
-// distributeReduce ships one execution's pool reduction to the shards.
+// distributeReduce hands one execution's pool reduction to the
+// distributor; false means the caller computes it locally.
 func (e *engine) distributeReduce(rc ReduceContext, outs []ReduceOutcome) bool {
 	if e.dist == nil || len(outs) == 0 {
 		return false
@@ -185,73 +157,4 @@ func (e *engine) distributeReduce(rc ReduceContext, outs []ReduceOutcome) bool {
 	}
 	copy(outs, got)
 	return true
-}
-
-// --- exported codecs ---
-//
-// The shard wire protocol (internal/shard) serializes engine state in
-// exactly the snapshot encoding; these wrappers expose the checkpoint
-// codecs it needs without exporting the engine internals.
-
-// EncodeFlip appends a flip to the payload, interning terms in te.
-func EncodeFlip(m *journal.Encoder, te *journal.TermEncoder, f *concolic.Flip) {
-	encodeFlip(m, te, f)
-}
-
-// DecodeFlip decodes a flip encoded by EncodeFlip.
-func DecodeFlip(d *journal.Decoder, td *journal.TermDecoder) (*concolic.Flip, error) {
-	return decodeFlip(d, td)
-}
-
-// EncodeHoleHit appends a hole hit to the payload.
-func EncodeHoleHit(m *journal.Encoder, te *journal.TermEncoder, h concolic.HoleHit) {
-	encodeHoleHit(m, te, h)
-}
-
-// DecodeHoleHit decodes a hole hit encoded by EncodeHoleHit.
-func DecodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHit, error) {
-	return decodeHoleHit(d, td)
-}
-
-// EncodeRegion appends a parameter region to the payload.
-func EncodeRegion(m *journal.Encoder, r interval.Region) { encodeRegion(m, r) }
-
-// DecodeRegion decodes a region encoded by EncodeRegion.
-func DecodeRegion(d *journal.Decoder) (interval.Region, error) { return decodeRegion(d) }
-
-// EncodeI64Map appends a string→int64 map (nil-flagged, sorted keys).
-func EncodeI64Map(m *journal.Encoder, mp map[string]int64) { encodeI64Map(m, mp) }
-
-// DecodeI64Map decodes a map encoded by EncodeI64Map.
-func DecodeI64Map(d *journal.Decoder) (map[string]int64, error) { return decodeI64Map(d) }
-
-// EncodeCacheExport appends a verdict-cache export to the payload.
-func EncodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Export) {
-	encodeCacheExport(m, te, ex)
-}
-
-// DecodeCacheExport decodes an export encoded by EncodeCacheExport.
-func DecodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
-	return decodeCacheExport(d, td)
-}
-
-// EncodeSolverStats appends an smt.Stats aggregate to the payload.
-func EncodeSolverStats(m *journal.Encoder, s smt.Stats) { encodeSolverStats(m, s) }
-
-// DecodeSolverStats decodes stats encoded by EncodeSolverStats.
-func DecodeSolverStats(d *journal.Decoder) smt.Stats {
-	var s smt.Stats
-	decodeSolverStats(d, &s)
-	return s
-}
-
-// RunFingerprint hashes everything that determines a run's trajectory (the
-// job plus the trajectory-relevant options). A shard worker recomputes it
-// over the job it decoded and refuses to serve a coordinator whose
-// fingerprint differs — a mismatched replica would return garbage
-// outcomes, not wrong-but-plausible ones, so it fails closed instead.
-func RunFingerprint(job Job, opts Options) uint64 {
-	opts = opts.withDefaults()
-	job.Budget = job.Budget.withDefaults()
-	return fingerprintRun(job, opts)
 }

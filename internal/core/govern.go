@@ -218,9 +218,9 @@ func (e *engine) warnMem(format string, args ...any) {
 }
 
 // copyMemStats publishes the governor counters and size gauges into the
-// run's Stats. Like the shard counters, none of these enter snapshot
-// codecs or stats-equality fingerprints: they describe memory scheduling,
-// not the repair trajectory.
+// run's Stats. Like Workers and the wall-time fields, none of these enter
+// snapshot codecs or stats-equality fingerprints: they describe memory
+// scheduling, not the repair trajectory.
 func (e *engine) copyMemStats(stats *Stats) {
 	stats.MemRungSoft = e.memSoft
 	stats.MemRungHigh = e.memHigh

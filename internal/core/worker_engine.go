@@ -12,27 +12,24 @@ import (
 	"cpr/internal/synth"
 )
 
-// WorkerEngine is the shard-worker side of distribution: a full engine
+// WorkerEngine is the replica side of distribution: a full engine
 // replica (same job, same deterministically re-synthesized pool) that
 // executes flip and reduce chunks on request and never owns the frontier.
-// The coordinator re-syncs the replica's pool state at every batch, so a
-// chunk's outcomes equal what the coordinator's own worker pool would
-// compute for the same indices — the distribution determinism contract.
+// A Distributor re-syncs the replica's pool state at every batch, so a
+// chunk's outcomes equal what the engine's own worker pool would compute
+// for the same indices — the distribution determinism contract.
 //
-// A WorkerEngine is single-goroutine: chunks arrive sequentially over one
-// connection, which is what makes the degradation-counter deltas around
-// each item exact.
+// A WorkerEngine is single-goroutine: its chunks run one after another,
+// which is what makes the degradation-counter deltas around each item
+// exact.
 type WorkerEngine struct {
-	eng   *engine
-	cache *cache.Cache
-	fp    uint64
+	eng *engine
 }
 
 // NewWorkerEngine builds a replica engine for the job. It mirrors
 // Repair's setup through engine construction — synthesis, pool build,
 // split-mode stamping — but runs no exploration itself: no checkpointing,
-// no distributor, and a private verdict cache (with invalidation tracking
-// on, so withdrawn verdicts can be retracted to peers).
+// no distributor, and a private verdict cache.
 func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	opts = opts.withDefaults()
 	job.Budget = job.Budget.withDefaults()
@@ -42,16 +39,15 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	if job.Spec == nil {
 		job.Spec = expr.True()
 	}
-	// One worker: the shard's parallelism is the shard count, and chunk
-	// execution must stay sequential for exact per-item counter deltas.
+	// One worker: a distributor's parallelism is its replica count, and
+	// chunk execution must stay sequential for exact per-item counter
+	// deltas.
 	opts.Workers = 1
 	opts.Checkpoint = CheckpointOptions{}
 	opts.NewDistributor = nil
 	opts.Cancel = nil
 	opts.SMT.Cancel = nil
-	own := cache.New(cache.Options{})
-	own.TrackInvalidations()
-	opts.SMT.Cache = own
+	opts.SMT.Cache = cache.New(cache.Options{})
 
 	job.Components.Cancel = nil
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
@@ -69,20 +65,8 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	}
 	eng.workers = eng.newWorkers(1)
 	eng.curBounds = eng.inputBounds()
-	return &WorkerEngine{eng: eng, cache: own, fp: fingerprintRun(job, opts)}, nil
+	return &WorkerEngine{eng: eng}, nil
 }
-
-// Fingerprint is the replica's run fingerprint. The worker refuses chunks
-// from a coordinator whose RunFingerprint differs (see RunFingerprint).
-//
-// Worker-forced fields (Workers, Checkpoint, cancellation) are not part
-// of the fingerprint, so a coordinator running 8 local workers still
-// matches a replica running 1.
-func (we *WorkerEngine) Fingerprint() uint64 { return we.fp }
-
-// Cache is the replica's private verdict cache — the source of the
-// knowledge deltas the shard layer exchanges.
-func (we *WorkerEngine) Cache() *cache.Cache { return we.cache }
 
 // SolverStats aggregates the replica's solver counters.
 func (we *WorkerEngine) SolverStats() smt.Stats {
@@ -93,15 +77,15 @@ func (we *WorkerEngine) SolverStats() smt.Stats {
 	return agg
 }
 
-// SetBounds installs the batch's input bounds (the coordinator's
-// curBounds: phase bounds, or pinned bounds during validation phases).
+// SetBounds installs the batch's input bounds (the engine's curBounds:
+// phase bounds, or pinned bounds during validation phases).
 func (we *WorkerEngine) SetBounds(b map[string]interval.Interval) {
 	we.eng.curBounds = b
 }
 
-// ApplyPool re-syncs the replica pool to the coordinator's batch-start
-// state: the same order-preserving intersect a checkpoint resume uses.
-// The listed IDs must be a subsequence of the replica's current pool
+// ApplyPool re-syncs the replica pool to the engine's batch-start state:
+// the same order-preserving intersect a checkpoint resume uses. The
+// listed IDs must be a subsequence of the replica's current pool
 // (pools only shrink, in synthesis order); an unknown ID means the
 // replica is not a replica of this run and the chunk must not run.
 func (we *WorkerEngine) ApplyPool(ps []PatchState) error {

@@ -110,16 +110,6 @@ type Plan struct {
 	// attempt panics and the daemon must dead-letter it after its bounded
 	// retries.
 	JobPanicMatch string
-	// ShardLieEvery makes every Nth outgoing cross-shard knowledge entry
-	// lie with ShardLieKind (0 disables). The shard worker corrupts the
-	// entry as it leaves the shard — its own cache stays truthful — so the
-	// tests prove the importer's validation ladder rejects a lying peer
-	// without disturbing the run's result.
-	ShardLieEvery int
-	// ShardLieKind selects the corruption: SolverFlipModel perturbs the
-	// entry's model, SolverSpuriousUnsat flips the verdict bit, and
-	// SolverTruncateCore drops a conjunct from the entry's formula.
-	ShardLieKind Fault
 	// MemRungEvery makes every Nth memory-governor poll report the forced
 	// rung MemRung regardless of real heap usage (0 disables). Because the
 	// governor polls at generation barriers — which are deterministic for a
@@ -148,7 +138,6 @@ type Plan struct {
 	lieCalls     int
 	barrierCalls int
 	jobStarts    int
-	shardLies    int
 	memPolls     int
 	memSustain   int
 	memSamples   int
@@ -195,25 +184,6 @@ func SolverLie() Fault {
 	p.lieCalls++
 	if p.lieCalls%p.LieEvery == 0 {
 		return p.LieKind
-	}
-	return None
-}
-
-// ShardLie is called by the shard worker for every knowledge entry it is
-// about to send to the coordinator; it returns the adversarial corruption
-// to apply to the outgoing copy (None almost always). The counter advances
-// on every call, keeping the lie schedule deterministic for a
-// deterministic run.
-func ShardLie() Fault {
-	p := active.Load()
-	if p == nil || p.ShardLieEvery <= 0 {
-		return None
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.shardLies++
-	if p.shardLies%p.ShardLieEvery == 0 {
-		return p.ShardLieKind
 	}
 	return None
 }

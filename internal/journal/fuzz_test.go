@@ -3,41 +3,52 @@ package journal
 import (
 	"bytes"
 	"errors"
-	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// FuzzJournalCodec hammers the varint/CRC codec that PR 8 promotes to a
-// network wire format: arbitrary bytes must never panic the primitive
-// decoder, the stream framing must reject every torn, truncated, or
-// bit-flipped frame, and any frame that does decode must survive a
-// re-encode/re-decode roundtrip unchanged (no silent mis-decode).
+// FuzzJournalCodec hammers the varint/CRC codec and the record-log reader
+// that cprd's job log and cpr-bench's row journal are recovered with after
+// a crash: arbitrary bytes must never panic the primitive decoder, ReadLog
+// must either return records or fail with ErrCorrupt/ErrVersion, and the
+// records it returns must survive a re-append/re-read roundtrip unchanged
+// (no silent mis-decode).
 func FuzzJournalCodec(f *testing.F) {
 	var enc Encoder
 	enc.U64(42)
 	enc.I64(-77)
-	enc.Str("cross-shard")
+	enc.Str("row-journal")
 	enc.Bool(true)
 	enc.F64(3.25)
 	enc.Raw([]byte{0, 1, 2, 3})
 
-	var stream bytes.Buffer
-	if err := WriteWireHeader(&stream); err != nil {
+	path := filepath.Join(f.TempDir(), "seed.log")
+	w, err := OpenLog(path)
+	if err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteFrame(&stream, 7, enc.Bytes()); err != nil {
+	if err := w.Append(7, enc.Bytes()); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteFrame(&stream, 9, nil); err != nil {
+	if err := w.Append(9, nil); err != nil {
 		f.Fatal(err)
 	}
-	valid := stream.Bytes()
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3]) // torn tail
 	flipped := append([]byte{}, valid...)
-	flipped[len(flipped)-6] ^= 0x40 // bit flip inside the last frame
+	flipped[len(flipped)-6] ^= 0x40 // bit flip inside the last record
 	f.Add(flipped)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // absurd frame length
+	badHeader := append([]byte("NOTJRNL"), valid[7:]...)
+	f.Add(badHeader)
+	f.Add(append(logHeader(), 0xff, 0xff, 0xff, 0xff)) // absurd record length
 	f.Add(enc.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,34 +78,44 @@ func FuzzJournalCodec(f *testing.F) {
 			t.Fatalf("Rest() grew the payload: %d > %d", len(rest), len(data))
 		}
 
-		// The stream framing: scan frames until the stream ends or fails
-		// closed. Every frame that decodes must roundtrip bit-identically.
-		r := bytes.NewReader(data)
-		if err := ReadWireHeader(r); err != nil {
+		// The record log: read it back as a crashed process would, then
+		// re-append every intact record to a fresh log and read that back.
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.log")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadLog(in)
+		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-				t.Fatalf("ReadWireHeader: unexpected error class %v", err)
+				t.Fatalf("ReadLog: unexpected error class %v", err)
 			}
 			return
 		}
-		for {
-			rec, err := ReadFrame(r)
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("ReadFrame: unexpected error class %v", err)
-				}
-				break
+		out := filepath.Join(dir, "out.log")
+		w, err := OpenLog(out)
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r.Kind, r.Payload); err != nil {
+				t.Fatalf("re-append: %v", err)
 			}
-			var out bytes.Buffer
-			if err := WriteFrame(&out, rec.Kind, rec.Payload); err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			rec2, err := ReadFrame(bytes.NewReader(out.Bytes()))
-			if err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			if rec2.Kind != rec.Kind || !bytes.Equal(rec2.Payload, rec.Payload) {
-				t.Fatalf("frame roundtrip mismatch: kind %d→%d, %d→%d payload bytes",
-					rec.Kind, rec2.Kind, len(rec.Payload), len(rec2.Payload))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadLog(out)
+		if err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("roundtrip kept %d of %d records", len(again), len(recs))
+		}
+		for i := range recs {
+			if again[i].Kind != recs[i].Kind || !bytes.Equal(again[i].Payload, recs[i].Payload) {
+				t.Fatalf("record %d roundtrip mismatch: kind %d→%d, %d→%d payload bytes",
+					i, recs[i].Kind, again[i].Kind, len(recs[i].Payload), len(again[i].Payload))
 			}
 		}
 	})

@@ -1,7 +1,7 @@
 // Memory-governance tests for the daemon: admission sheds under
-// pressure, shard fleets narrow, and a GOMEMLIMIT-constrained process
-// survives a memory storm — sheds new work with 503 + Retry-After,
-// finishes everything it accepted, and shows the episode in /stats.
+// pressure, and a GOMEMLIMIT-constrained process survives a memory
+// storm — sheds new work with 503 + Retry-After, finishes everything it
+// accepted, and shows the episode in /stats.
 package serve
 
 import (
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cpr/internal/core"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
 )
@@ -41,7 +40,7 @@ func spike(t *testing.T, g *govern.Governor, bytes uint64, want govern.Rung) {
 	}
 }
 
-// TestMemoryStormShedsAndSurvives is the chaos suite's headline: a daemon
+// TestMemoryStormShedsAndSurvives is the storm suite's headline: a daemon
 // running under a hard Go memory limit accepts a batch of real repair
 // jobs, gets hit by a storm that drives the governor critical, sheds
 // every new submit with 503 + Retry-After while the accepted jobs keep
@@ -142,56 +141,6 @@ func TestMemShedPrefersDrainingRetries(t *testing.T) {
 	}
 	if got := s.Stats().Jobs.RejectedMemory; got != 2 {
 		t.Errorf("RejectedMemory = %d, want 2", got)
-	}
-}
-
-// TestMemPressureNarrowsShardFleets: the shard factory asks the budget
-// for the full fleet when unpressured, half at the high rung, and none at
-// critical (the attempt runs locally), counting each narrowing.
-func TestMemPressureNarrowsShardFleets(t *testing.T) {
-	defer faultinject.Deactivate()
-	g := govern.New(stormWatermarks())
-	var grants []int
-	fake := &fakeDist{}
-	s := newTestServer(t, Config{
-		Runners: -1, Shards: 4, ShardBudget: 8, Govern: g, GovernTick: -1,
-		MakeDistributor: func(n int) func(core.Job, core.Options) (core.Distributor, error) {
-			grants = append(grants, n)
-			return func(core.Job, core.Options) (core.Distributor, error) { return fake, nil }
-		},
-	})
-	f := s.shardFactory()
-	run := func() core.Distributor {
-		d, err := f(core.Job{}, core.Options{})
-		if err != nil {
-			t.Fatalf("shardFactory: %v", err)
-		}
-		if d != nil {
-			d.Close()
-		}
-		return d
-	}
-
-	if d := run(); d == nil {
-		t.Fatal("unpressured attempt got no fleet")
-	}
-	spike(t, g, 1<<41, govern.RungHigh)
-	if d := run(); d == nil {
-		t.Fatal("high-rung attempt got no fleet (want a narrowed one)")
-	}
-	spike(t, g, 1<<43, govern.RungCritical)
-	if d := run(); d != nil {
-		t.Fatal("critical-rung attempt built a fleet, want local")
-	}
-
-	if len(grants) != 2 || grants[0] != 4 || grants[1] != 2 {
-		t.Errorf("fleet grants = %v, want [4 2]", grants)
-	}
-	if got := s.Stats().Jobs.MemNarrowedFleets; got != 2 {
-		t.Errorf("MemNarrowedFleets = %d, want 2 (one halved, one zeroed)", got)
-	}
-	if got := s.Stats().ShardSlotsInUse; got != 0 {
-		t.Errorf("slots leaked: %d in use", got)
 	}
 }
 

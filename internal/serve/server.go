@@ -97,37 +97,21 @@ type Config struct {
 	Incremental bool
 	Paranoid    bool
 
-	// NewDistributor, when set, gives every job attempt a distributed
-	// exploration backend (cmd/cprd wires shard.SpawnFactory here for
-	// -shards N). Each attempt gets a fresh fleet; results are
-	// bit-identical with or without it, so it is purely a wall-clock
-	// lever, like EngineWorkers.
+	// NewDistributor, when set, becomes every job attempt's
+	// core.Options.NewDistributor (internal/perf wires traced in-process
+	// replicas here). Results are bit-identical with or without it, so it
+	// is purely a wall-clock lever, like EngineWorkers.
 	NewDistributor func(core.Job, core.Options) (core.Distributor, error)
-
-	// Shards asks for that many shard worker processes per job attempt, via
-	// MakeDistributor. Unlike NewDistributor (fixed fleet per attempt), this
-	// path is budget-aware: concurrent attempts draw their shard processes
-	// from a shared ShardBudget semaphore, and an attempt that cannot get
-	// any slot runs locally instead of waiting — bit-identical results
-	// either way, only wall time moves.
-	Shards int
-	// ShardBudget caps the daemon-wide shard process count across all
-	// concurrently running attempts (0 = unlimited). An attempt takes
-	// min(Shards, slots free) and releases them when its fleet closes.
-	ShardBudget int
-	// MakeDistributor builds the distributor factory for one attempt's
-	// granted shard count (cmd/cprd wires shard.SpawnFactory here).
-	MakeDistributor func(n int) func(core.Job, core.Options) (core.Distributor, error)
 
 	// Govern, when non-nil, makes the daemon memory-aware: submits are
 	// shed with 503 + Retry-After under pressure (every submit at the
 	// critical rung; at the high rung while a retry backlog is still
-	// draining — finishing accepted work beats admitting new work), new
-	// shard fleets are narrowed or skipped, and every job attempt runs
-	// governed (core.Options.Govern) with its frontier spill directory
-	// under StateDir. cmd/cprd builds one from its -mem-* flags. All
-	// degradation is result-neutral: a shed client retries later to the
-	// same answer an unpressured daemon would have produced.
+	// draining — finishing accepted work beats admitting new work), and
+	// every job attempt runs governed (core.Options.Govern) with its
+	// frontier spill directory under StateDir. cmd/cprd builds one from
+	// its -mem-* flags. All degradation is result-neutral: a shed client
+	// retries later to the same answer an unpressured daemon would have
+	// produced.
 	Govern *govern.Governor
 	// GovernTick is the governor's background polling interval, keeping
 	// admission decisions fresh even when no engine barrier has polled
@@ -216,19 +200,11 @@ type GlobalStats struct {
 	RejectedQuota     uint64 `json:"rejected_quota"`
 	RejectedQueueFull uint64 `json:"rejected_queue_full"`
 	RejectedDraining  uint64 `json:"rejected_draining"`
-	// ShardedAttempts counts attempts that ran with a shard fleet;
-	// ShardDegradedAttempts counts attempts that asked for shards but got
-	// fewer than Config.Shards from the budget (including zero — those ran
-	// locally). Results are identical either way; these measure contention.
-	ShardedAttempts       uint64 `json:"sharded_attempts,omitempty"`
-	ShardDegradedAttempts uint64 `json:"shard_degraded_attempts,omitempty"`
 	// RejectedMemory counts submits shed under memory pressure (503 +
-	// Retry-After); MemNarrowedFleets counts attempts whose shard fleet
-	// was narrowed or zeroed by pressure; MemStoppedRuns counts attempts
-	// the governor stopped into their anytime best-so-far result.
-	RejectedMemory    uint64 `json:"rejected_memory,omitempty"`
-	MemNarrowedFleets uint64 `json:"mem_narrowed_fleets,omitempty"`
-	MemStoppedRuns    uint64 `json:"mem_stopped_runs,omitempty"`
+	// Retry-After); MemStoppedRuns counts attempts the governor stopped
+	// into their anytime best-so-far result.
+	RejectedMemory uint64 `json:"rejected_memory,omitempty"`
+	MemStoppedRuns uint64 `json:"mem_stopped_runs,omitempty"`
 }
 
 // StatsView is the GET /stats payload.
@@ -241,10 +217,6 @@ type StatsView struct {
 	RetryWaiting int                    `json:"retry_waiting"`
 	Jobs         GlobalStats            `json:"jobs"`
 	Tenants      map[string]TenantStats `json:"tenants"`
-	// ShardSlotsInUse / ShardBudget expose the shard-process semaphore
-	// (both 0 when shard budgeting is off or unlimited).
-	ShardSlotsInUse int `json:"shard_slots_in_use,omitempty"`
-	ShardBudget     int `json:"shard_budget,omitempty"`
 	// Engine sums the core.Stats of every completed attempt: the
 	// smt.Stats → core.Stats counters, surfaced at the service level.
 	Engine core.Stats `json:"engine"`
@@ -286,7 +258,6 @@ type Server struct {
 	rng         *rand.Rand
 	global      GlobalStats
 	agg         core.Stats
-	shardInUse  int // shard-process slots currently held by running fleets
 
 	start time.Time
 	wg    sync.WaitGroup
@@ -568,10 +539,6 @@ func (s *Server) Stats() StatsView {
 		Tenants:  make(map[string]TenantStats, len(s.tenants)),
 		Engine:   s.agg,
 	}
-	if s.cfg.Shards > 0 {
-		sv.ShardSlotsInUse = s.shardInUse
-		sv.ShardBudget = s.cfg.ShardBudget
-	}
 	for name, ts := range s.tenants {
 		sv.Tenants[name] = ts.stats
 		sv.Running += ts.running
@@ -818,9 +785,6 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 	}
 	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok}
 	opts.NewDistributor = s.cfg.NewDistributor
-	if s.cfg.Shards > 0 && s.cfg.MakeDistributor != nil {
-		opts.NewDistributor = s.shardFactory()
-	}
 	opts.SMT.Incremental = s.cfg.Incremental
 	opts.SMT.Guard.Paranoid = s.cfg.Paranoid
 	// Governed attempts spill their frontier cold tail under StateDir
@@ -845,103 +809,6 @@ func (s *Server) ckptDir(id string) string {
 
 func (s *Server) spillDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "spill", id)
-}
-
-// --- shard budgeting ---
-
-// acquireShards grants min(want, slots free) from the daemon-wide shard
-// budget — never blocking: a contended attempt runs narrower (or local)
-// rather than waiting on another tenant's fleet.
-func (s *Server) acquireShards(want int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	granted := want
-	if s.cfg.ShardBudget > 0 {
-		if free := s.cfg.ShardBudget - s.shardInUse; free < granted {
-			granted = free
-		}
-		if granted < 0 {
-			granted = 0
-		}
-	}
-	s.shardInUse += granted
-	if granted > 0 {
-		s.global.ShardedAttempts++
-	}
-	if granted < want {
-		s.global.ShardDegradedAttempts++
-	}
-	return granted
-}
-
-func (s *Server) releaseShards(n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.shardInUse -= n
-	s.mu.Unlock()
-}
-
-// budgetedDist returns its attempt's shard slots to the budget when the
-// fleet closes. Close is idempotent like the coordinator's; the release
-// must be too.
-type budgetedDist struct {
-	core.Distributor
-	s    *Server
-	n    int
-	once sync.Once
-}
-
-func (b *budgetedDist) Close() error {
-	err := b.Distributor.Close()
-	b.once.Do(func() { b.s.releaseShards(b.n) })
-	return err
-}
-
-// shardFactory adapts the budget to core.Options.NewDistributor. Slots
-// are acquired lazily — inside the factory, which the engine calls only
-// when a run actually starts — so an attempt that fails before exploring
-// never leaks budget. A (nil, nil) return tells the engine to run this
-// attempt locally (budget exhausted); a fleet that fails to start returns
-// its slots immediately and degrades to local the same way.
-// memNarrowShards shrinks a fleet request under memory pressure: halved
-// at the high rung, zeroed at critical. A new fleet of worker processes
-// is the most expensive thing the daemon can start, and a narrower (or
-// local) attempt is bit-identical anyway — only wall time moves.
-func (s *Server) memNarrowShards(want int) int {
-	switch s.cfg.Govern.Rung() {
-	case govern.RungHigh:
-		return (want + 1) / 2
-	case govern.RungCritical:
-		return 0
-	}
-	return want
-}
-
-func (s *Server) shardFactory() func(core.Job, core.Options) (core.Distributor, error) {
-	return func(job core.Job, opts core.Options) (core.Distributor, error) {
-		want := s.memNarrowShards(s.cfg.Shards)
-		if want < s.cfg.Shards {
-			s.mu.Lock()
-			s.global.MemNarrowedFleets++
-			s.mu.Unlock()
-		}
-		if want == 0 {
-			return nil, nil
-		}
-		granted := s.acquireShards(want)
-		if granted == 0 {
-			return nil, nil
-		}
-		d, err := s.cfg.MakeDistributor(granted)(job, opts)
-		if err != nil {
-			s.releaseShards(granted)
-			s.cfg.warnf("serve: shard fleet (%d workers) failed to start, running locally: %v", granted, err)
-			return nil, nil
-		}
-		return &budgetedDist{Distributor: d, s: s, n: granted}, nil
-	}
 }
 
 // backoffLocked computes the jittered exponential delay before the next
@@ -1073,23 +940,6 @@ func aggStats(dst *core.Stats, s core.Stats) {
 	dst.SatTime += s.SatTime
 	dst.LIATime += s.LIATime
 	dst.ValidateTime += s.ValidateTime
-	// Shard fleet size is a configuration, not a tally: report the widest
-	// fleet any attempt ran with, and sum the event counters.
-	if s.Shards > dst.Shards {
-		dst.Shards = s.Shards
-	}
-	dst.ShardSteals += s.ShardSteals
-	dst.ShardDeaths += s.ShardDeaths
-	dst.ShardImportedVerdicts += s.ShardImportedVerdicts
-	dst.ShardImportedCores += s.ShardImportedCores
-	dst.ShardRejectedImports += s.ShardRejectedImports
-	dst.ShardHeartbeatsMissed += s.ShardHeartbeatsMissed
-	dst.ShardHedges += s.ShardHedges
-	dst.ShardHedgeWins += s.ShardHedgeWins
-	dst.ShardHedgeLosses += s.ShardHedgeLosses
-	dst.ShardReconnects += s.ShardReconnects
-	dst.ShardLateJoins += s.ShardLateJoins
-	dst.ShardDegradedStarts += s.ShardDegradedStarts
 	// Memory governance: event counters sum; peak gauges report the
 	// largest any attempt reached; MemStopped means "some attempt was
 	// memory-stopped" at the aggregate level.

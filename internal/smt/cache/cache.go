@@ -116,12 +116,6 @@ type Cache struct {
 	// maintained on every insert/evict/invalidate (see entryBytes and
 	// coreBytes). It is what ApproxBytes reports and Shrink targets.
 	bytes uint64
-	// trackInv/retract record withdrawn entries for shard knowledge
-	// sharing: a peer that imported an entry must hear about its
-	// invalidation, or the withdrawn verdict would outlive its source.
-	// See TrackInvalidations/DrainInvalidations in delta.go.
-	trackInv bool
-	retract  []Key
 }
 
 // New returns an empty cache.
@@ -353,22 +347,16 @@ func (c *Cache) InvalidateKey(k Key) {
 	ik := key{f: k.f, bounds: k.bounds}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := false
 	if el, ok := c.entries[ik]; ok {
 		c.lru.Remove(el)
 		e := el.Value.(*entry)
 		delete(c.entries, ik)
 		c.bytes -= entryBytes(e.key, e.value)
-		removed = true
 	}
 	if el, ok := c.coreByKey[ik]; ok {
 		c.cores.Remove(el)
 		c.bytes -= coreBytes(el.Value.(*unsatCore))
 		delete(c.coreByKey, ik)
-		removed = true
-	}
-	if removed && c.trackInv {
-		c.retract = append(c.retract, k)
 	}
 }
 

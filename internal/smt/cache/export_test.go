@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"cpr/internal/expr"
@@ -130,6 +132,105 @@ func TestParseBoundsKeyRoundTrip(t *testing.T) {
 		}
 		if BoundsKey(bounds2, def2) != s {
 			t.Fatalf("round trip of %q produced %q", s, BoundsKey(bounds2, def2))
+		}
+	}
+}
+
+// TestExportImportDeltaRoundtripConcurrent drives repeated Export/Import
+// rounds while other goroutines keep calling Store, importing only the
+// entries not shipped in an earlier round, and checks that every verdict
+// that made it into an export lands intact in the importing cache, with
+// models preserved.
+func TestExportImportDeltaRoundtripConcurrent(t *testing.T) {
+	src := New(Options{})
+	dst := New(Options{})
+	b := map[string]interval.Interval{"x": interval.New(0, 1000)}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f := expr.Gt(expr.IntVar(fmt.Sprintf("x%d_%d", w, i%64)), expr.Int(int64(i%32)))
+				if i%3 == 0 {
+					src.Store(f, b, def, Value{Sat: false})
+				} else {
+					src.Store(f, b, def, Value{Sat: true, Model: expr.Model{"x": int64(i)}})
+				}
+			}
+		}(w)
+	}
+
+	// Delta exchanges under fire: each round exports whatever is retained,
+	// filters against what was already shipped, and imports the remainder.
+	sent := make(map[key]bool)
+	for round := 0; round < 20; round++ {
+		ex := src.Export()
+		var delta Export
+		for _, e := range ex.Entries {
+			k := key{f: e.F, bounds: e.Bounds}
+			if sent[k] {
+				continue
+			}
+			sent[k] = true
+			delta.Entries = append(delta.Entries, e)
+		}
+		present := make(map[key]bool, len(delta.Entries))
+		for _, e := range delta.Entries {
+			present[key{f: e.F, bounds: e.Bounds}] = true
+		}
+		for _, c := range ex.Cores {
+			if present[key{f: c.F, bounds: c.Bounds}] {
+				delta.Cores = append(delta.Cores, c)
+			}
+		}
+		if err := dst.Import(delta); err != nil {
+			t.Fatalf("round %d: import: %v", round, err)
+		}
+		// Everything in this delta must now answer from dst (unless its
+		// own volume evicted it — bounded caches may drop oldest-first).
+		for _, e := range delta.Entries {
+			def2, bounds2, err := parseBoundsKey(e.Bounds)
+			if err != nil {
+				t.Fatalf("exported bounds key unparseable: %v", err)
+			}
+			sat, ok := dst.LookupVerdict(e.F, bounds2, def2)
+			if ok && sat != e.Value.Sat {
+				t.Fatalf("round %d: imported verdict flipped: want sat=%v", round, e.Value.Sat)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// A final quiescent roundtrip into a fresh cache must be faithful
+	// entry-for-entry.
+	final := src.Export()
+	fresh := New(Options{})
+	if err := fresh.Import(final); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range final.Entries {
+		def2, bounds2, err := parseBoundsKey(e.Bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sat, ok := fresh.LookupVerdict(e.F, bounds2, def2)
+		if !ok || sat != e.Value.Sat {
+			t.Fatalf("quiescent roundtrip lost or flipped an entry (ok=%v sat=%v want %v)", ok, sat, e.Value.Sat)
+		}
+		if e.Value.Model != nil {
+			v, ok := fresh.Lookup(e.F, bounds2, def2)
+			if !ok || v.Model == nil {
+				t.Fatal("quiescent roundtrip dropped a model")
+			}
 		}
 	}
 }

@@ -125,3 +125,37 @@ func TestConcurrentSubsumptionWriters(t *testing.T) {
 		t.Fatalf("core index leaked: list=%d map=%d", got, want)
 	}
 }
+
+// TestImportDoesNotResurrectInvalidatedCore: an Export taken after
+// Invalidate carries neither the withdrawn entry nor its subsumption core,
+// so a snapshot written after an epoch withdrew a verdict cannot bring it
+// back on import.
+func TestImportDoesNotResurrectInvalidatedCore(t *testing.T) {
+	b := map[string]interval.Interval{"x": interval.New(0, 10)}
+	f := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)))
+	super := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)), expr.Gt(y(), expr.Int(0)))
+
+	src := New(Options{})
+	src.Store(f, b, def, Value{Sat: false})
+	src.Invalidate(f, b, def)
+
+	clean := src.Export()
+	for _, e := range clean.Entries {
+		if (key{f: e.F, bounds: e.Bounds}) == (key{f: f, bounds: BoundsKey(b, def)}) {
+			t.Fatal("export still carries the invalidated entry")
+		}
+	}
+	if len(clean.Cores) != 0 {
+		t.Fatalf("export still carries %d cores after invalidation", len(clean.Cores))
+	}
+	dst := New(Options{})
+	if err := dst.Import(clean); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dst.LookupVerdict(f, b, def); ok {
+		t.Fatal("import resurrected the withdrawn entry")
+	}
+	if _, ok := dst.LookupVerdict(super, b, def); ok {
+		t.Fatal("import resurrected the withdrawn core")
+	}
+}
