@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"cpr"
 	"cpr/internal/buildinfo"
@@ -264,35 +263,8 @@ func runJob(job cpr.Job, dev *cpr.Term, top int, withCEGIS bool, opts cpr.Option
 		st.PathsExplored, st.PathsSkipped, st.Refinements, st.Removals)
 	fmt.Printf("workers: %d, solver queries: %d, cache hit rate: %.1f%%\n",
 		st.Workers, st.SolverQueries, st.CacheHitRate()*100)
-	if total := st.EncodeCacheHits + st.EncodeCacheMisses; total > 0 {
-		fmt.Printf("incremental: enc-cache hit rate %.1f%%, clauses %d learned / %d kept / %d deleted, %d unsat cores\n",
-			float64(st.EncodeCacheHits)/float64(total)*100,
-			st.ClausesLearned, st.ClausesKept, st.ClausesDeleted, st.AssumptionCores)
-	}
-	if st.SatTime+st.LIATime+st.ValidateTime > 0 {
-		fmt.Printf("solver time: SAT %v, LIA %v, validation %v\n",
-			st.SatTime.Round(time.Millisecond), st.LIATime.Round(time.Millisecond), st.ValidateTime.Round(time.Millisecond))
-	}
-	if n := st.SolverUnknowns + st.SolverPanics + st.ExecPanics + st.FlipsDropped; n > 0 {
-		fmt.Printf("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips requeued %d / dropped %d\n",
-			st.SolverUnknowns, st.SolverPanics, st.ExecPanics, st.FlipsRequeued, st.FlipsDropped)
-	}
-	if st.Validations > 0 {
-		fmt.Printf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips\n",
-			st.Validations, st.ValidationFailures, st.Quarantines, st.FallbackSolves, st.RebuildRetries, st.BreakerTrips)
-	}
-	if st.GovernPolls > 0 {
-		fmt.Printf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%s freed), contexts retired %d (%s)\n",
-			st.GovernPolls, st.MemRungSoft, st.MemRungHigh, st.MemRungCritical,
-			st.MemCacheShrinks, fmtBytes(st.MemCacheShrinkBytes),
-			st.MemContextRetires, fmtBytes(st.MemContextRetireBytes))
-		if st.MemSpills > 0 {
-			fmt.Printf("spill: %d batches (%d items) to disk, %d reloads, %d load failures\n",
-				st.MemSpills, st.MemSpilledItems, st.MemReloads, st.MemSpillLoadFailures)
-		}
-		fmt.Printf("peaks: frontier %d items (%s), seen %d (%s), pool %s\n",
-			st.FrontierPeak, fmtBytes(st.FrontierPeakBytes),
-			st.SeenPeak, fmtBytes(st.SeenPeakBytes), fmtBytes(st.PoolPeakBytes))
+	for _, line := range st.SummaryLines() {
+		fmt.Println(line)
 	}
 	if dev != nil {
 		if rank, ok := cpr.CorrectPatchRank(res, dev, job.InputBounds); ok {
@@ -347,19 +319,6 @@ func localizeFile(prog *cpr.Program, spec string) {
 		}
 		fmt.Printf("  %2d. line %3d col %2d  score %.3f\n", i+1, r.Pos.Line, r.Pos.Col, r.Score)
 	}
-}
-
-// fmtBytes renders a byte count at a human scale (KiB/MiB/GiB).
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }
 
 func parseInput(s string) (map[string]int64, error) {

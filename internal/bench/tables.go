@@ -332,107 +332,29 @@ func FormatCPRTable(title string, rows []SubjectResult) string {
 }
 
 // solverSummary aggregates the engineering-side counters of a run — wall
-// time, SMT queries, verdict-cache traffic — across the table's rows.
+// time, SMT queries, verdict-cache traffic, and core.Stats.SummaryLines of
+// the rows' sum — across the table's rows.
 func solverSummary(rows []SubjectResult) string {
-	var wall, satTime, liaTime, valTime time.Duration
-	var queries, hits, misses uint64
-	var encHits, encMisses, learned, kept, deleted, cores, coreLits uint64
-	var validations, valFailures, quarantines, fallbacks, rebuilds, trips uint64
-	var governPolls, rungSoft, rungHigh, rungCritical uint64
-	var shrinks, shrinkBytes, retires, retireBytes uint64
-	var spills, spilledItems, reloads, spillFails, memStopped uint64
-	var frontierPeak, seenPeak int
-	var frontierPeakB, seenPeakB, poolPeakB uint64
+	var wall time.Duration
+	var sum core.Stats
+	var memStopped int
 	for _, r := range rows {
 		if r.NA {
 			continue
 		}
 		wall += r.Wall
-		satTime += r.CPR.SatTime
-		liaTime += r.CPR.LIATime
-		valTime += r.CPR.ValidateTime
-		queries += r.CPR.SolverQueries
-		hits += r.CPR.CacheHits
-		misses += r.CPR.CacheMisses
-		encHits += r.CPR.EncodeCacheHits
-		encMisses += r.CPR.EncodeCacheMisses
-		learned += r.CPR.ClausesLearned
-		kept += r.CPR.ClausesKept
-		deleted += r.CPR.ClausesDeleted
-		cores += r.CPR.AssumptionCores
-		coreLits += r.CPR.AssumptionCoreLits
-		validations += r.CPR.Validations
-		valFailures += r.CPR.ValidationFailures
-		quarantines += r.CPR.Quarantines
-		fallbacks += r.CPR.FallbackSolves
-		rebuilds += r.CPR.RebuildRetries
-		trips += r.CPR.BreakerTrips
-		governPolls += r.CPR.GovernPolls
-		rungSoft += r.CPR.MemRungSoft
-		rungHigh += r.CPR.MemRungHigh
-		rungCritical += r.CPR.MemRungCritical
-		shrinks += r.CPR.MemCacheShrinks
-		shrinkBytes += r.CPR.MemCacheShrinkBytes
-		retires += r.CPR.MemContextRetires
-		retireBytes += r.CPR.MemContextRetireBytes
-		spills += r.CPR.MemSpills
-		spilledItems += r.CPR.MemSpilledItems
-		reloads += r.CPR.MemReloads
-		spillFails += r.CPR.MemSpillLoadFailures
+		sum = sum.Add(r.CPR)
 		if r.CPR.MemStopped {
 			memStopped++
 		}
-		if r.CPR.FrontierPeak > frontierPeak {
-			frontierPeak = r.CPR.FrontierPeak
-		}
-		if r.CPR.SeenPeak > seenPeak {
-			seenPeak = r.CPR.SeenPeak
-		}
-		if r.CPR.FrontierPeakBytes > frontierPeakB {
-			frontierPeakB = r.CPR.FrontierPeakBytes
-		}
-		if r.CPR.SeenPeakBytes > seenPeakB {
-			seenPeakB = r.CPR.SeenPeakBytes
-		}
-		if r.CPR.PoolPeakBytes > poolPeakB {
-			poolPeakB = r.CPR.PoolPeakBytes
-		}
-	}
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
 	}
 	out := fmt.Sprintf("solver: %d queries, cache hit rate %.1f%% (%d hits / %d misses), wall %s\n",
-		queries, rate*100, hits, misses, wall.Round(time.Millisecond))
-	if satTime+liaTime+valTime > 0 {
-		out += fmt.Sprintf("solver time: SAT %s, LIA %s, validation %s (rest is exploration + synthesis)\n",
-			satTime.Round(time.Millisecond), liaTime.Round(time.Millisecond), valTime.Round(time.Millisecond))
+		sum.SolverQueries, sum.CacheHitRate()*100, sum.CacheHits, sum.CacheMisses, wall.Round(time.Millisecond))
+	for _, l := range sum.SummaryLines() {
+		out += l + "\n"
 	}
-	if encHits+encMisses > 0 { // incremental contexts were in play
-		encRate := float64(encHits) / float64(encHits+encMisses)
-		meanCore := 0.0
-		if cores > 0 {
-			meanCore = float64(coreLits) / float64(cores)
-		}
-		out += fmt.Sprintf("incremental: enc-cache hit rate %.1f%% (%d/%d), clauses %d learned / %d kept / %d deleted, %d cores (mean %.1f conjuncts)\n",
-			encRate*100, encHits, encHits+encMisses, learned, kept, deleted, cores, meanCore)
-	}
-	if validations > 0 {
-		out += fmt.Sprintf("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips\n",
-			validations, valFailures, quarantines, fallbacks, rebuilds, trips)
-	}
-	if governPolls > 0 { // a memory governor was in play
-		out += fmt.Sprintf("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B), spills %d (%d items, %d reloads, %d failures)\n",
-			governPolls, rungSoft, rungHigh, rungCritical,
-			shrinks, shrinkBytes, retires, retireBytes,
-			spills, spilledItems, reloads, spillFails)
-		if memStopped > 0 {
-			out += fmt.Sprintf("memory-stopped runs: %d (each returned its best-so-far anytime pool)\n", memStopped)
-		}
-	}
-	if frontierPeak > 0 {
-		out += fmt.Sprintf("peaks: frontier %d items (%d B), seen set %d entries (%d B), pool %d B\n",
-			frontierPeak, frontierPeakB, seenPeak, seenPeakB, poolPeakB)
+	if memStopped > 0 {
+		out += fmt.Sprintf("memory-stopped runs: %d (each returned its best-so-far anytime pool)\n", memStopped)
 	}
 	return out
 }

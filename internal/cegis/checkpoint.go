@@ -138,7 +138,7 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 
 	encodeCegisStats(m, ck.stats)
 	agg := ck.baseSolver.Add(ck.solver.Stats())
-	encodeSolverStats(m, agg)
+	smt.EncodeSolverStats(m, agg)
 	m.U64(ck.solver.CrossCheckCursor())
 
 	m.Bool(ck.ownCache)
@@ -268,7 +268,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 	rs.phase = d.Int()
 
 	decodeCegisStats(d, &rs.stats)
-	decodeSolverStats(d, &rs.solverAgg)
+	smt.DecodeSolverStats(d, &rs.solverAgg)
 	rs.cursor = d.U64()
 
 	rs.hasCache = d.Bool()
@@ -399,54 +399,6 @@ func decodeCegisStats(d *journal.Decoder, s *Stats) {
 	s.TimedOut = d.Bool()
 	s.SolverUnknowns = d.Int()
 	s.ExecPanics = d.Int()
-}
-
-func encodeSolverStats(m *journal.Encoder, s smt.Stats) {
-	m.U64(s.Queries)
-	m.U64(s.TheoryRounds)
-	m.U64(s.SatAnswers)
-	m.U64(s.UnsatAnswers)
-	m.U64(s.Unknowns)
-	m.U64(s.Panics)
-	m.U64(s.CacheHits)
-	m.U64(s.CacheMisses)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
-	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
-	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
-	m.U64(s.Validations)
-	m.U64(s.ValidationFailures)
-	m.U64(s.Quarantines)
-	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
-}
-
-func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
-	s.Queries = d.U64()
-	s.TheoryRounds = d.U64()
-	s.SatAnswers = d.U64()
-	s.UnsatAnswers = d.U64()
-	s.Unknowns = d.U64()
-	s.Panics = d.U64()
-	s.CacheHits = d.U64()
-	s.CacheMisses = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
-	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
-	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
-	s.Validations = d.U64()
-	s.ValidationFailures = d.U64()
-	s.Quarantines = d.U64()
-	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
 }
 
 func lenCheck(d *journal.Decoder, n uint64, what string) error {

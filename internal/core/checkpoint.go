@@ -65,7 +65,7 @@ func (o CheckpointOptions) warnf(format string, args ...any) {
 
 // coreSnapVersion is the schema version of the engine-state payload inside
 // a snapshot container; bump on any encoding change.
-const coreSnapVersion = 1
+const coreSnapVersion = 2
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
@@ -252,7 +252,7 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	for _, w := range e.workers {
 		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
 	}
-	encodeSolverStats(m, agg)
+	smt.EncodeSolverStats(m, agg)
 	// Per-solver cross-check sampling cursors, in worker order, so the
 	// resumed run's validation sampling continues the killed run's schedule.
 	m.U64(uint64(2 * len(e.workers)))
@@ -431,7 +431,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	for i := range rs.counters {
 		rs.counters[i] = d.I64()
 	}
-	decodeSolverStats(d, &rs.solverAgg)
+	smt.DecodeSolverStats(d, &rs.solverAgg)
 	nc := d.U64()
 	if err := lenCheck(d, nc, "cross-check cursors"); err != nil {
 		return nil, err
@@ -577,6 +577,10 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 
 // --- field-level codecs ---
 
+// encodeStats writes the engine's own Stats fields. The embedded solver
+// counters are left out: Repair fills them from the solver aggregate after
+// the explore loop, so they are zero at every barrier, and the snapshot
+// carries that aggregate separately. MemStats is never persisted.
 func encodeStats(m *journal.Encoder, s *Stats) {
 	m.I64(s.PInit)
 	m.I64(s.PFinal)
@@ -596,24 +600,8 @@ func encodeStats(m *journal.Encoder, s *Stats) {
 	m.Int(s.FlipsRequeued)
 	m.Int(s.FlipsDropped)
 	m.Int(s.Workers)
-	m.U64(s.SolverQueries)
-	m.U64(s.CacheHits)
-	m.U64(s.CacheMisses)
 	m.U64(s.CacheEvictions)
 	m.U64(s.CacheSubsumed)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
-	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
-	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
-	m.U64(s.Validations)
-	m.U64(s.ValidationFailures)
-	m.U64(s.Quarantines)
-	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
 }
 
 func decodeStats(d *journal.Decoder, s *Stats) {
@@ -635,72 +623,8 @@ func decodeStats(d *journal.Decoder, s *Stats) {
 	s.FlipsRequeued = d.Int()
 	s.FlipsDropped = d.Int()
 	s.Workers = d.Int()
-	s.SolverQueries = d.U64()
-	s.CacheHits = d.U64()
-	s.CacheMisses = d.U64()
 	s.CacheEvictions = d.U64()
 	s.CacheSubsumed = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
-	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
-	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
-	s.Validations = d.U64()
-	s.ValidationFailures = d.U64()
-	s.Quarantines = d.U64()
-	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
-}
-
-func encodeSolverStats(m *journal.Encoder, s smt.Stats) {
-	m.U64(s.Queries)
-	m.U64(s.TheoryRounds)
-	m.U64(s.SatAnswers)
-	m.U64(s.UnsatAnswers)
-	m.U64(s.Unknowns)
-	m.U64(s.Panics)
-	m.U64(s.CacheHits)
-	m.U64(s.CacheMisses)
-	m.U64(s.EncodeCacheHits)
-	m.U64(s.EncodeCacheMisses)
-	m.U64(s.ClausesLearned)
-	m.U64(s.ClausesKept)
-	m.U64(s.ClausesDeleted)
-	m.U64(s.AssumptionCores)
-	m.U64(s.AssumptionCoreLits)
-	m.U64(s.Validations)
-	m.U64(s.ValidationFailures)
-	m.U64(s.Quarantines)
-	m.U64(s.FallbackSolves)
-	m.U64(s.RebuildRetries)
-	m.U64(s.BreakerTrips)
-}
-
-func decodeSolverStats(d *journal.Decoder, s *smt.Stats) {
-	s.Queries = d.U64()
-	s.TheoryRounds = d.U64()
-	s.SatAnswers = d.U64()
-	s.UnsatAnswers = d.U64()
-	s.Unknowns = d.U64()
-	s.Panics = d.U64()
-	s.CacheHits = d.U64()
-	s.CacheMisses = d.U64()
-	s.EncodeCacheHits = d.U64()
-	s.EncodeCacheMisses = d.U64()
-	s.ClausesLearned = d.U64()
-	s.ClausesKept = d.U64()
-	s.ClausesDeleted = d.U64()
-	s.AssumptionCores = d.U64()
-	s.AssumptionCoreLits = d.U64()
-	s.Validations = d.U64()
-	s.ValidationFailures = d.U64()
-	s.Quarantines = d.U64()
-	s.FallbackSolves = d.U64()
-	s.RebuildRetries = d.U64()
-	s.BreakerTrips = d.U64()
 }
 
 func encodeRegion(m *journal.Encoder, r interval.Region) {

@@ -169,118 +169,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats are the measurements reported in the paper's tables.
-type Stats struct {
-	// PInit and PFinal are concrete patch-pool sizes (|P_init|, |P_final|).
-	PInit, PFinal int64
-	// PoolInit and PoolFinal are abstract (template) pool sizes.
-	PoolInit, PoolFinal int
-	// PathsExplored is φE: concolic executions in the main loop.
-	PathsExplored int
-	// PathsSkipped is φS: candidate paths pruned because no pool patch
-	// could exercise them (the paper's path reduction).
-	PathsSkipped int
-	// InputsGenerated counts generated inputs (excluding seeds);
-	// PatchLocHits/BugLocHits count generated inputs whose execution hit
-	// the patch/bug location (Table 6 ratios).
-	InputsGenerated, PatchLocHits, BugLocHits int
-	// Refinements counts successful parameter-constraint refinements;
-	// Removals counts discarded patches.
-	Refinements, Removals int
-	// TimedOut reports that the wall-clock budget (Budget.MaxDuration /
-	// Budget.Deadline) or the cancellation token fired and the run
-	// returned its best-so-far pool early.
-	TimedOut bool
-	// SolverUnknowns counts solver queries that exhausted a budget or
-	// deadline (degraded to "path/patch skipped"); SolverPanics counts
-	// solver panics recovered at the query boundary.
-	SolverUnknowns, SolverPanics int
-	// ExecPanics counts subject executions that panicked and were
-	// recovered at the engine boundary (degraded to "flip skipped").
-	ExecPanics int
-	// FlipsRequeued counts flips whose feasibility query came back
-	// Unknown and that were re-queued once at a reduced solver budget;
-	// FlipsDropped counts those still Unknown on the retry (dropped).
-	FlipsRequeued, FlipsDropped int
-	// Workers is the resolved size of the exploration worker pool.
-	Workers int
-	// SolverQueries totals SMT queries across every worker's solvers
-	// (retry solvers included). CacheHits/CacheMisses count the verdict
-	// cache's traffic from those queries; CacheSubsumed is the subset of
-	// hits answered by unsat-core subsumption rather than an exact entry,
-	// and CacheEvictions counts LRU evictions.
-	SolverQueries                                         uint64
-	CacheHits, CacheMisses, CacheEvictions, CacheSubsumed uint64
-	// Incremental-solver counters, aggregated across workers (all zero
-	// with SMT.Incremental off). EncodeCacheHits/EncodeCacheMisses count
-	// per-conjunct encoding reuse; ClausesLearned/ClausesDeleted count CDCL
-	// clause learning and activity-driven deletion, and ClausesKept is the
-	// learned-clause count retained across queries at the end of the run;
-	// AssumptionCores counts unsat answers that produced a narrowing
-	// assumption core and AssumptionCoreLits sums their sizes.
-	EncodeCacheHits, EncodeCacheMisses          uint64
-	ClausesLearned, ClausesKept, ClausesDeleted uint64
-	AssumptionCores, AssumptionCoreLits         uint64
-	// Self-healing health counters, aggregated across workers (package
-	// smt/guard). Validations counts verdict validations (sat-model
-	// replays + sampled unsat cross-checks) and ValidationFailures the
-	// verdicts they rejected — every rejected verdict was replaced by a
-	// lower-rung solve or degraded to Unknown, never observed by the
-	// repair loop. Quarantines counts solver layers taken out of service,
-	// FallbackSolves queries served below their natural tier,
-	// RebuildRetries quarantined contexts readmitted after backoff, and
-	// BreakerTrips per-worker circuit breakers pinned to scratch mode.
-	Validations, ValidationFailures uint64
-	Quarantines, FallbackSolves     uint64
-	RebuildRetries, BreakerTrips    uint64
-	// Wall-time breakdown of solver work, summed across workers: CDCL
-	// search, the LIA procedure, and verdict validation (model replays
-	// plus sampled cross-checks).
-	SatTime, LIATime, ValidateTime time.Duration
-	// Memory-governor counters (all zero without Options.Govern): barrier
-	// polls classified at each rung, verdict-cache shrinks (count and bytes
-	// freed), incremental solver contexts retired (count and approximate
-	// bytes), frontier cold-tail spills (batches, items, reloads, and
-	// unreadable batches), and whether sustained critical pressure stopped
-	// the run (MemStopped implies TimedOut: the stop IS the budget-expiry
-	// path). GovernPolls/GovernTransitions count this run's own barrier
-	// polls and the rung changes they observed. Like Workers and the
-	// wall-time fields, none of these enter snapshot codecs or
-	// stats-equality fingerprints — they describe memory scheduling, not
-	// the repair trajectory.
-	MemRungSoft, MemRungHigh, MemRungCritical uint64
-	MemCacheShrinks, MemCacheShrinkBytes      uint64
-	MemContextRetires, MemContextRetireBytes  uint64
-	MemSpills, MemSpilledItems, MemReloads    uint64
-	MemSpillLoadFailures                      uint64
-	MemStopped                                bool
-	GovernPolls, GovernTransitions            uint64
-	// Structure-size gauges, tracked at every generation barrier whether or
-	// not a governor is configured: peak frontier length (in-memory plus
-	// spilled) and approximate bytes, peak seen-set size, and peak pool
-	// bytes. Also excluded from snapshots and fingerprints.
-	FrontierPeak, SeenPeak                          int
-	FrontierPeakBytes, SeenPeakBytes, PoolPeakBytes uint64
-}
-
-// CacheHitRate is CacheHits / (CacheHits + CacheMisses), 0 when no query
-// consulted the cache.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// ReductionRatio is 1 − PFinal/PInit (the tables' Ratio column).
-func (s Stats) ReductionRatio() float64 {
-	if s.PInit == 0 {
-		return 0
-	}
-	return 1 - float64(s.PFinal)/float64(s.PInit)
-}
-
 // Result is the outcome of a repair run.
 type Result struct {
 	// Pool is the final reduced pool.
@@ -501,29 +389,11 @@ func Repair(job Job, opts Options) (*Result, error) {
 		// counters fold into the same aggregate the local workers feed.
 		agg = agg.Add(eng.dist.SolverStats())
 	}
-	stats.SolverQueries = agg.Queries
-	stats.CacheHits = agg.CacheHits
-	stats.CacheMisses = agg.CacheMisses
-	stats.EncodeCacheHits = agg.EncodeCacheHits
-	stats.EncodeCacheMisses = agg.EncodeCacheMisses
-	stats.ClausesLearned = agg.ClausesLearned
-	stats.ClausesKept = agg.ClausesKept
-	stats.ClausesDeleted = agg.ClausesDeleted
-	stats.AssumptionCores = agg.AssumptionCores
-	stats.AssumptionCoreLits = agg.AssumptionCoreLits
-	stats.Validations = agg.Validations
-	stats.ValidationFailures = agg.ValidationFailures
-	stats.Quarantines = agg.Quarantines
-	stats.FallbackSolves = agg.FallbackSolves
-	stats.RebuildRetries = agg.RebuildRetries
-	stats.BreakerTrips = agg.BreakerTrips
-	stats.SatTime = agg.SatTime
-	stats.LIATime = agg.LIATime
-	stats.ValidateTime = agg.ValidateTime
+	stats.Stats = agg
 	cacheEnd := opts.SMT.Cache.Stats()
 	stats.CacheEvictions = eng.baseCacheEvict + (cacheEnd.Evictions - cacheStart.Evictions)
 	stats.CacheSubsumed = eng.baseCacheSub + (cacheEnd.Subsumed - cacheStart.Subsumed)
-	eng.copyMemStats(stats)
+	stats.MemStats = eng.mem
 	return &Result{Pool: pool, Ranked: pool.Ranked(), Stats: *stats}, nil
 }
 
@@ -602,22 +472,13 @@ type engine struct {
 	// Memory-governor state (see govern.go and spill.go). The plain fields
 	// are coordinator-only; the atomic gauges are read by governor source
 	// callbacks, possibly from a daemon's ticker goroutine.
-	spillDir                         string // resolved spill directory; "\x00unavailable" after a failure
-	ownSpillDir                      bool
-	spillSeq                         int
-	lastRung                         govern.Rung
-	memStopped                       bool
-	memSoft, memHigh, memCritical    uint64
-	memShrinks, memShrinkBytes       uint64
-	memRetires, memRetireBytes       uint64
-	memSpills, memSpilledItems       uint64
-	memReloads, memSpillLoadFailures uint64
-	governPolls, governTransitions   uint64
-	frontierPeak, seenPeak           int
-	frontierPeakBytes, seenPeakBytes uint64
-	poolPeakBytes                    uint64
-	gFrontierBytes, gSeenBytes       atomic.Uint64
-	gPoolBytes, gSolverBytes         atomic.Uint64
+	spillDir                   string // resolved spill directory; "\x00unavailable" after a failure
+	ownSpillDir                bool
+	spillSeq                   int
+	lastRung                   govern.Rung
+	mem                        MemStats
+	gFrontierBytes, gSeenBytes atomic.Uint64
+	gPoolBytes, gSolverBytes   atomic.Uint64
 }
 
 // noteSolverErr classifies and counts a degraded solver answer; it

@@ -88,9 +88,9 @@ func (e *engine) governAtBarrier(st *exploreState) {
 		return
 	}
 	rung := g.Poll()
-	e.governPolls++
+	e.mem.GovernPolls++
 	if rung != e.lastRung {
-		e.governTransitions++
+		e.mem.GovernTransitions++
 		e.lastRung = rung
 	}
 	if rung == govern.RungNone {
@@ -98,11 +98,11 @@ func (e *engine) governAtBarrier(st *exploreState) {
 	}
 	switch rung {
 	case govern.RungSoft:
-		e.memSoft++
+		e.mem.MemRungSoft++
 	case govern.RungHigh:
-		e.memHigh++
+		e.mem.MemRungHigh++
 	case govern.RungCritical:
-		e.memCritical++
+		e.mem.MemRungCritical++
 	}
 
 	// Shrink the verdict cache: to half under soft, quarter under high,
@@ -116,8 +116,8 @@ func (e *engine) governAtBarrier(st *exploreState) {
 			target = c.ApproxBytes() / 4
 		}
 		if n, freed := c.Shrink(target); n > 0 {
-			e.memShrinks++
-			e.memShrinkBytes += freed
+			e.mem.MemCacheShrinks++
+			e.mem.MemCacheShrinkBytes += freed
 		}
 	}
 	// Retire incremental solver contexts (workers are idle at a barrier).
@@ -125,8 +125,8 @@ func (e *engine) governAtBarrier(st *exploreState) {
 	for _, w := range e.workers {
 		r, f := w.solver.TrimMemory()
 		r2, f2 := w.retrySolver.TrimMemory()
-		e.memRetires += uint64(r + r2)
-		e.memRetireBytes += f + f2
+		e.mem.MemContextRetires += uint64(r + r2)
+		e.mem.MemContextRetireBytes += f + f2
 	}
 	// High and critical: move the frontier's cold tail out of the heap.
 	if rung >= govern.RungHigh {
@@ -138,8 +138,8 @@ func (e *engine) governAtBarrier(st *exploreState) {
 	}
 	// Sustained critical: fall back to the anytime result. Cancelling the
 	// engine-owned token is byte-for-byte the budget-expiry path.
-	if rung == govern.RungCritical && !e.memStopped && g.ShouldStop() {
-		e.memStopped = true
+	if rung == govern.RungCritical && !e.mem.MemStopped && g.ShouldStop() {
+		e.mem.MemStopped = true
 		e.tok.Cancel()
 	}
 	e.updateMemGauges(st)
@@ -164,21 +164,12 @@ func (e *engine) updateMemGauges(st *exploreState) {
 	e.gSeenBytes.Store(sb)
 	e.gPoolBytes.Store(pb)
 	e.gSolverBytes.Store(solv)
-	if fl > e.frontierPeak {
-		e.frontierPeak = fl
-	}
-	if fb > e.frontierPeakBytes {
-		e.frontierPeakBytes = fb
-	}
-	if n := len(st.seen); n > e.seenPeak {
-		e.seenPeak = n
-	}
-	if sb > e.seenPeakBytes {
-		e.seenPeakBytes = sb
-	}
-	if pb > e.poolPeakBytes {
-		e.poolPeakBytes = pb
-	}
+	m := &e.mem
+	m.FrontierPeak = max(m.FrontierPeak, fl)
+	m.FrontierPeakBytes = max(m.FrontierPeakBytes, fb)
+	m.SeenPeak = max(m.SeenPeak, len(st.seen))
+	m.SeenPeakBytes = max(m.SeenPeakBytes, sb)
+	m.PoolPeakBytes = max(m.PoolPeakBytes, pb)
 }
 
 // approxItemBytes estimates one work item's retained heap: maps, the flip
@@ -215,30 +206,4 @@ func approxPoolBytes(pl *patch.Pool) uint64 {
 // one is configured (the CLIs already wire it to stderr); silent otherwise.
 func (e *engine) warnMem(format string, args ...any) {
 	e.opts.Checkpoint.warnf(format, args...)
-}
-
-// copyMemStats publishes the governor counters and size gauges into the
-// run's Stats. Like Workers and the wall-time fields, none of these enter
-// snapshot codecs or stats-equality fingerprints: they describe memory
-// scheduling, not the repair trajectory.
-func (e *engine) copyMemStats(stats *Stats) {
-	stats.MemRungSoft = e.memSoft
-	stats.MemRungHigh = e.memHigh
-	stats.MemRungCritical = e.memCritical
-	stats.MemCacheShrinks = e.memShrinks
-	stats.MemCacheShrinkBytes = e.memShrinkBytes
-	stats.MemContextRetires = e.memRetires
-	stats.MemContextRetireBytes = e.memRetireBytes
-	stats.MemSpills = e.memSpills
-	stats.MemSpilledItems = e.memSpilledItems
-	stats.MemReloads = e.memReloads
-	stats.MemSpillLoadFailures = e.memSpillLoadFailures
-	stats.MemStopped = e.memStopped
-	stats.GovernPolls = e.governPolls
-	stats.GovernTransitions = e.governTransitions
-	stats.FrontierPeak = e.frontierPeak
-	stats.FrontierPeakBytes = e.frontierPeakBytes
-	stats.SeenPeak = e.seenPeak
-	stats.SeenPeakBytes = e.seenPeakBytes
-	stats.PoolPeakBytes = e.poolPeakBytes
 }

@@ -249,11 +249,11 @@ func TestFrontierSpillMirrorsInMemory(t *testing.T) {
 					t.Fatalf("drain diverged: spilled=(%d,%d) ref=(%d,%d)", got.score, got.seq, want.score, want.seq)
 				}
 			}
-			if e.memSpills == 0 || e.memReloads == 0 {
-				t.Fatalf("spill machinery not exercised: spills=%d reloads=%d", e.memSpills, e.memReloads)
+			if e.mem.MemSpills == 0 || e.mem.MemReloads == 0 {
+				t.Fatalf("spill machinery not exercised: spills=%d reloads=%d", e.mem.MemSpills, e.mem.MemReloads)
 			}
-			if e.memSpillLoadFailures != 0 {
-				t.Fatalf("%d spill load failures on a healthy disk", e.memSpillLoadFailures)
+			if e.mem.MemSpillLoadFailures != 0 {
+				t.Fatalf("%d spill load failures on a healthy disk", e.mem.MemSpillLoadFailures)
 			}
 			// Payloads must round-trip, not just keys: verify a known item.
 			if st.frontierLen() != 0 || rst.frontierLen() != 0 {
@@ -280,8 +280,8 @@ func TestFrontierSpillPayloadRoundTrip(t *testing.T) {
 		})
 	}
 	e.spillFrontier(st, 2)
-	if e.memSpills != 1 {
-		t.Fatalf("spills = %d, want 1", e.memSpills)
+	if e.mem.MemSpills != 1 {
+		t.Fatalf("spills = %d, want 1", e.mem.MemSpills)
 	}
 	if len(st.queue) != 2 {
 		t.Fatalf("hot set = %d items, want 2", len(st.queue))

@@ -215,7 +215,7 @@ func (e *engine) spillFrontier(st *exploreState, keepHot int) {
 	e.spillSeq++
 	if err := journal.WriteFileAtomic(path, framed.Bytes()); err != nil {
 		e.warnMem("govern: frontier spill failed, keeping tail in memory: %v", err)
-		e.memSpillLoadFailures++
+		e.mem.MemSpillLoadFailures++
 		return
 	}
 
@@ -227,8 +227,8 @@ func (e *engine) spillFrontier(st *exploreState, keepHot int) {
 		st.spill = &frontierSpill{}
 	}
 	st.spill.batches = append(st.spill.batches, &spillBatch{path: path, keys: keys, live: len(keys)})
-	e.memSpills++
-	e.memSpilledItems += uint64(len(cold))
+	e.mem.MemSpills++
+	e.mem.MemSpilledItems += uint64(len(cold))
 	// Copy the hot set into a fresh slice so the cold tail's backing array
 	// (and the item payloads it pins) is actually collectable.
 	st.queue = append(make([]workItem, 0, keepHot), st.queue[:keepHot]...)
@@ -308,11 +308,11 @@ func (e *engine) reloadBatch(st *exploreState, idx int) bool {
 	items, err := readSpillBatch(b.path)
 	os.Remove(b.path)
 	if err != nil {
-		e.memSpillLoadFailures++
+		e.mem.MemSpillLoadFailures++
 		e.warnMem("govern: frontier spill reload failed, %d item(s) lost: %v", b.live, err)
 		return false
 	}
-	e.memReloads++
+	e.mem.MemReloads++
 	for _, it := range items {
 		if b.dead[it.seq] {
 			continue

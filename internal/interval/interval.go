@@ -42,11 +42,13 @@ func (iv Interval) Count() int64 {
 	if iv.IsEmpty() {
 		return 0
 	}
-	// Careful with overflow: Hi - Lo may exceed int64 range.
-	if iv.Lo < 0 && iv.Hi > math.MaxInt64+iv.Lo-1 {
+	// Hi - Lo is exact in uint64 (Hi >= Lo); Hi - Lo + 1 overflows int64
+	// exactly when Hi - Lo >= MaxInt64.
+	d := uint64(iv.Hi) - uint64(iv.Lo)
+	if d >= math.MaxInt64 {
 		return math.MaxInt64
 	}
-	return iv.Hi - iv.Lo + 1
+	return int64(d) + 1
 }
 
 // Intersect returns the intersection of two intervals.

@@ -26,9 +26,24 @@ func TestIntervalBasics(t *testing.T) {
 }
 
 func TestIntervalCountSaturates(t *testing.T) {
-	full := New(math.MinInt64, math.MaxInt64)
-	if full.Count() != math.MaxInt64 {
-		t.Fatalf("full interval count = %d, want saturation", full.Count())
+	for _, c := range []struct {
+		iv   Interval
+		want int64
+	}{
+		{New(math.MinInt64, math.MaxInt64), math.MaxInt64},
+		{New(0, math.MaxInt64), math.MaxInt64},  // 2^63 points
+		{New(1, math.MaxInt64), math.MaxInt64},  // exactly MaxInt64 points
+		{New(math.MinInt64, -1), math.MaxInt64}, // 2^63 points
+		{New(math.MinInt64, -2), math.MaxInt64}, // exactly MaxInt64 points
+		{New(math.MinInt64+1, math.MaxInt64-1), math.MaxInt64},
+		{New(-1, math.MaxInt64-2), math.MaxInt64}, // exactly MaxInt64 points
+		{New(0, math.MaxInt64-1), math.MaxInt64},  // exactly MaxInt64 points
+		{New(0, math.MaxInt64-2), math.MaxInt64 - 1},
+		{New(math.MaxInt64, math.MaxInt64), 1},
+	} {
+		if got := c.iv.Count(); got != c.want {
+			t.Errorf("Count(%v) = %d, want %d", c.iv, got, c.want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package patch
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -180,11 +181,15 @@ func (pl *Pool) Clone() *Pool {
 func (pl *Pool) Size() int { return len(pl.Patches) }
 
 // CountConcrete returns the total number of concrete patches in the pool
-// (the |P| columns of the paper's tables).
+// (the |P| columns of the paper's tables), saturating at math.MaxInt64.
 func (pl *Pool) CountConcrete() int64 {
 	var n int64
 	for _, p := range pl.Patches {
-		n += p.CountConcrete()
+		c := p.CountConcrete()
+		if n > math.MaxInt64-c {
+			return math.MaxInt64
+		}
+		n += c
 	}
 	return n
 }

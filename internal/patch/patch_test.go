@@ -1,6 +1,7 @@
 package patch
 
 import (
+	"math"
 	"testing"
 
 	"cpr/internal/expr"
@@ -235,6 +236,12 @@ func TestPoolRankingAndCounts(t *testing.T) {
 	pool.Remove(2)
 	if pool.Size() != 2 || pool.CountConcrete() != 22 {
 		t.Fatalf("after remove: %d %d", pool.Size(), pool.CountConcrete())
+	}
+	// Parameter ranges as wide as int64 saturate |P| instead of wrapping.
+	wide := map[string]interval.Interval{"a": interval.New(0, math.MaxInt64)}
+	big := &Pool{Patches: []*Patch{New(4, expr.Ge(x, a), wide), New(5, expr.Lt(x, a), wide)}}
+	if big.CountConcrete() != math.MaxInt64 {
+		t.Fatalf("wide pool count %d, want saturation at MaxInt64", big.CountConcrete())
 	}
 	// Clone independence.
 	cl := pool.Clone()

@@ -161,7 +161,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 		t.Fatalf("global stats: %+v", sv.Jobs)
 	}
 	ten := sv.Tenants["alice"]
-	if ten.Done != 1 || ten.SolverQueries == 0 {
+	if ten.Done != 1 || ten.Engine.SolverQueries == 0 {
 		t.Fatalf("tenant stats not attributed: %+v", ten)
 	}
 	if sv.Engine.SolverQueries == 0 || sv.Engine.PInit == 0 {

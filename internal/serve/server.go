@@ -217,8 +217,8 @@ type StatsView struct {
 	RetryWaiting int                    `json:"retry_waiting"`
 	Jobs         GlobalStats            `json:"jobs"`
 	Tenants      map[string]TenantStats `json:"tenants"`
-	// Engine sums the core.Stats of every completed attempt: the
-	// smt.Stats → core.Stats counters, surfaced at the service level.
+	// Engine sums the core.Stats of every completed attempt with
+	// core.Stats.Add, under the same keys as a job's result.stats.
 	Engine core.Stats `json:"engine"`
 	// Memory governance (present only when a governor is configured): the
 	// last polled rung, the governor's poll/transition counters, and the
@@ -711,11 +711,8 @@ func (s *Server) runJob(j *job) {
 	default:
 		out := buildResult(j.core, res, j.spec.Top)
 		j.result = out
-		aggStats(&s.agg, res.Stats)
-		ts.stats.SolverQueries += res.Stats.SolverQueries
-		ts.stats.Quarantines += res.Stats.Quarantines
-		ts.stats.BreakerTrips += res.Stats.BreakerTrips
-		ts.stats.ValidationFailures += res.Stats.ValidationFailures
+		s.agg = s.agg.Add(res.Stats)
+		ts.stats.Engine = ts.stats.Engine.Add(res.Stats)
 		if res.Stats.TimedOut {
 			ts.stats.TimedOutRuns++
 		}
@@ -897,79 +894,5 @@ func (s *Server) notifyLocked(j *job) {
 			close(ch)
 		}
 		j.watchers = nil
-	}
-}
-
-// aggStats folds one completed attempt's engine measurements into the
-// service-level totals.
-func aggStats(dst *core.Stats, s core.Stats) {
-	dst.PInit += s.PInit
-	dst.PFinal += s.PFinal
-	dst.PoolInit += s.PoolInit
-	dst.PoolFinal += s.PoolFinal
-	dst.PathsExplored += s.PathsExplored
-	dst.PathsSkipped += s.PathsSkipped
-	dst.InputsGenerated += s.InputsGenerated
-	dst.PatchLocHits += s.PatchLocHits
-	dst.BugLocHits += s.BugLocHits
-	dst.Refinements += s.Refinements
-	dst.Removals += s.Removals
-	dst.SolverUnknowns += s.SolverUnknowns
-	dst.SolverPanics += s.SolverPanics
-	dst.ExecPanics += s.ExecPanics
-	dst.FlipsRequeued += s.FlipsRequeued
-	dst.FlipsDropped += s.FlipsDropped
-	dst.SolverQueries += s.SolverQueries
-	dst.CacheHits += s.CacheHits
-	dst.CacheMisses += s.CacheMisses
-	dst.CacheEvictions += s.CacheEvictions
-	dst.CacheSubsumed += s.CacheSubsumed
-	dst.EncodeCacheHits += s.EncodeCacheHits
-	dst.EncodeCacheMisses += s.EncodeCacheMisses
-	dst.ClausesLearned += s.ClausesLearned
-	dst.ClausesKept += s.ClausesKept
-	dst.ClausesDeleted += s.ClausesDeleted
-	dst.AssumptionCores += s.AssumptionCores
-	dst.AssumptionCoreLits += s.AssumptionCoreLits
-	dst.Validations += s.Validations
-	dst.ValidationFailures += s.ValidationFailures
-	dst.Quarantines += s.Quarantines
-	dst.FallbackSolves += s.FallbackSolves
-	dst.RebuildRetries += s.RebuildRetries
-	dst.BreakerTrips += s.BreakerTrips
-	dst.SatTime += s.SatTime
-	dst.LIATime += s.LIATime
-	dst.ValidateTime += s.ValidateTime
-	// Memory governance: event counters sum; peak gauges report the
-	// largest any attempt reached; MemStopped means "some attempt was
-	// memory-stopped" at the aggregate level.
-	dst.MemRungSoft += s.MemRungSoft
-	dst.MemRungHigh += s.MemRungHigh
-	dst.MemRungCritical += s.MemRungCritical
-	dst.MemCacheShrinks += s.MemCacheShrinks
-	dst.MemCacheShrinkBytes += s.MemCacheShrinkBytes
-	dst.MemContextRetires += s.MemContextRetires
-	dst.MemContextRetireBytes += s.MemContextRetireBytes
-	dst.MemSpills += s.MemSpills
-	dst.MemSpilledItems += s.MemSpilledItems
-	dst.MemReloads += s.MemReloads
-	dst.MemSpillLoadFailures += s.MemSpillLoadFailures
-	dst.MemStopped = dst.MemStopped || s.MemStopped
-	dst.GovernPolls += s.GovernPolls
-	dst.GovernTransitions += s.GovernTransitions
-	if s.FrontierPeak > dst.FrontierPeak {
-		dst.FrontierPeak = s.FrontierPeak
-	}
-	if s.SeenPeak > dst.SeenPeak {
-		dst.SeenPeak = s.SeenPeak
-	}
-	if s.FrontierPeakBytes > dst.FrontierPeakBytes {
-		dst.FrontierPeakBytes = s.FrontierPeakBytes
-	}
-	if s.SeenPeakBytes > dst.SeenPeakBytes {
-		dst.SeenPeakBytes = s.SeenPeakBytes
-	}
-	if s.PoolPeakBytes > dst.PoolPeakBytes {
-		dst.PoolPeakBytes = s.PoolPeakBytes
 	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"time"
+
+	"cpr/internal/core"
 )
 
 // tokenBucket is the per-tenant submit rate limiter: capacity burst,
@@ -52,14 +54,11 @@ type TenantStats struct {
 	// Retry machinery.
 	AttemptsFailed uint64 `json:"attempts_failed"`
 	Retries        uint64 `json:"retries"`
-	// Engine health attributed to this tenant's completed attempts: the
-	// PR 4 self-healing ladder counted per tenant, so one tenant's
-	// quarantine storms are visible as theirs.
-	SolverQueries      uint64 `json:"solver_queries"`
-	Quarantines        uint64 `json:"quarantines"`
-	BreakerTrips       uint64 `json:"breaker_trips"`
-	ValidationFailures uint64 `json:"validation_failures"`
-	TimedOutRuns       uint64 `json:"timed_out_runs"`
+	// Engine sums the core.Stats of this tenant's completed attempts, so
+	// one tenant's solver traffic and quarantine storms are visible as
+	// theirs; TimedOutRuns counts those attempts that ended on a budget.
+	Engine       core.Stats `json:"engine"`
+	TimedOutRuns uint64     `json:"timed_out_runs"`
 }
 
 // tenantState is the scheduler's per-tenant record: its FIFO of queued

@@ -31,6 +31,7 @@ import (
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
+	"cpr/internal/journal"
 	"cpr/internal/smt/cache"
 	"cpr/internal/smt/guard"
 	"cpr/internal/smt/lia"
@@ -131,49 +132,54 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats accumulates query counts across a Solver's lifetime.
+// Stats accumulates query counts across a Solver's lifetime. It is the
+// one declaration of the solver counters: core.Stats and cegis.Stats embed
+// it, and the json tags are the names every output (cpr-bench -json, cprd
+// job results and /stats) uses for them.
 type Stats struct {
-	Queries      uint64
-	TheoryRounds uint64
-	SatAnswers   uint64
-	UnsatAnswers uint64
+	SolverQueries uint64 `json:"solver_queries"`
+	TheoryRounds  uint64 `json:"theory_rounds"`
+	SatAnswers    uint64 `json:"sat_answers"`
+	UnsatAnswers  uint64 `json:"unsat_answers"`
 	// Unknowns counts queries that exhausted a budget or deadline;
 	// Panics counts queries that panicked and were recovered at the Check
 	// boundary. Both degrade to Unknown answers.
-	Unknowns uint64
-	Panics   uint64
+	Unknowns uint64 `json:"unknowns,omitempty"`
+	Panics   uint64 `json:"panics,omitempty"`
 	// CacheHits/CacheMisses count verdict-cache traffic from this solver's
 	// queries (zero when Options.Cache is nil). Hits are included in
-	// Queries and in Sat/UnsatAnswers.
-	CacheHits   uint64
-	CacheMisses uint64
+	// SolverQueries and in Sat/UnsatAnswers.
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 	// EncodeCacheHits/EncodeCacheMisses count per-conjunct encoding reuse
 	// in the incremental context: a hit is a top-level conjunct whose
 	// simplification, purification, and Tseitin encoding were skipped
 	// because an earlier query already prepared it. Zero in scratch mode.
-	EncodeCacheHits   uint64
-	EncodeCacheMisses uint64
+	EncodeCacheHits   uint64 `json:"enc_cache_hits,omitempty"`
+	EncodeCacheMisses uint64 `json:"enc_cache_misses,omitempty"`
 	// ClausesLearned/ClausesDeleted count CDCL clause learning and
 	// activity-driven deletion; ClausesKept is the learned-clause count
 	// currently retained by the incremental context (zero in scratch mode,
 	// where learned clauses die with their query).
-	ClausesLearned uint64
-	ClausesKept    uint64
-	ClausesDeleted uint64
+	ClausesLearned uint64 `json:"clauses_learned,omitempty"`
+	ClausesKept    uint64 `json:"clauses_kept,omitempty"`
+	ClausesDeleted uint64 `json:"clauses_deleted,omitempty"`
 	// AssumptionCores counts incremental unsat answers that produced a
 	// non-empty assumption core; AssumptionCoreLits sums the core sizes
 	// (in conjuncts), so AssumptionCoreLits/AssumptionCores is the mean
 	// core size.
-	AssumptionCores    uint64
-	AssumptionCoreLits uint64
+	AssumptionCores    uint64 `json:"assumption_cores,omitempty"`
+	AssumptionCoreLits uint64 `json:"assumption_core_lits,omitempty"`
 	// Wall-time breakdown of solver work: SatTime is spent in CDCL
 	// search, LIATime in the arithmetic
 	// procedure, ValidateTime in verdict validation (model replays and
 	// sampled unsat cross-checks, including the trusted re-solves they
 	// trigger). Aggregated race-free from atomic nanosecond counters.
-	SatTime      time.Duration
-	LIATime      time.Duration
-	ValidateTime time.Duration
+	// Wall-clock measurements, never run state: the snapshot codec skips
+	// them.
+	SatTime      time.Duration `json:"sat_ns"`
+	LIATime      time.Duration `json:"lia_ns"`
+	ValidateTime time.Duration `json:"validate_ns"`
 	// Self-healing health counters (package guard). Validations counts
 	// verdict validations run (model replays + unsat cross-checks);
 	// ValidationFailures counts verdicts they rejected — each such verdict
@@ -182,18 +188,18 @@ type Stats struct {
 	// FallbackSolves queries served below their natural tier,
 	// RebuildRetries quarantined contexts readmitted after backoff, and
 	// BreakerTrips circuit breakers pinning a solver to scratch mode.
-	Validations        uint64
-	ValidationFailures uint64
-	Quarantines        uint64
-	FallbackSolves     uint64
-	RebuildRetries     uint64
-	BreakerTrips       uint64
+	Validations        uint64 `json:"validations,omitempty"`
+	ValidationFailures uint64 `json:"validation_failures,omitempty"`
+	Quarantines        uint64 `json:"quarantines,omitempty"`
+	FallbackSolves     uint64 `json:"fallback_solves,omitempty"`
+	RebuildRetries     uint64 `json:"rebuild_retries,omitempty"`
+	BreakerTrips       uint64 `json:"breaker_trips,omitempty"`
 }
 
 // Add returns the fieldwise sum of two stats snapshots — the aggregate of
 // several solvers (e.g. one per worker) is itself a Stats.
 func (a Stats) Add(b Stats) Stats {
-	a.Queries += b.Queries
+	a.SolverQueries += b.SolverQueries
 	a.TheoryRounds += b.TheoryRounds
 	a.SatAnswers += b.SatAnswers
 	a.UnsatAnswers += b.UnsatAnswers
@@ -218,6 +224,33 @@ func (a Stats) Add(b Stats) Stats {
 	a.RebuildRetries += b.RebuildRetries
 	a.BreakerTrips += b.BreakerTrips
 	return a
+}
+
+// snapFields lists the run-state counters of s in snapshot order; the
+// wall-time fields are not run state and are left out.
+func (s *Stats) snapFields() []*uint64 {
+	return []*uint64{
+		&s.SolverQueries, &s.TheoryRounds, &s.SatAnswers, &s.UnsatAnswers, &s.Unknowns, &s.Panics,
+		&s.CacheHits, &s.CacheMisses, &s.EncodeCacheHits, &s.EncodeCacheMisses,
+		&s.ClausesLearned, &s.ClausesKept, &s.ClausesDeleted, &s.AssumptionCores, &s.AssumptionCoreLits,
+		&s.Validations, &s.ValidationFailures, &s.Quarantines, &s.FallbackSolves, &s.RebuildRetries, &s.BreakerTrips,
+	}
+}
+
+// EncodeSolverStats writes s to a snapshot, and DecodeSolverStats reads it
+// back. Engine and baseline snapshots both carry their solver aggregate in
+// this form.
+func EncodeSolverStats(m *journal.Encoder, s Stats) {
+	for _, p := range s.snapFields() {
+		m.U64(*p)
+	}
+}
+
+// DecodeSolverStats is the inverse of EncodeSolverStats.
+func DecodeSolverStats(d *journal.Decoder, s *Stats) {
+	for _, p := range s.snapFields() {
+		*p = d.U64()
+	}
 }
 
 // solverStats is the live, atomically-updated form of Stats, so Stats()
@@ -302,14 +335,14 @@ func NewSolver(opts Options) *Solver {
 func (s *Solver) Stats() Stats {
 	gc := s.guard.Counters()
 	return Stats{
-		Queries:      s.stats.queries.Load(),
-		TheoryRounds: s.stats.theoryRounds.Load(),
-		SatAnswers:   s.stats.satAnswers.Load(),
-		UnsatAnswers: s.stats.unsatAnswers.Load(),
-		Unknowns:     s.stats.unknowns.Load(),
-		Panics:       s.stats.panics.Load(),
-		CacheHits:    s.stats.cacheHits.Load(),
-		CacheMisses:  s.stats.cacheMisses.Load(),
+		SolverQueries: s.stats.queries.Load(),
+		TheoryRounds:  s.stats.theoryRounds.Load(),
+		SatAnswers:    s.stats.satAnswers.Load(),
+		UnsatAnswers:  s.stats.unsatAnswers.Load(),
+		Unknowns:      s.stats.unknowns.Load(),
+		Panics:        s.stats.panics.Load(),
+		CacheHits:     s.stats.cacheHits.Load(),
+		CacheMisses:   s.stats.cacheMisses.Load(),
 
 		EncodeCacheHits:    s.stats.encodeCacheHits.Load(),
 		EncodeCacheMisses:  s.stats.encodeCacheMisses.Load(),

@@ -201,7 +201,7 @@ func TestStatsAccumulate(t *testing.T) {
 	x := expr.IntVar("x")
 	mustCheck(t, s, expr.Gt(x, expr.Int(0)), nil)
 	mustCheck(t, s, expr.Lt(x, expr.Int(0)), nil)
-	if s.Stats().Queries != 2 || s.Stats().SatAnswers != 2 {
+	if s.Stats().SolverQueries != 2 || s.Stats().SatAnswers != 2 {
 		t.Fatalf("stats %+v", s.Stats())
 	}
 }
