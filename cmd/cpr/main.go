@@ -80,6 +80,10 @@ func main() {
 		fmt.Println(buildinfo.String("cpr"))
 		return
 	}
+	if *pLo > *pHi || *inLo > *inHi {
+		log.Printf("empty range: -param-lo %d -param-hi %d, -input-lo %d -input-hi %d (each lo must not exceed its hi)", *pLo, *pHi, *inLo, *inHi)
+		os.Exit(2)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

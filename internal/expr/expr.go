@@ -12,6 +12,7 @@ package expr
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Sort is the type of a term: integer or boolean.
@@ -92,6 +93,9 @@ type Term struct {
 	Args []*Term // operands
 
 	hash uint64
+	// simplified memoizes Simplify(t). It is a cache of a pure function of
+	// the term, not part of its value; atomic because workers share terms.
+	simplified atomic.Pointer[Term]
 }
 
 // interner deduplicates terms so that structural equality coincides with

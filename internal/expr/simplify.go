@@ -115,30 +115,28 @@ func floorDiv(a, b int64) int64 {
 //
 // Structurally distinct but semantically identical atoms such as x+1 > y
 // and x >= y therefore intern to the same term.
+//
+// The result is memoized on t: terms are immutable and interned, so each
+// distinct term is simplified once per process, and the path constraints,
+// patch formulas and specifications a refinement loop repeats in every
+// query cost a pointer load after the first.
 func Simplify(t *Term) *Term {
-	cache := make(map[*Term]*Term)
-	return simplifyCached(t, cache)
-}
-
-func simplifyCached(t *Term, cache map[*Term]*Term) *Term {
-	if r, ok := cache[t]; ok {
-		return r
-	}
-	var r *Term
 	switch t.Op {
 	case OpIntConst, OpBoolConst, OpVar:
-		r = t
-	default:
-		args := make([]*Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = simplifyCached(a, cache)
-		}
-		r = Rebuild(t.Op, args)
-		if isIntCmp(r) {
-			r = normalizeCmp(r)
-		}
+		return t
 	}
-	cache[t] = r
+	if r := t.simplified.Load(); r != nil {
+		return r
+	}
+	args := make([]*Term, len(t.Args))
+	for i, a := range t.Args {
+		args[i] = Simplify(a)
+	}
+	r := Rebuild(t.Op, args)
+	if isIntCmp(r) {
+		r = normalizeCmp(r)
+	}
+	t.simplified.Store(r)
 	return r
 }
 

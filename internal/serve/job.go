@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -122,10 +123,17 @@ func parseOps(names *[]string) ([]expr.Op, error) {
 	return ops, nil
 }
 
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // buildJob validates the spec and lowers it to the engine's job form.
 // Every error here is an admission-time 400: nothing invalid reaches the
 // queue or the journal.
 func buildJob(spec JobSpec) (core.Job, error) {
+	if spec.TimeoutMS < 0 || spec.TimeoutMS > maxTimeoutMS {
+		return core.Job{}, fmt.Errorf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, spec.TimeoutMS)
+	}
 	if spec.Subject != "" {
 		parts := strings.SplitN(spec.Subject, "/", 2)
 		if len(parts) != 2 {
@@ -183,9 +191,16 @@ func buildJob(spec JobSpec) (core.Job, error) {
 	if err != nil {
 		return core.Job{}, fmt.Errorf("bool_ops: %v", err)
 	}
+	paramLo, paramHi := orDefault(spec.ParamLo, -10), orDefault(spec.ParamHi, 10)
+	if paramLo > paramHi {
+		return core.Job{}, fmt.Errorf("param_lo %d exceeds param_hi %d", paramLo, paramHi)
+	}
+	inLo, inHi := orDefault(spec.InputLo, -100), orDefault(spec.InputHi, 100)
+	if inLo > inHi {
+		return core.Job{}, fmt.Errorf("input_lo %d exceeds input_hi %d", inLo, inHi)
+	}
 	vars := map[string]lang.Type{}
 	bounds := map[string]interval.Interval{}
-	inLo, inHi := orDefault(spec.InputLo, -100), orDefault(spec.InputHi, 100)
 	for _, p := range prog.Inputs() {
 		vars[p.Name] = p.Type
 		bounds[p.Name] = interval.New(inLo, inHi)
@@ -198,7 +213,7 @@ func buildJob(spec JobSpec) (core.Job, error) {
 		Components: synth.Components{
 			Vars:         vars,
 			Params:       params,
-			ParamRange:   interval.New(orDefault(spec.ParamLo, -10), orDefault(spec.ParamHi, 10)),
+			ParamRange:   interval.New(paramLo, paramHi),
 			Arith:        arith,
 			Cmp:          cmp,
 			Bool:         boolOps,

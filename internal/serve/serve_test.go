@@ -463,6 +463,20 @@ func TestSubmitValidation(t *testing.T) {
 		{Tenant: "t", Program: divZeroProgram},                                   // no failing input
 		func() JobSpec { s := divZeroSpec("t", "x"); s.Spec = "(("; return s }(), // bad spec
 		func() JobSpec { s := divZeroSpec("t", "x"); bad := []string{"%%"}; s.CmpOps = &bad; return s }(), // bad op
+		func() JobSpec { s := divZeroSpec("t", "x"); s.TimeoutMS = -1; return s }(),                       // negative timeout
+		func() JobSpec { s := divZeroSpec("t", "x"); s.TimeoutMS = 18446744073710; return s }(),           // timeout overflows a Duration
+		func() JobSpec {
+			s := divZeroSpec("t", "x")
+			lo, hi := int64(10), int64(-10)
+			s.ParamLo, s.ParamHi = &lo, &hi
+			return s
+		}(), // empty parameter range
+		func() JobSpec {
+			s := divZeroSpec("t", "x")
+			lo, hi := int64(100), int64(-100)
+			s.InputLo, s.InputHi = &lo, &hi
+			return s
+		}(), // empty input range
 	}
 	for i, spec := range cases {
 		if _, aerr := s.Submit(spec); aerr == nil || aerr.Status != 400 {

@@ -15,7 +15,8 @@ import (
 )
 
 // Context is the persistent incremental solving state a Solver keeps when
-// Options.Incremental is set: one CDCL instance whose clause database
+// Options.Incremental is set, and the state Solver.Decide answers
+// verdict-only queries on: one CDCL instance whose clause database
 // (including learned clauses) survives across queries, a Tseitin encoding
 // cache keyed by interned conjunct pointer, and per-bounds-box LIA state.
 //
@@ -28,9 +29,10 @@ import (
 // clause learned from it inherit the box condition, so retained lemmas stay
 // sound when later queries use different bounds.
 //
-// A Context decides verdicts only; it never builds models. Models are
-// produced by the deterministic scratch path (see Solver.Check), which is
-// what makes repair results identical with Incremental on or off.
+// A Context decides verdicts only; it never builds models, and model
+// queries never reach it. Solver.Check solves every model query on the
+// deterministic scratch path, which is what makes repair results identical
+// with Incremental on or off.
 type Context struct {
 	opts  Options
 	stats *solverStats

@@ -111,7 +111,8 @@ func TestIncrementalDifferentialVerdicts(t *testing.T) {
 
 // TestIncrementalModelsIdentical: Check must return bit-identical models
 // with Incremental on and off — the property the repair-result
-// differential test builds on.
+// differential test builds on — and, being a model query, must never
+// build or consult the incremental context.
 func TestIncrementalModelsIdentical(t *testing.T) {
 	inc := NewSolver(Options{Incremental: true})
 	scr := NewSolver(Options{})
@@ -127,6 +128,12 @@ func TestIncrementalModelsIdentical(t *testing.T) {
 		if fmt.Sprint(got.Model) != fmt.Sprint(want.Model) {
 			t.Fatalf("query %d: model diverged:\nincremental: %v\nscratch:     %v", i, got.Model, want.Model)
 		}
+	}
+	if inc.ctx != nil {
+		t.Error("Check built an incremental context")
+	}
+	if st := inc.Stats(); st.EncodeCacheHits+st.EncodeCacheMisses != 0 {
+		t.Errorf("Check used the incremental encoding cache: %+v", st)
 	}
 }
 

@@ -93,14 +93,16 @@ type Options struct {
 	// hits return exactly what re-solving would, so sharing does not
 	// change results, only speed.
 	Cache *cache.Cache
-	// Incremental enables the persistent solving context (see Context):
-	// per-conjunct Tseitin encodings are cached, the CDCL clause database
-	// with its learned clauses is retained across queries, per-query
-	// formulas are asserted through selector assumptions, and unsat
-	// answers come with assumption cores that feed the cache's subsumption
-	// index. Verdicts are identical to scratch mode, and models are still
-	// produced by the deterministic scratch path, so repair results do not
-	// depend on this flag — only speed does. Off by default.
+	// Incremental enables the persistent solving context (see Context) for
+	// verdict-only queries (Decide, IsSat, Valid): per-conjunct Tseitin
+	// encodings are cached, the CDCL clause database with its learned
+	// clauses is retained across queries, per-query formulas are asserted
+	// through selector assumptions, and unsat answers come with assumption
+	// cores that feed the cache's subsumption index. Model queries (Check,
+	// GetModel) always solve from scratch. Verdicts are identical to
+	// scratch mode and models come from the same deterministic path, so
+	// repair results do not depend on this flag — only speed does. Off by
+	// default.
 	Incremental bool
 	// Guard tunes the validation and self-healing layer (sampling rate,
 	// quarantine backoff, circuit-breaker threshold). The zero value gets
@@ -152,9 +154,10 @@ type Stats struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	// EncodeCacheHits/EncodeCacheMisses count per-conjunct encoding reuse
-	// in the incremental context: a hit is a top-level conjunct whose
-	// simplification, purification, and Tseitin encoding were skipped
-	// because an earlier query already prepared it. Zero in scratch mode.
+	// in the incremental context, which only verdict-only queries (Decide)
+	// reach: a hit is a top-level conjunct whose simplification,
+	// purification, and Tseitin encoding were skipped because an earlier
+	// query already prepared it. Zero in scratch mode.
 	EncodeCacheHits   uint64 `json:"enc_cache_hits,omitempty"`
 	EncodeCacheMisses uint64 `json:"enc_cache_misses,omitempty"`
 	// ClausesLearned/ClausesDeleted count CDCL clause learning and
@@ -291,7 +294,7 @@ type Solver struct {
 	opts  Options
 	stats solverStats
 	// ctx is the persistent incremental state, created lazily on the
-	// first query when opts.Incremental is set and discarded whenever a
+	// first Decide when opts.Incremental is set and discarded whenever a
 	// recovered panic may have left it mid-mutation.
 	ctx *Context
 	// guard validates verdicts and drives the degradation ladder; see
@@ -425,6 +428,12 @@ const auxPrefix = "!aux"
 // unbounded integer variables get DefaultBounds. The model covers the
 // formula's variables plus all variables in bounds.
 //
+// Every query Check does not answer from the cache is solved from scratch,
+// with or without Options.Incremental: a sat answer needs the scratch
+// path's deterministic model anyway, so deciding it on the incremental
+// context first would solve it twice. Verdict-only queries go through
+// Decide, which is where the context pays.
+//
 // Check never propagates a panic and never exceeds its budgets by more
 // than a polling interval: resource exhaustion (MaxConflicts, LIA budget,
 // MaxTheoryRounds, MaxQueryDuration, an expired Cancel token) yields
@@ -437,7 +446,7 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	query := s.stats.queries.Add(1)
 	// Registered before the recover defer (so it runs after err is set):
 	// an aborted query's worker may have been corrupted mid-epoch, so its
-	// epoch's cache writes are withdrawn along with the incremental context.
+	// epoch's cache writes are withdrawn.
 	defer func() {
 		if err != nil && (errors.Is(err, ErrBudget) || errors.Is(err, ErrSolverPanic)) {
 			s.abortEpoch()
@@ -445,9 +454,6 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic may have interrupted a clause-database mutation:
-			// discard the incremental context, it is rebuilt lazily.
-			s.ctx = nil
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
 			res = Result{Status: Unknown}
@@ -492,46 +498,13 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	if s.opts.MaxQueryDuration > 0 {
 		qtok = cancel.WithTimeout(qtok, s.opts.MaxQueryDuration)
 	}
-	if s.opts.Incremental {
-		if !s.guard.RungAvailable() {
-			// Quarantined or breaker-pinned: serve this query from the
-			// scratch rung below.
-			s.guard.NoteFallback()
-		} else {
-			// Verdict first on the persistent context. Unsat answers (and
-			// their assumption cores) skip the scratch solve entirely; Sat
-			// answers fall through to the scratch path for the model, so
-			// models are bit-identical to scratch mode.
-			st, core, derr := s.incrementalCtx().decide(f, bounds, qtok, query)
-			st, core = s.applyLieDecide(st, core)
-			switch st {
-			case Unsat:
-				ok, core2, tres := s.verifyUnsat(f, bounds, core)
-				if !ok {
-					// The context claimed unsat but the trusted scratch
-					// solver found a model: quarantine the context and serve
-					// the trusted result.
-					s.quarantineCtx()
-					s.guard.NoteFallback()
-					return s.finish(f, bounds, tres, nil)
-				}
-				s.storeUnsat(f, bounds, core2)
-				s.stats.unsatAnswers.Add(1)
-				return Result{Status: Unsat}, nil
-			case Unknown:
-				if !errors.Is(derr, guard.ErrVerdictRejected) {
-					return Result{Status: Unknown}, derr
-				}
-				// The context caught its own clause database producing an
-				// invalid model: quarantine it and retry on the scratch
-				// rung below.
-				s.guard.NoteFailure()
-				s.quarantineCtx()
-				s.guard.NoteFallback()
-			}
-		}
-	}
-	res, err = s.check(f, bounds, qtok, query)
+	return s.solve(f, bounds, qtok, query)
+}
+
+// solve runs one scratch solve and settles its verdict: vetted (unless this
+// is the trusted rung itself), counted and cached.
+func (s *Solver) solve(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
+	res, err := s.check(f, bounds, qtok, query)
 	if err != nil || res.Status == Unknown {
 		return res, err
 	}
@@ -962,7 +935,8 @@ func clamp(pref int64, iv interval.Interval) int64 {
 // Decide returns the verdict for f without constructing a model. In
 // scratch mode it is Check minus the model; in incremental mode it runs
 // entirely on the persistent context, which is the fast path the repair
-// loop's feasibility checks (IsSat, Valid) ride on.
+// loop's feasibility checks (IsSat, Valid) ride on. Decide is the only
+// entry point that uses the context: Check always solves from scratch.
 //
 // An incremental unsat answer's assumption core (the subset of f's
 // top-level conjuncts the context found sufficient for the conflict) is
@@ -1021,19 +995,22 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 		// (with full vetting and cache participation — a breaker-pinned
 		// worker keeps cache benefits, it only loses the retained context).
 		s.guard.NoteFallback()
-		return s.scratchDecide(f, bounds, qtok, query)
+		res, err := s.solve(f, bounds, qtok, query)
+		return res.Status, err
 	}
 	st, core, err := s.incrementalCtx().decide(f, bounds, qtok, query)
 	st, core = s.applyLieDecide(st, core)
 	switch st {
 	case Unknown:
 		if errors.Is(err, guard.ErrVerdictRejected) {
-			// See Check: the context rejected its own model — quarantine
-			// and retry the query on the scratch rung.
+			// The context caught its own clause database producing an
+			// invalid model: quarantine it and retry the query on the
+			// scratch rung.
 			s.guard.NoteFailure()
 			s.quarantineCtx()
 			s.guard.NoteFallback()
-			return s.scratchDecide(f, bounds, qtok, query)
+			res, err := s.solve(f, bounds, qtok, query)
+			return res.Status, err
 		}
 	case Sat:
 		s.stats.satAnswers.Add(1)
@@ -1057,18 +1034,6 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 		s.storeUnsat(f, bounds, core2)
 	}
 	return st, err
-}
-
-// scratchDecide serves a Decide query from the scratch rung, with full
-// vetting and cache participation.
-func (s *Solver) scratchDecide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, error) {
-	res, err := s.check(f, bounds, qtok, query)
-	if err != nil || res.Status == Unknown {
-		return res.Status, err
-	}
-	res, err = s.vet(f, bounds, res)
-	res, err = s.finish(f, bounds, res, err)
-	return res.Status, err
 }
 
 // IsSat reports whether f is satisfiable.
