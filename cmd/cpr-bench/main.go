@@ -34,7 +34,7 @@ func main() {
 		incremental = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
 		paranoid    = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
 		memSoft     = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink caches and retire idle solver contexts above it; measured tables are identical either way")
-		memHigh     = flag.String("mem-high", "", "high memory watermark: additionally spill frontier cold tails to disk; measured tables are identical either way")
+		memHigh     = flag.String("mem-high", "", "high memory watermark: shrink caches to a quarter and retire idle solver contexts above it; measured tables are identical either way")
 		memLimit    = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%)")
 		jsonOut     = flag.String("json", "", "write per-subject measurements (wall time, iterations, solver queries, cache hit rate) to this JSON file (committed atomically)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-safe suite journals and per-subject engine snapshots (empty = off)")

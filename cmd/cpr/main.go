@@ -61,9 +61,8 @@ func main() {
 		incr     = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
 		paranoid = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
 		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
-		memHigh  = flag.String("mem-high", "", "high memory watermark: additionally spill the frontier's cold tail to disk (see -spill-dir); results are identical either way")
+		memHigh  = flag.String("mem-high", "", "high memory watermark: shrink the verdict cache to a quarter and retire idle solver contexts above it; results are identical either way")
 		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
-		spillDir = flag.String("spill-dir", "", "directory for frontier spill files (default: a temp dir, removed at exit)")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for crash-safe run snapshots (empty = checkpointing off)")
 		ckptIvl  = flag.Int("checkpoint-interval", 0, "generation barriers between snapshots (0 = default)")
 		resume   = flag.Bool("resume", false, "resume from the latest intact snapshot in -checkpoint-dir")
@@ -126,7 +125,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opts.Govern = gov
-	opts.SpillDir = *spillDir
 	opts.SMT.Incremental = *incr
 	opts.SMT.Guard.Paranoid = *paranoid
 	opts.Checkpoint = cpr.CheckpointOptions{
@@ -135,6 +133,7 @@ func main() {
 		Resume:   *resume,
 		Warn:     func(msg string) { log.Print(msg) },
 	}
+	runBudget := cpr.Budget{MaxIterations: *budget, MaxDuration: *timeout}
 
 	switch {
 	case *list:
@@ -161,7 +160,7 @@ func main() {
 		if s.Unsupported != "" {
 			log.Fatalf("subject is not runnable: %s", s.Unsupported)
 		}
-		job, err := s.Job(cpr.Budget{MaxIterations: *budget, MaxDuration: *timeout})
+		job, err := s.Job(runBudget)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -236,7 +235,7 @@ func main() {
 				ParamRange: cpr.NewInterval(*pLo, *pHi),
 			},
 			InputBounds: bounds,
-			Budget:      cpr.Budget{MaxIterations: *budget},
+			Budget:      runBudget,
 		}
 		runJob(job, nil, *top, *cegis, opts)
 		return

@@ -66,7 +66,7 @@ func main() {
 		runTO   = flag.Duration("run-timeout", 0, "wall-clock bound per attempt (0 = none)")
 
 		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): jobs shrink caches and retire idle solver contexts above it; results are identical either way")
-		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs additionally spill frontier cold tails under -state, and new submits shed while a retry backlog drains")
+		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs shrink caches to a quarter, and new submits shed while a retry backlog drains")
 		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After")
 
 		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")

@@ -146,22 +146,27 @@ func TestCEGISCorrectnessCheck(t *testing.T) {
 	}
 }
 
-// TestCEGISTimedOut: a tiny wall-clock budget winds the baseline down with
-// TimedOut set and a valid (patchless) best-so-far result — never an error.
+// TestCEGISTimedOut: an expired wall-clock budget winds the baseline down
+// with TimedOut set and a valid (patchless) best-so-far result — never an
+// error. The deadline is already past at the start, so no run can finish
+// inside it.
 func TestCEGISTimedOut(t *testing.T) {
 	job := divZeroJob()
 	job.Budget.MaxIterations = 1 << 20
-	job.Budget.MaxDuration = time.Millisecond
+	job.Budget.Deadline = time.Now().Add(-time.Second)
 	start := time.Now()
 	res, err := Repair(job, Options{})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("overran the 1ms budget by too much: %v", el)
+		t.Fatalf("overran the expired deadline by too much: %v", el)
 	}
 	if !res.Stats.TimedOut {
 		t.Fatalf("TimedOut not set: %+v", res.Stats)
+	}
+	if res.Patch != nil {
+		t.Fatalf("expired run returned a patch: %v", res.Patch)
 	}
 }
 

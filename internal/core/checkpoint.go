@@ -74,11 +74,6 @@ type exploreState struct {
 	queue []workItem
 	seen  map[uint64]bool
 	iter  int
-	// spill holds the frontier's cold tail when the memory governor's high
-	// rung has moved it to disk (spill.go). Never part of a snapshot: the
-	// checkpointer reloads everything before encoding, so queue is always
-	// the full logical frontier on disk.
-	spill *frontierSpill
 }
 
 // checkpointer drives periodic snapshot writes for one Repair call.
@@ -121,15 +116,12 @@ func (e *engine) atBarrier(st *exploreState, phaseStats *Stats) {
 	faultinject.CrashPoint()
 	// Memory governance last: a crash injected at this barrier must replay
 	// from the snapshot just written, and the governor's actions (shrink,
-	// retire, spill) are all result-neutral, so their position after the
-	// snapshot cannot change what a resumed run computes.
+	// retire) are all result-neutral, so their position after the snapshot
+	// cannot change what a resumed run computes.
 	e.governAtBarrier(st)
 }
 
 func (ck *checkpointer) write(st *exploreState, phaseStats *Stats) {
-	// Snapshots carry the full logical frontier: pull any spilled tail
-	// back first (it re-spills at the next high-pressure poll if needed).
-	ck.eng.reloadAllSpilled(st)
 	elapsed := ck.elapsedBase + time.Since(ck.start)
 	payload := ck.encodeSnapshot(st, phaseStats, elapsed)
 	if err := journal.WriteSnapshot(ck.opts.Dir, ck.barrier, payload); err != nil {

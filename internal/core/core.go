@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,14 +128,10 @@ type Options struct {
 	Checkpoint CheckpointOptions
 	// Govern, when non-nil, is the memory governor (internal/govern): the
 	// engine polls it at every generation barrier and applies its rung's
-	// degradation actions — cache shrinks, context retirement, frontier
-	// spill, and (under sustained critical pressure) the anytime stop. Nil
-	// means no governance; a daemon shares one governor across jobs.
+	// degradation actions — verdict-cache shrinks, context retirement,
+	// and (under sustained critical pressure) the anytime stop. Nil means
+	// no governance; a daemon shares one governor across jobs.
 	Govern *govern.Governor
-	// SpillDir is where the high rung's frontier spill batches go. Empty
-	// means a per-run temp directory created on first spill and removed at
-	// the end of the run.
-	SpillDir string
 	// NewDistributor, when non-nil, supplies a Distributor (see dist.go):
 	// the engine hands its flip-feasibility scans and pool reductions to it
 	// instead of the in-process worker pool, merging outcomes at the same
@@ -279,11 +274,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 	eng.workers = eng.newWorkers(opts.Workers)
 	eng.curBounds = eng.inputBounds()
 	defer eng.registerGovernSources()()
-	defer func() {
-		if eng.ownSpillDir {
-			os.RemoveAll(eng.spillDir)
-		}
-	}()
 	if opts.NewDistributor != nil {
 		dist, err := opts.NewDistributor(job, opts)
 		if err != nil {
@@ -469,12 +459,9 @@ type engine struct {
 	baseCacheEvict uint64
 	baseCacheSub   uint64
 
-	// Memory-governor state (see govern.go and spill.go). The plain fields
-	// are coordinator-only; the atomic gauges are read by governor source
+	// Memory-governor state (see govern.go). The plain fields are
+	// coordinator-only; the atomic gauges are read by governor source
 	// callbacks, possibly from a daemon's ticker goroutine.
-	spillDir                   string // resolved spill directory; "\x00unavailable" after a failure
-	ownSpillDir                bool
-	spillSeq                   int
 	lastRung                   govern.Rung
 	mem                        MemStats
 	gFrontierBytes, gSeenBytes atomic.Uint64
@@ -549,13 +536,8 @@ type workItem struct {
 // seeds entirely.
 func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.Interval, maxIter int, stats *Stats, validation bool, st *exploreState) {
 	e.curBounds = bounds
-	// The phase's spilled frontier tail (if the governor's high rung ever
-	// fires) is scratch state discarded with the phase's queue.
-	defer st.dropSpill()
-	// push appends to the logical frontier — in-memory queue plus spilled
-	// tail — evicting the logical worst at the MaxQueue cap (spill.go).
 	push := func(it workItem) {
-		e.pushFrontier(st, it)
+		st.push(it, e.opts.MaxQueue)
 	}
 	if st.seen == nil {
 		st.seen = make(map[uint64]bool) // explored path prefixes in this phase
@@ -578,7 +560,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 	if e.opts.Queue == QueueFIFO {
 		cmp = lessFIFO
 	}
-	for ; st.iter < maxIter && st.frontierLen() > 0 && e.pool.Size() > 0; st.iter++ {
+	for ; st.iter < maxIter && len(st.queue) > 0 && e.pool.Size() > 0; st.iter++ {
 		if e.tok.Expired() {
 			// Anytime: keep the pool reduced so far. Deliberately NO snapshot
 			// is written here: the cancellation raced the generation that just
@@ -595,14 +577,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		// count. Checkpoints are written (and crash faults injected) only
 		// at this point.
 		e.atBarrier(st, stats)
-		// Pop the best item under the queue policy, first making sure the
-		// logical best is in memory when part of the frontier is spilled.
-		e.reloadForPop(st)
-		if len(st.queue) == 0 {
-			// Every remaining frontier item sat in an unreadable spill batch
-			// (warned and counted by reloadBatch); nothing to pop.
-			continue
-		}
+		// Pop the best item under the queue policy.
 		best := 0
 		for i := 1; i < len(st.queue); i++ {
 			if cmp(st.queue[i], st.queue[best]) {
@@ -743,6 +718,25 @@ func less(a, b workItem) bool {
 }
 
 func lessFIFO(a, b workItem) bool { return a.seq < b.seq }
+
+// push appends an item to the frontier. At the maxQueue cap it evicts the
+// worst item in ranked order (less, whatever the pop policy), or drops the
+// candidate when it is not strictly better than that worst item.
+func (st *exploreState) push(it workItem, maxQueue int) {
+	if len(st.queue) >= maxQueue {
+		wi := -1
+		for i := range st.queue {
+			if wi < 0 || less(st.queue[wi], st.queue[i]) {
+				wi = i
+			}
+		}
+		if wi < 0 || !less(it, st.queue[wi]) {
+			return
+		}
+		st.queue = append(st.queue[:wi], st.queue[wi+1:]...)
+	}
+	st.queue = append(st.queue, it)
+}
 
 // resolvePatch returns the patch and parameters to execute a work item
 // with, re-validating against the current pool.
@@ -1088,13 +1082,12 @@ func (e *engine) isDeletionLike(p *patch.Patch, solver *smt.Solver) bool {
 	return val
 }
 
-// FormatTopPatches renders the top-n ranked patches for reports.
+// FormatTopPatches renders the top-n ranked patches for reports: at most
+// len(res.Ranked) lines, and none for n <= 0.
 func FormatTopPatches(res *Result, n int) []string {
+	n = max(0, min(n, len(res.Ranked)))
 	out := make([]string, 0, n)
-	for i, p := range res.Ranked {
-		if i >= n {
-			break
-		}
+	for i, p := range res.Ranked[:n] {
 		out = append(out, fmt.Sprintf("#%d score=%.2f  %s", i+1, p.Score, p.String()))
 	}
 	return out

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cpr/internal/concolic"
@@ -340,8 +342,21 @@ func TestFormatTopPatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	lines := FormatTopPatches(res, 3)
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatalf("FormatTopPatches: %v", lines)
+	ranked := len(res.Ranked)
+	if ranked < 2 {
+		t.Fatalf("ranked pool has %d patches, want at least 2", ranked)
+	}
+	for _, tc := range []struct{ n, want int }{
+		{-1, 0}, {0, 0}, {1, 1}, {ranked, ranked}, {1 << 62, ranked},
+	} {
+		lines := FormatTopPatches(res, tc.n)
+		if len(lines) != tc.want {
+			t.Fatalf("FormatTopPatches(n=%d) = %d lines, want %d", tc.n, len(lines), tc.want)
+		}
+		for i, line := range lines {
+			if !strings.HasPrefix(line, fmt.Sprintf("#%d score=", i+1)) {
+				t.Fatalf("FormatTopPatches(n=%d) line %d = %q", tc.n, i, line)
+			}
+		}
 	}
 }

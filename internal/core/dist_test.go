@@ -152,7 +152,7 @@ func TestDistributorFallbackBitIdentical(t *testing.T) {
 		defer faultinject.Deactivate()
 		g := govern.New(govern.Config{CriticalStopPolls: 1 << 30})
 		d := &flakyDist{}
-		opts := Options{Workers: 1, Govern: g, SpillDir: t.TempDir(), NewDistributor: d.factory}
+		opts := Options{Workers: 1, Govern: g, NewDistributor: d.factory}
 		res, err := Repair(divZeroJob(), opts)
 		if err != nil {
 			t.Fatalf("governed distributed Repair: %v", err)

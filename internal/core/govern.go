@@ -15,24 +15,20 @@ import (
 //
 //	soft     → shrink the verdict cache to half, retire incremental
 //	           solver contexts (both pure acceleration structures)
-//	high     → soft at quarter target + spill the frontier's cold tail
-//	           to disk (spill.go preserves the logical pop/evict order)
-//	critical → shrink to zero / spill to a minimal hot set; pressure
-//	           sustained across CriticalStopPolls consecutive polls
-//	           cancels the engine's own token — the run ends with its
-//	           anytime best-so-far result, exactly like a budget expiry
+//	high     → shrink the cache to a quarter, retire contexts
+//	critical → empty the cache, retire contexts; pressure sustained
+//	           across CriticalStopPolls consecutive polls cancels the
+//	           engine's own token — the run ends with its anytime
+//	           best-so-far result, exactly like a budget expiry
+//
+// The frontier is not a rung action: path reduction (§3.4) keeps it
+// small — at most 22 items (under 5 KB) on every benchmark subject — and
+// MaxQueue caps it regardless.
 //
 // Between barriers the engine also refreshes byte gauges (frontier, seen
 // set, pool, solver contexts) that it registers as governor sources, so a
 // daemon's background ticker sees per-job accounting without touching
 // engine-owned state: sources read only these atomics.
-
-// spillHotSoft/spillHotCritical size the in-memory hot set the high and
-// critical rungs keep, as divisors of MaxQueue.
-const (
-	spillHotHigh     = 4  // high rung: keep the best quarter in memory
-	spillHotCritical = 16 // critical rung: keep a sliver
-)
 
 // seenEntryBytes approximates one seen-set entry (uint64 key + map bucket
 // share); itemBaseBytes and friends approximate workItem payloads.
@@ -128,14 +124,6 @@ func (e *engine) governAtBarrier(st *exploreState) {
 		e.mem.MemContextRetires += uint64(r + r2)
 		e.mem.MemContextRetireBytes += f + f2
 	}
-	// High and critical: move the frontier's cold tail out of the heap.
-	if rung >= govern.RungHigh {
-		keep := e.opts.MaxQueue / spillHotHigh
-		if rung == govern.RungCritical {
-			keep = e.opts.MaxQueue / spillHotCritical
-		}
-		e.spillFrontier(st, keep)
-	}
 	// Sustained critical: fall back to the anytime result. Cancelling the
 	// engine-owned token is byte-for-byte the budget-expiry path.
 	if rung == govern.RungCritical && !e.mem.MemStopped && g.ShouldStop() {
@@ -153,7 +141,6 @@ func (e *engine) updateMemGauges(st *exploreState) {
 	for i := range st.queue {
 		fb += approxItemBytes(&st.queue[i])
 	}
-	fl := st.frontierLen()
 	sb := uint64(len(st.seen)) * seenEntryBytes
 	pb := approxPoolBytes(e.pool)
 	var solv uint64
@@ -165,7 +152,7 @@ func (e *engine) updateMemGauges(st *exploreState) {
 	e.gPoolBytes.Store(pb)
 	e.gSolverBytes.Store(solv)
 	m := &e.mem
-	m.FrontierPeak = max(m.FrontierPeak, fl)
+	m.FrontierPeak = max(m.FrontierPeak, len(st.queue))
 	m.FrontierPeakBytes = max(m.FrontierPeakBytes, fb)
 	m.SeenPeak = max(m.SeenPeak, len(st.seen))
 	m.SeenPeakBytes = max(m.SeenPeakBytes, sb)
@@ -200,10 +187,4 @@ func approxPoolBytes(pl *patch.Pool) uint64 {
 		n += uint64(len(p.Constraint.Boxes)) * uint64(p.Constraint.Dim+1) * boxPerDimBytes
 	}
 	return n
-}
-
-// warnMem routes governor warnings through the checkpoint Warn hook when
-// one is configured (the CLIs already wire it to stderr); silent otherwise.
-func (e *engine) warnMem(format string, args ...any) {
-	e.opts.Checkpoint.warnf(format, args...)
 }

@@ -3,12 +3,16 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"cpr/internal/cancel"
+	"cpr/internal/concolic"
+	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
+	"cpr/internal/journal"
 )
 
 // governedOpts builds the option set the governor differential tests run
@@ -27,8 +31,8 @@ func governedOpts(workers int, g *govern.Governor) Options {
 // repair result — pool, regions, ranking, headline stats — is
 // bit-identical to the unpressured run, at one worker and many. The
 // critical rung here is transient-critical (the stop threshold is set
-// unreachably high): its shrink/spill actions fire, the anytime stop does
-// not.
+// unreachably high): its shrink and retire actions fire, the anytime stop
+// does not.
 func TestGovernForcedRungsBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, testWorkers()} {
 		base, err := Repair(divZeroJob(), governedOpts(workers, nil))
@@ -80,8 +84,8 @@ func TestGovernForcedRungsBitIdentical(t *testing.T) {
 }
 
 // TestGovernWithCheckpointBitIdentical runs the forced high rung together
-// with periodic checkpointing: the checkpointer must reload any spilled
-// frontier tail before encoding, and the result stays bit-identical.
+// with periodic checkpointing: snapshots are written between governor
+// actions, and the result stays bit-identical.
 func TestGovernWithCheckpointBitIdentical(t *testing.T) {
 	base, err := Repair(divZeroJob(), governedOpts(1, nil))
 	if err != nil {
@@ -92,7 +96,6 @@ func TestGovernWithCheckpointBitIdentical(t *testing.T) {
 	defer faultinject.Deactivate()
 	opts := governedOpts(1, govern.New(govern.Config{CriticalStopPolls: 1 << 30}))
 	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Interval: 2}
-	opts.SpillDir = t.TempDir()
 	res, err := Repair(divZeroJob(), opts)
 	if err != nil {
 		t.Fatalf("governed+checkpointed Repair: %v", err)
@@ -123,7 +126,7 @@ func TestGovernUnpressuredGovernorChangesNothing(t *testing.T) {
 		t.Fatal("governor never polled")
 	}
 	if st.MemRungSoft+st.MemRungHigh+st.MemRungCritical != 0 ||
-		st.MemCacheShrinks != 0 || st.MemSpills != 0 || st.MemStopped {
+		st.MemCacheShrinks != 0 || st.MemContextRetires != 0 || st.MemStopped {
 		t.Fatalf("idle governor took actions: %+v", st)
 	}
 }
@@ -164,25 +167,22 @@ func TestGovernSustainedCriticalStopsRun(t *testing.T) {
 	}
 }
 
-// TestFrontierSpillMirrorsInMemory drives the spilled frontier and a
-// purely in-memory reference (replicating the engine's original push
-// verbatim) through an identical randomized stream of pushes, forced
-// spills, and pops: every pop must return the same (score, seq) on both
-// sides, overflow evictions included — the result-neutrality argument for
-// the high rung, tested in isolation.
-func TestFrontierSpillMirrorsInMemory(t *testing.T) {
+// TestFrontierCapEviction drives the frontier's push and a reference copy
+// of the engine's original sort-and-drop push through one seeded stream
+// of pushes and pops at a cap of 48, under both pop policies: every pop
+// must return the same (score, seq) on both sides, cap evictions
+// included. The stream has to fill the frontier, or the eviction path
+// went untested.
+func TestFrontierCapEviction(t *testing.T) {
+	const maxQueue = 48
 	for _, policy := range []QueuePolicy{QueueRanked, QueueFIFO} {
 		policy := policy
 		t.Run(fmt.Sprintf("policy=%d", policy), func(t *testing.T) {
-			e := &engine{opts: Options{MaxQueue: 48, Queue: policy, SpillDir: t.TempDir()}.withDefaults()}
-			ref := &engine{opts: Options{MaxQueue: 48, Queue: policy}.withDefaults()}
 			st, rst := &exploreState{}, &exploreState{}
-			defer st.dropSpill()
-
-			// origPush is the engine's pre-spill push, verbatim: sort, drop
-			// the worst, reject non-improving candidates at the cap.
-			origPush := func(q *exploreState, it workItem) {
-				if len(q.queue) >= ref.opts.MaxQueue {
+			// refPush is the engine's original push: sort, drop the worst,
+			// reject non-improving candidates at the cap.
+			refPush := func(q *exploreState, it workItem) {
+				if len(q.queue) >= maxQueue {
 					sort.SliceStable(q.queue, func(i, j int) bool { return less(q.queue[i], q.queue[j]) })
 					if !less(it, q.queue[len(q.queue)-1]) {
 						return
@@ -195,8 +195,7 @@ func TestFrontierSpillMirrorsInMemory(t *testing.T) {
 			if policy == QueueFIFO {
 				cmp = lessFIFO
 			}
-			pop := func(eng *engine, q *exploreState) (workItem, bool) {
-				eng.reloadForPop(q)
+			pop := func(q *exploreState) (workItem, bool) {
 				if len(q.queue) == 0 {
 					return workItem{}, false
 				}
@@ -212,96 +211,103 @@ func TestFrontierSpillMirrorsInMemory(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewSource(7))
-			seq := 0
+			seq, atCap := 0, 0
 			for round := 0; round < 600; round++ {
-				switch op := rng.Intn(10); {
-				case op < 6:
+				if rng.Intn(8) < 6 {
 					seq++
 					it := workItem{
 						score: rng.Intn(12), // narrow range: plenty of seq tiebreaks
 						seq:   seq,
 						input: map[string]int64{"x": int64(seq)},
 					}
-					e.pushFrontier(st, it)
-					origPush(rst, it)
-				case op < 8:
-					e.spillFrontier(st, 4) // the reference never spills
-				default:
-					got, gok := pop(e, st)
-					want, wok := pop(ref, rst)
+					if len(st.queue) == maxQueue {
+						atCap++
+					}
+					st.push(it, maxQueue)
+					refPush(rst, it)
+				} else {
+					got, gok := pop(st)
+					want, wok := pop(rst)
 					if gok != wok || got.seq != want.seq || got.score != want.score {
-						t.Fatalf("round %d: pop diverged: spilled=(%d,%d,%v) ref=(%d,%d,%v)",
+						t.Fatalf("round %d: pop diverged: got=(%d,%d,%v) ref=(%d,%d,%v)",
 							round, got.score, got.seq, gok, want.score, want.seq, wok)
 					}
 				}
+				if len(st.queue) != len(rst.queue) || len(st.queue) > maxQueue {
+					t.Fatalf("round %d: frontier holds %d items, reference %d, cap %d",
+						round, len(st.queue), len(rst.queue), maxQueue)
+				}
+			}
+			if atCap == 0 {
+				t.Fatal("the stream never filled the frontier: cap eviction untested")
 			}
 			// Drain both completely: the full multisets must match.
 			for {
-				got, gok := pop(e, st)
-				want, wok := pop(ref, rst)
+				got, gok := pop(st)
+				want, wok := pop(rst)
 				if gok != wok {
-					t.Fatalf("drain length diverged: spilled=%v ref=%v", gok, wok)
+					t.Fatalf("drain length diverged: got=%v ref=%v", gok, wok)
 				}
 				if !gok {
 					break
 				}
-				if got.seq != want.seq || got.score != want.score {
-					t.Fatalf("drain diverged: spilled=(%d,%d) ref=(%d,%d)", got.score, got.seq, want.score, want.seq)
+				if got.seq != want.seq || got.score != want.score || got.input["x"] != int64(got.seq) {
+					t.Fatalf("drain diverged: got=(%d,%d) ref=(%d,%d)", got.score, got.seq, want.score, want.seq)
 				}
-			}
-			if e.mem.MemSpills == 0 || e.mem.MemReloads == 0 {
-				t.Fatalf("spill machinery not exercised: spills=%d reloads=%d", e.mem.MemSpills, e.mem.MemReloads)
-			}
-			if e.mem.MemSpillLoadFailures != 0 {
-				t.Fatalf("%d spill load failures on a healthy disk", e.mem.MemSpillLoadFailures)
-			}
-			// Payloads must round-trip, not just keys: verify a known item.
-			if st.frontierLen() != 0 || rst.frontierLen() != 0 {
-				t.Fatal("frontier not fully drained")
 			}
 		})
 	}
 }
 
-// TestFrontierSpillPayloadRoundTrip spills items with rich payloads and
-// checks the reloaded items carry them intact (keys prove ordering; this
-// proves the codec).
-func TestFrontierSpillPayloadRoundTrip(t *testing.T) {
-	e := &engine{opts: Options{MaxQueue: 64, SpillDir: t.TempDir()}.withDefaults()}
-	st := &exploreState{}
-	defer st.dropSpill()
-	for i := 1; i <= 30; i++ {
-		e.pushFrontier(st, workItem{
-			score:  i % 5,
-			seq:    i,
-			input:  map[string]int64{"x": int64(i), "y": int64(-i)},
-			params: map[string]int64{"a": int64(2 * i)},
-			bound:  i % 3,
-		})
+// TestWorkItemCodecRoundTrip round-trips frontier items through the item
+// codec every checkpoint carries them in, and compares every field: plain
+// (input, patch) items, a seed, and a retry item whose flip has a prefix
+// and hole-hit snapshots.
+func TestWorkItemCodecRoundTrip(t *testing.T) {
+	x, y, out := expr.IntVar("x"), expr.IntVar("y"), expr.IntVar("__hole_out0")
+	flip := &concolic.Flip{
+		Prefix:  []*expr.Term{expr.Gt(x, expr.Int(0)), expr.Ne(out, expr.Int(0))},
+		Negated: expr.Eq(y, expr.Int(0)),
+		Depth:   2,
+		OnPatch: true,
+		HoleHits: []concolic.HoleHit{{
+			Out:      out,
+			Snapshot: map[string]*expr.Term{"x": x, "y": expr.Add(y, expr.Int(1))},
+			Concrete: expr.Model{"x": 7, "y": -1},
+			AtBranch: 1,
+		}},
+		PinFlip:        true,
+		ParentHitPatch: true,
+		ParentHitBug:   true,
 	}
-	e.spillFrontier(st, 2)
-	if e.mem.MemSpills != 1 {
-		t.Fatalf("spills = %d, want 1", e.mem.MemSpills)
+	items := []workItem{
+		{input: map[string]int64{"x": 7, "y": 0}, patchID: 3, params: expr.Model{"a": 2, "b": -5}, score: 1 << 20, seq: 1, seed: true},
+		{input: map[string]int64{"x": -3, "y": 9}, patchID: 11, params: expr.Model{"a": 0}, score: 350, bound: 4, seq: 17},
+		{flip: flip, retry: true, score: flip.Score() - 1000, bound: flip.Depth + 1, seq: 42},
 	}
-	if len(st.queue) != 2 {
-		t.Fatalf("hot set = %d items, want 2", len(st.queue))
+	te := journal.NewTermEncoder()
+	var body, framed journal.Encoder
+	for _, it := range items {
+		encodeItem(&body, te, it)
 	}
-	e.reloadAllSpilled(st)
-	if len(st.queue) != 30 {
-		t.Fatalf("reloaded frontier = %d items, want 30", len(st.queue))
+	framed.Raw(te.Table())
+	framed.Append(body.Bytes())
+
+	d := journal.NewDecoder(framed.Bytes())
+	td, err := journal.DecodeTermTable(journal.NewDecoder(d.Raw()))
+	if err != nil {
+		t.Fatalf("term table: %v", err)
 	}
-	byseq := make(map[int]workItem, len(st.queue))
-	for _, it := range st.queue {
-		byseq[it.seq] = it
-	}
-	for i := 1; i <= 30; i++ {
-		it, ok := byseq[i]
-		if !ok {
-			t.Fatalf("item seq=%d lost in spill round-trip", i)
+	for i, want := range items {
+		got, err := decodeItem(d, td)
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
 		}
-		if it.score != i%5 || it.input["x"] != int64(i) || it.input["y"] != int64(-i) ||
-			it.params["a"] != int64(2*i) || it.bound != i%3 {
-			t.Fatalf("item seq=%d corrupted: %+v", i, it)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d did not round-trip:\n got %+v\nwant %+v", i, got, want)
+		}
+		if want.flip != nil && (got.flip.Negated != want.flip.Negated || got.flip.HoleHits[0].Snapshot["y"] != want.flip.HoleHits[0].Snapshot["y"]) {
+			t.Fatalf("item %d: decoded terms are not the interned originals", i)
 		}
 	}
 }

@@ -36,7 +36,11 @@ func TestIncrementalRepairDifferential(t *testing.T) {
 		if st.EncodeCacheHits == 0 {
 			t.Errorf("workers=%d: no encoding reuse over %d queries", n, st.SolverQueries)
 		}
-		if st.ClausesKept == 0 && st.ClausesLearned > 0 {
+		// ClausesKept is a per-context gauge read from whichever context
+		// answered the last verdict query, and ClausesLearned also counts
+		// the scratch solves of model queries: retention is only
+		// scheduling-independent at one worker.
+		if n == 1 && st.ClausesKept == 0 && st.ClausesLearned > 0 {
 			t.Errorf("workers=%d: learned %d clauses but retained none", n, st.ClausesLearned)
 		}
 	}

@@ -77,9 +77,8 @@ type Stats struct {
 // trajectory.
 type MemStats struct {
 	// Barrier polls classified at each rung, verdict-cache shrinks (count
-	// and bytes freed), incremental solver contexts retired (count and
-	// approximate bytes), and frontier cold-tail spills (batches, items,
-	// reloads, and unreadable batches).
+	// and bytes freed), and incremental solver contexts retired (count and
+	// approximate bytes).
 	MemRungSoft           uint64 `json:"mem_rung_soft,omitempty"`
 	MemRungHigh           uint64 `json:"mem_rung_high,omitempty"`
 	MemRungCritical       uint64 `json:"mem_rung_critical,omitempty"`
@@ -87,10 +86,6 @@ type MemStats struct {
 	MemCacheShrinkBytes   uint64 `json:"mem_cache_shrink_bytes,omitempty"`
 	MemContextRetires     uint64 `json:"mem_context_retires,omitempty"`
 	MemContextRetireBytes uint64 `json:"mem_context_retire_bytes,omitempty"`
-	MemSpills             uint64 `json:"mem_spills,omitempty"`
-	MemSpilledItems       uint64 `json:"mem_spilled_items,omitempty"`
-	MemReloads            uint64 `json:"mem_reloads,omitempty"`
-	MemSpillLoadFailures  uint64 `json:"mem_spill_load_failures,omitempty"`
 	// MemStopped reports that sustained critical pressure stopped the run
 	// (it implies TimedOut: the stop IS the budget-expiry path).
 	MemStopped bool `json:"mem_stopped,omitempty"`
@@ -99,8 +94,8 @@ type MemStats struct {
 	GovernPolls       uint64 `json:"govern_polls,omitempty"`
 	GovernTransitions uint64 `json:"govern_transitions,omitempty"`
 	// Peaks tracked at every generation barrier whether or not a governor
-	// is configured: frontier length (in-memory plus spilled) and
-	// approximate bytes, seen-set size and bytes, and pool bytes.
+	// is configured: frontier length and approximate bytes, seen-set size
+	// and bytes, and pool bytes.
 	FrontierPeak      int    `json:"frontier_peak,omitempty"`
 	SeenPeak          int    `json:"seen_peak,omitempty"`
 	FrontierPeakBytes uint64 `json:"frontier_peak_bytes,omitempty"`
@@ -141,10 +136,6 @@ func (a Stats) Add(b Stats) Stats {
 	m.MemCacheShrinkBytes += o.MemCacheShrinkBytes
 	m.MemContextRetires += o.MemContextRetires
 	m.MemContextRetireBytes += o.MemContextRetireBytes
-	m.MemSpills += o.MemSpills
-	m.MemSpilledItems += o.MemSpilledItems
-	m.MemReloads += o.MemReloads
-	m.MemSpillLoadFailures += o.MemSpillLoadFailures
 	m.MemStopped = m.MemStopped || o.MemStopped
 	m.GovernPolls += o.GovernPolls
 	m.GovernTransitions += o.GovernTransitions
@@ -204,10 +195,9 @@ func (s Stats) SummaryLines() []string {
 			s.Validations, s.ValidationFailures, s.Quarantines, s.FallbackSolves, s.RebuildRetries, s.BreakerTrips)
 	}
 	if s.GovernPolls > 0 {
-		line("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B), spills %d (%d items, %d reloads, %d failures)",
+		line("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B)",
 			s.GovernPolls, s.MemRungSoft, s.MemRungHigh, s.MemRungCritical,
-			s.MemCacheShrinks, s.MemCacheShrinkBytes, s.MemContextRetires, s.MemContextRetireBytes,
-			s.MemSpills, s.MemSpilledItems, s.MemReloads, s.MemSpillLoadFailures)
+			s.MemCacheShrinks, s.MemCacheShrinkBytes, s.MemContextRetires, s.MemContextRetireBytes)
 	}
 	if s.FrontierPeak > 0 {
 		line("peaks: frontier %d items (%d B), seen set %d entries (%d B), pool %d B",

@@ -9,15 +9,14 @@
 // watermarks:
 //
 //	soft     → shrink caches, retire incremental contexts, force reduceDB
-//	high     → soft actions + spill the frontier's cold tail to disk
-//	critical → maximum-aggression shrink/spill; sustained critical makes
-//	           the engine fall back to its anytime best-so-far result,
-//	           exactly like a budget expiry
+//	high     → soft actions with caches shrunk to a quarter
+//	critical → caches emptied; sustained critical makes the engine fall
+//	           back to its anytime best-so-far result, exactly like a
+//	           budget expiry
 //
 // Every rung below the sustained-critical stop reuses mechanisms that are
-// proven result-neutral (memoization caches, context retirement, spill
-// with logical-order-preserving reload), so forcing any rung produces a
-// bit-identical repair result. The governor itself decides nothing about
+// proven result-neutral (memoization caches, context retirement), so
+// forcing any rung produces a bit-identical repair result. The governor itself decides nothing about
 // *what* to shrink — it only classifies pressure; the owners act.
 //
 // Determinism: the engine polls the governor only at generation barriers
@@ -81,7 +80,7 @@ type Config struct {
 	// CriticalStopPolls is how many *consecutive* critical polls it takes
 	// before ShouldStop reports true and the engine falls back to its
 	// anytime result. Transient critical polls fire the critical rung's
-	// shrink/spill actions (result-neutral) without stopping the run.
+	// shrink and retire actions (result-neutral) without stopping the run.
 	// Zero means 4.
 	CriticalStopPolls int
 	// Warn, when non-nil, receives one line per rung transition.
@@ -107,7 +106,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Counters is a snapshot of the governor's own activity. Owners count
-// their rung *actions* (shrinks, spills, sheds) in their own stats; the
+// their rung *actions* (shrinks, retirements, sheds) in their own stats; the
 // governor counts polls and classifications.
 type Counters struct {
 	// Polls is the total number of Poll calls.

@@ -507,4 +507,24 @@ func TestSubjectJobRuns(t *testing.T) {
 	if len(final.Result.TopPatches) == 0 {
 		t.Fatal("subject job produced no patches")
 	}
+	// A top far beyond the ranked pool is clamped to it, and the runner
+	// survives to run the next job.
+	v = mustSubmit(t, s, JobSpec{
+		Tenant:  "alice",
+		Subject: "Libtiff/CVE-2016-3623",
+		Budget:  3,
+		Top:     1 << 62,
+	})
+	final = waitTerminal(t, s, v.ID, 60*time.Second)
+	if final.State != StateDone || len(final.Result.TopPatches) == 0 {
+		t.Fatalf("huge-top job: %s with %d patches (err %q)", final.State, len(final.Result.TopPatches), final.Error)
+	}
+	v = mustSubmit(t, s, JobSpec{
+		Tenant:  "alice",
+		Subject: "Libtiff/CVE-2016-3623",
+		Budget:  3,
+	})
+	if final = waitTerminal(t, s, v.ID, 60*time.Second); final.State != StateDone {
+		t.Fatalf("job after the huge-top job: %s (err %q)", final.State, final.Error)
+	}
 }

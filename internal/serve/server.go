@@ -107,11 +107,10 @@ type Config struct {
 	// shed with 503 + Retry-After under pressure (every submit at the
 	// critical rung; at the high rung while a retry backlog is still
 	// draining — finishing accepted work beats admitting new work), and
-	// every job attempt runs governed (core.Options.Govern) with its
-	// frontier spill directory under StateDir. cmd/cprd builds one from
-	// its -mem-* flags. All degradation is result-neutral: a shed client
-	// retries later to the same answer an unpressured daemon would have
-	// produced.
+	// every job attempt runs governed (core.Options.Govern). cmd/cprd
+	// builds one from its -mem-* flags. All degradation is result-neutral:
+	// a shed client retries later to the same answer an unpressured daemon
+	// would have produced.
 	Govern *govern.Governor
 	// GovernTick is the governor's background polling interval, keeping
 	// admission decisions fresh even when no engine barrier has polled
@@ -758,9 +757,6 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 	if err := os.RemoveAll(s.ckptDir(j.id)); err != nil {
 		s.cfg.warnf("serve: checkpoint cleanup for %s: %v", j.id, err)
 	}
-	if err := os.RemoveAll(s.spillDir(j.id)); err != nil {
-		s.cfg.warnf("serve: spill cleanup for %s: %v", j.id, err)
-	}
 	s.notifyLocked(j)
 }
 
@@ -784,13 +780,7 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 	opts.NewDistributor = s.cfg.NewDistributor
 	opts.SMT.Incremental = s.cfg.Incremental
 	opts.SMT.Guard.Paranoid = s.cfg.Paranoid
-	// Governed attempts spill their frontier cold tail under StateDir
-	// (beside the checkpoints) rather than a process temp dir, so the
-	// operator's disk budget and the daemon's durable state live together.
 	opts.Govern = s.cfg.Govern
-	if s.cfg.Govern != nil {
-		opts.SpillDir = s.spillDir(j.id)
-	}
 	opts.Checkpoint = core.CheckpointOptions{
 		Dir:      s.ckptDir(j.id),
 		Interval: s.cfg.CheckpointInterval,
@@ -802,10 +792,6 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 
 func (s *Server) ckptDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "ckpt", id)
-}
-
-func (s *Server) spillDir(id string) string {
-	return filepath.Join(s.cfg.StateDir, "spill", id)
 }
 
 // backoffLocked computes the jittered exponential delay before the next
