@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cpr/internal/cancel"
+	"cpr/internal/smt"
 )
 
 func TestBudgetWithDefaults(t *testing.T) {
@@ -83,19 +84,44 @@ func TestRepairCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// deadlineDist is a test Distributor that makes the run's deadline pass
+// inside the explore loop however fast the machine is: its first RunFlips
+// waits until the deadline has passed, then declines, so the engine
+// recomputes the batch locally with an expired clock. It declines every
+// other batch at once.
+type deadlineDist struct {
+	deadline time.Time
+	flips    int
+}
+
+func (d *deadlineDist) RunFlips(FlipBatch) []FlipOutcome {
+	if d.flips++; d.flips == 1 {
+		time.Sleep(time.Until(d.deadline))
+	}
+	return nil
+}
+
+func (d *deadlineDist) RunReduce(ReduceBatch) []ReduceOutcome { return nil }
+func (d *deadlineDist) SolverStats() smt.Stats                { return smt.Stats{} }
+func (d *deadlineDist) Close() error                          { return nil }
+
 // TestRepairDeadlineMidExplore: expire the clock partway through so the
-// main loop is entered and then interrupted; the pool must stay intact,
+// explore loop is entered and then interrupted; the pool must stay intact,
 // ranked, and no larger than the validated pool (monotone reduction).
 func TestRepairDeadlineMidExplore(t *testing.T) {
 	job := divZeroJob()
 	job.Budget.MaxIterations = 1 << 20
 	job.Budget.Deadline = time.Now().Add(300 * time.Millisecond)
-	res, err := Repair(job, Options{})
+	dist := &deadlineDist{deadline: job.Budget.Deadline}
+	res, err := Repair(job, Options{NewDistributor: func(Job, Options) (Distributor, error) { return dist, nil }})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
 	if !res.Stats.TimedOut {
 		t.Fatalf("Stats.TimedOut not set: %+v", res.Stats)
+	}
+	if res.Stats.PathsExplored == 0 || dist.flips == 0 {
+		t.Fatalf("deadline passed before the explore loop: %d paths, %d flip batches", res.Stats.PathsExplored, dist.flips)
 	}
 	if res.Pool.Size() == 0 {
 		t.Fatal("mid-explore deadline lost the pool")

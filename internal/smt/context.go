@@ -47,8 +47,6 @@ type Context struct {
 	intVars   []string // integer variables seen so far, first-seen order
 	intVarSet map[string]bool
 
-	conCache map[conKey]lia.Constraint
-
 	// Deltas already folded into stats, so clausesLearned/Deleted stay
 	// monotone across decide calls.
 	lastLearned, lastDeleted uint64
@@ -87,12 +85,6 @@ type boxState struct {
 	nvars int
 }
 
-// conKey memoizes atom→constraint translation per polarity.
-type conKey struct {
-	atom *expr.Term
-	pos  bool
-}
-
 func newContext(opts Options, stats *solverStats) *Context {
 	return &Context{
 		opts:      opts,
@@ -102,7 +94,6 @@ func newContext(opts Options, stats *solverStats) *Context {
 		selGroup:  make(map[sat.Lit]*expr.Term),
 		boxes:     make(map[string]*boxState),
 		intVarSet: make(map[string]bool),
-		conCache:  make(map[conKey]lia.Constraint),
 	}
 }
 
@@ -233,6 +224,8 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		}
 	}
 
+	var cons []lia.Constraint
+	var block []sat.Lit
 	for round := 0; round < c.opts.MaxTheoryRounds; round++ {
 		if qtok.Expired() {
 			return Unknown, nil, budgetErr("deadline", round, qtok.Err())
@@ -264,12 +257,10 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 
 		// Assert the union of the active groups' support sets to the
 		// theory, under this box's domains.
-		var cons []lia.Constraint
-		var block []sat.Lit
-		block = append(block, box.sel.Not())
+		cons, block = cons[:0], append(block[:0], box.sel.Not())
 		for _, g := range groups {
 			for _, sl := range c.enc.support(g.g, model) {
-				con, err := c.constraintFor(sl)
+				con, err := c.enc.constraint(sl)
 				if err != nil {
 					return Unknown, nil, err
 				}
@@ -309,20 +300,6 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 func (c *Context) selfCheck() bool {
 	c.verifyTick++
 	return c.opts.Guard.Paranoid || c.verifyTick&15 == 0
-}
-
-// constraintFor memoizes atom→LIA-constraint translation per polarity.
-func (c *Context) constraintFor(sl suppLit) (lia.Constraint, error) {
-	k := conKey{atom: sl.atom, pos: sl.positive}
-	if con, ok := c.conCache[k]; ok {
-		return con, nil
-	}
-	con, err := atomToConstraint(sl.atom, sl.positive)
-	if err != nil {
-		return lia.Constraint{}, err
-	}
-	c.conCache[k] = con
-	return con, nil
 }
 
 // assumptionCore maps the SAT layer's assumption core back to the query's

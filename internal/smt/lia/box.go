@@ -47,7 +47,8 @@ func (b *Box) Has(name string) bool {
 
 // Solve decides the conjunction of cons under the box's domains, exactly
 // as Solve(Problem{Cons: cons, Bounds: box domains}, opts) would, reusing
-// the box's propagation scratch instead of allocating fresh maps.
+// the box's propagation scratch instead of allocating fresh maps. Like
+// Solve, it never writes into cons.
 func (b *Box) Solve(cons []Constraint, opts Options) (Result, error) {
 	for _, c := range cons {
 		for _, t := range c.Terms {
@@ -70,7 +71,7 @@ func (b *Box) Solve(cons []Constraint, opts Options) (Result, error) {
 		b.scratch[v] = iv
 	}
 	s := &solver{opts: opts.withDefaults()}
-	res, err := s.solve(cloneCons(cons), b.scratch)
+	res, err := s.solve(cons, b.scratch)
 	if err != nil {
 		return Result{}, err
 	}

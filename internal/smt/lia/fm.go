@@ -128,7 +128,7 @@ func (s *solver) solveLinear(cons []Constraint, bounds map[string]interval.Inter
 		}
 		// Violated: branch Σ ≤ K−1 ∨ Σ ≥ K+1 (i.e. −Σ ≤ −K−1).
 		leftC := Constraint{Terms: ne.Terms, K: ne.K - 1, Rel: RelLe}
-		res, err := s.solve(append(cloneCons(cons), leftC), copyBounds(bounds))
+		res, err := s.solve(append(cons[:len(cons):len(cons)], leftC), copyBounds(bounds))
 		if err != nil || res.Status == Sat {
 			return res, err
 		}
@@ -137,7 +137,7 @@ func (s *solver) solveLinear(cons []Constraint, bounds map[string]interval.Inter
 			neg[i] = Term{Coef: -t.Coef, Vars: t.Vars}
 		}
 		rightC := Constraint{Terms: neg, K: -ne.K - 1, Rel: RelLe}
-		return s.solve(append(cloneCons(cons), rightC), copyBounds(bounds))
+		return s.solve(append(cons[:len(cons):len(cons)], rightC), copyBounds(bounds))
 	}
 	return Result{Status: Sat, Model: model}, nil
 }

@@ -155,6 +155,8 @@ type solver struct {
 
 // Solve decides the problem. It returns ErrBudget when limits are hit and
 // ErrUnbounded when a constraint mentions a variable missing from Bounds.
+// Solve never writes into p.Cons or the constraints it holds: every derived
+// constraint is a new value, so callers may share and memoize them.
 func Solve(p Problem, opts Options) (Result, error) {
 	s := &solver{opts: opts.withDefaults()}
 	for _, c := range p.Cons {
@@ -173,7 +175,7 @@ func Solve(p Problem, opts Options) (Result, error) {
 		}
 		bounds[v] = iv
 	}
-	res, err := s.solve(cloneCons(p.Cons), bounds)
+	res, err := s.solve(p.Cons, bounds)
 	if err != nil {
 		return Result{}, err
 	}
@@ -186,20 +188,6 @@ func Solve(p Problem, opts Options) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func cloneCons(cons []Constraint) []Constraint {
-	out := make([]Constraint, len(cons))
-	for i, c := range cons {
-		ts := make([]Term, len(c.Terms))
-		for j, t := range c.Terms {
-			vs := make([]string, len(t.Vars))
-			copy(vs, t.Vars)
-			ts[j] = Term{Coef: t.Coef, Vars: vs}
-		}
-		out[i] = Constraint{Terms: ts, K: c.K, Rel: c.Rel}
-	}
-	return out
 }
 
 func clampToward(pref int64, iv interval.Interval) int64 {

@@ -4,6 +4,10 @@ package smt
 // incremental context — clause DB, learnt clauses, Tseitin maps, LIA
 // constraint memo — is the solver's only structure that grows without
 // bound across queries, so it is what the governor's soft rung retires.
+// The scratch encoder is retained too, up to its high-water mark: every
+// scratch query resets it, and its cleared maps and reset sat.Solver keep
+// their capacity. TrimMemory drops it with the context; the next scratch
+// query builds a fresh one.
 //
 // Retiring a context is the same mechanism incrementalCtx already uses
 // when the clause DB outgrows maxContextClauses: drop it and let the next
@@ -18,15 +22,14 @@ package smt
 const (
 	memClauseBytes   = 64  // clause header + average literal payload
 	memMapEntryBytes = 48  // map bucket share + key/value words
-	memConEntryBytes = 112 // conCache entry: key + compiled LIA constraint
+	memConEntryBytes = 112 // constraint memo entry: key + compiled LIA constraint
 	memBoxBytes      = 256 // boxState: bounds, selector lits, history
 )
 
 // ApproxMemBytes estimates the bytes retained by this solver's incremental
-// machinery (its context plus the trusted scratch child's, if any). Zero
-// when no context has been built. Call it from the goroutine that owns the
-// solver, or at a barrier when no query is in flight — the same rule as
-// Check.
+// context and scratch encoder, plus the trusted scratch child's. Zero when
+// neither has been built. Call it from the goroutine that owns the solver,
+// or at a barrier when no query is in flight — the same rule as Check.
 func (s *Solver) ApproxMemBytes() uint64 {
 	if s == nil {
 		return 0
@@ -35,16 +38,19 @@ func (s *Solver) ApproxMemBytes() uint64 {
 	if s.ctx != nil {
 		n += s.ctx.approxMemBytes()
 	}
+	if s.enc != nil {
+		n += s.enc.retainedBytes()
+	}
 	if s.scratch != nil {
 		n += s.scratch.ApproxMemBytes()
 	}
 	return n
 }
 
-// TrimMemory retires the incremental context (and the scratch child's),
-// reporting how many contexts were dropped and an estimate of the bytes
-// they held. The next incremental query transparently rebuilds. Same
-// concurrency rule as ApproxMemBytes.
+// TrimMemory retires the incremental context and drops the scratch
+// encoder (and the scratch child's), reporting how many contexts were
+// retired and an estimate of the bytes everything dropped held. The next
+// query transparently rebuilds. Same concurrency rule as ApproxMemBytes.
 func (s *Solver) TrimMemory() (retired int, freed uint64) {
 	if s == nil {
 		return 0, 0
@@ -53,6 +59,10 @@ func (s *Solver) TrimMemory() (retired int, freed uint64) {
 		freed += s.ctx.approxMemBytes()
 		s.ctx = nil
 		retired++
+	}
+	if s.enc != nil {
+		freed += s.enc.retainedBytes()
+		s.enc = nil
 	}
 	if s.scratch != nil {
 		r, f := s.scratch.TrimMemory()
@@ -66,11 +76,22 @@ func (c *Context) approxMemBytes() uint64 {
 	if c == nil || c.enc == nil {
 		return 0
 	}
-	n := uint64(c.enc.sat.NumClauses()+c.enc.sat.NumLearnts()) * memClauseBytes
-	n += uint64(len(c.enc.atomVar)+len(c.enc.boolVar)+len(c.enc.cache)+len(c.enc.atoms)) * memMapEntryBytes
+	n := c.enc.approxMemBytes()
 	n += uint64(len(c.groups)+len(c.selGroup)) * memMapEntryBytes
 	n += uint64(len(c.intVars)+len(c.intVarSet)) * memMapEntryBytes
-	n += uint64(len(c.conCache)) * memConEntryBytes
 	n += uint64(len(c.boxes)) * memBoxBytes
 	return n
 }
+
+// approxMemBytes estimates the encoder's contents: clauses, Tseitin maps
+// and the constraint memo.
+func (e *encoder) approxMemBytes() uint64 {
+	n := uint64(e.sat.NumClauses()+e.sat.NumLearnts()) * memClauseBytes
+	n += uint64(len(e.atomVar)+len(e.boolVar)+len(e.nodes)+len(e.atoms)) * memMapEntryBytes
+	n += uint64(len(e.cons)) * memConEntryBytes
+	return n
+}
+
+// retainedBytes estimates what a reused encoder holds: its contents or
+// the largest contents a reset discarded, whichever is more.
+func (e *encoder) retainedBytes() uint64 { return max(e.peak, e.approxMemBytes()) }

@@ -177,6 +177,41 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns s to exactly the state New produces — no variables, no
+// clauses, zero Statist, default MaxConflicts, Stop and activity
+// increments — while keeping its storage: every live and learnt clause
+// goes onto the newClause freelist with its literal capacity, and the
+// per-variable slices and watch lists keep their capacity for the next
+// problem. The struct is rebuilt from New's literal and only storage is
+// carried over, so a field added later is reset by default.
+func (s *Solver) Reset() {
+	free := append(append(s.freeCla, s.clauses...), s.learnts...)
+	*s = Solver{
+		ok: true, varInc: 1, claInc: 1,
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		assigns:    s.assigns[:0],
+		level:      s.level[:0],
+		reason:     s.reason[:0],
+		phase:      s.phase[:0],
+		activity:   s.activity[:0],
+		claSlab:    s.claSlab,
+		freeCla:    free,
+		litArena:   s.litArena,
+		sortBuf:    s.sortBuf[:0],
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		heap:       varHeap{data: s.heap.data[:0], index: s.heap.index[:0]},
+		seen:       s.seen[:0],
+		addMark:    s.addMark[:0],
+		addBuf:     s.addBuf[:0],
+		learntBuf:  s.learntBuf[:0],
+		cleanupBuf: s.cleanupBuf[:0],
+	}
+	s.heap.act = &s.activity
+}
+
 // NewVar adds a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
@@ -186,7 +221,14 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watch lists a Reset left behind the slice's end.
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.addMark = append(s.addMark, 0, 0)
 	s.heap.push(v)
 	return v

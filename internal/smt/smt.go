@@ -297,6 +297,10 @@ type Solver struct {
 	// first Decide when opts.Incremental is set and discarded whenever a
 	// recovered panic may have left it mid-mutation.
 	ctx *Context
+	// enc is the scratch path's encoder, reset before every scratch solve
+	// so its CDCL storage and maps are reused, and discarded, like ctx,
+	// whenever a recovered panic may have left it mid-mutation.
+	enc *encoder
 	// guard validates verdicts and drives the degradation ladder; see
 	// package guard. Every solver has one (the overhead of validation is
 	// one model replay per sat answer plus sampled unsat cross-checks).
@@ -454,6 +458,7 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	}()
 	defer func() {
 		if r := recover(); r != nil {
+			s.enc = nil // may be mid-mutation: discard, rebuilt lazily
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
 			res = Result{Status: Unknown}
@@ -770,7 +775,12 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		return Result{Status: Unsat}, nil
 	}
 
-	enc := newEncoder()
+	if s.enc == nil {
+		s.enc = newEncoder()
+	} else {
+		s.enc.reset()
+	}
+	enc := s.enc
 	defer func() { // scratch solves learn too; only retention is incremental-only
 		st := enc.sat.Statist
 		s.stats.clausesLearned.Add(st.Learned)
@@ -814,6 +824,8 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		allBounds[name] = iv
 	}
 
+	var cons []lia.Constraint
+	var block []sat.Lit
 	for round := 0; round < s.opts.MaxTheoryRounds; round++ {
 		if qtok.Expired() {
 			return Result{Status: Unknown}, budgetErr("deadline", round, qtok.Err())
@@ -846,17 +858,16 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		// itself forces the formula true under the skeleton model (a
 		// cheap prime-implicant extraction). Smaller assertion sets mean
 		// cheaper LIA calls and far more general blocking clauses.
-		support := enc.support(g, model)
-		prob := lia.Problem{Bounds: allBounds}
-		var asserted []sat.Lit
-		for _, sl := range support {
-			c, err := atomToConstraint(sl.atom, sl.positive)
+		cons, block = cons[:0], block[:0]
+		for _, sl := range enc.support(g, model) {
+			c, err := enc.constraint(sl)
 			if err != nil {
 				return Result{}, err
 			}
-			prob.Cons = append(prob.Cons, c)
-			asserted = append(asserted, sat.MkLit(enc.atomVar[sl.atom], !sl.positive))
+			cons = append(cons, c)
+			block = append(block, sat.MkLit(enc.atomVar[sl.atom], sl.positive))
 		}
+		prob := lia.Problem{Cons: cons, Bounds: allBounds}
 		liaStart := time.Now()
 		res, err := lia.Solve(prob, lopts)
 		s.stats.timeLIA(liaStart)
@@ -895,10 +906,6 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 			return Result{Status: Sat, Model: m}, nil
 		}
 		// Theory conflict: block this support set.
-		block := make([]sat.Lit, len(asserted))
-		for i, l := range asserted {
-			block[i] = l.Not()
-		}
 		if !enc.sat.AddClause(block...) {
 			return Result{Status: Unsat}, nil
 		}
@@ -958,7 +965,7 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			s.ctx = nil // may be mid-mutation: discard, rebuilt lazily
+			s.ctx, s.enc = nil, nil // may be mid-mutation: discard, rebuilt lazily
 			s.stats.panics.Add(1)
 			s.stats.unknowns.Add(1)
 			st = Unknown

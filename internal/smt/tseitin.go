@@ -4,20 +4,50 @@ import (
 	"fmt"
 
 	"cpr/internal/expr"
+	"cpr/internal/smt/lia"
 	"cpr/internal/smt/sat"
 )
 
 // encoder Tseitin-encodes the boolean skeleton of a purified, simplified
 // formula into a CDCL solver, keeping the map from theory atoms to SAT
-// variables for the DPLL(T) loop.
+// variables for the DPLL(T) loop and the memo of their LIA translations.
+//
+// A Solver owns one encoder for its scratch queries and resets it before
+// each one, so the CDCL storage and the maps are reused rather than
+// reallocated; the incremental Context owns another that it never resets.
 type encoder struct {
-	sat      *sat.Solver
-	atomVar  map[*expr.Term]int // theory atom → SAT var
-	atoms    []*expr.Term       // atoms in first-encounter order (determinism)
-	boolVar  map[string]int     // named boolean variable → SAT var
-	cache    map[*expr.Term]sat.Lit
+	sat     *sat.Solver
+	atomVar map[*expr.Term]int // theory atom → SAT var
+	atoms   []*expr.Term       // atoms in first-encounter order (determinism)
+	boolVar map[string]int     // named boolean variable → SAT var
+	nodes   map[*expr.Term]node
+	// cons memoizes atomToConstraint per (atom, polarity): the DPLL(T) loop
+	// asserts the same atoms round after round.
+	cons     map[conKey]lia.Constraint
 	trueLit  sat.Lit
 	haveTrue bool
+
+	// gen stamps the nodes one support traversal has visited; supp is the
+	// traversal's reusable output buffer.
+	gen  uint32
+	supp []suppLit
+
+	// peak is the largest approxMemBytes a reset has discarded: cleared
+	// maps and a reset sat.Solver keep their capacity.
+	peak uint64
+}
+
+// node is an encoded subformula's literal plus the support traversal's
+// visit stamp.
+type node struct {
+	lit  sat.Lit
+	mark uint32
+}
+
+// conKey memoizes atom→constraint translation per polarity.
+type conKey struct {
+	atom *expr.Term
+	pos  bool
 }
 
 func newEncoder() *encoder {
@@ -25,8 +55,39 @@ func newEncoder() *encoder {
 		sat:     sat.New(),
 		atomVar: make(map[*expr.Term]int),
 		boolVar: make(map[string]int),
-		cache:   make(map[*expr.Term]sat.Lit),
+		nodes:   make(map[*expr.Term]node),
+		cons:    make(map[conKey]lia.Constraint),
 	}
+}
+
+// reset returns the encoder to the state newEncoder produces, keeping its
+// storage. Every scratch query starts from a reset encoder, so it numbers
+// variables and adds clauses exactly as a fresh one would.
+func (e *encoder) reset() {
+	e.peak = max(e.peak, e.approxMemBytes())
+	e.sat.Reset()
+	clear(e.atomVar)
+	clear(e.boolVar)
+	clear(e.nodes)
+	clear(e.cons)
+	e.atoms = e.atoms[:0]
+	e.trueLit, e.haveTrue = 0, false
+}
+
+// constraint returns the LIA constraint of a support literal, translating
+// each (atom, polarity) once per encoder lifetime: one scratch query, or
+// one incremental context.
+func (e *encoder) constraint(sl suppLit) (lia.Constraint, error) {
+	k := conKey{atom: sl.atom, pos: sl.positive}
+	if con, ok := e.cons[k]; ok {
+		return con, nil
+	}
+	con, err := atomToConstraint(sl.atom, sl.positive)
+	if err != nil {
+		return lia.Constraint{}, err
+	}
+	e.cons[k] = con
+	return con, nil
 }
 
 func (e *encoder) constTrue() sat.Lit {
@@ -41,8 +102,8 @@ func (e *encoder) constTrue() sat.Lit {
 
 // encode returns a literal equivalent to the subformula t.
 func (e *encoder) encode(t *expr.Term) sat.Lit {
-	if l, ok := e.cache[t]; ok {
-		return l
+	if n, ok := e.nodes[t]; ok {
+		return n.lit
 	}
 	var l sat.Lit
 	switch t.Op {
@@ -129,7 +190,7 @@ func (e *encoder) encode(t *expr.Term) sat.Lit {
 	default:
 		panic(fmt.Sprintf("smt: encode: unexpected boolean operator %v in %v", t.Op, t))
 	}
-	e.cache[t] = l
+	e.nodes[t] = node{lit: l}
 	return l
 }
 
@@ -141,94 +202,107 @@ type suppLit struct {
 
 // litValue reads the truth value of an encoded subformula off a SAT model.
 func (e *encoder) litValue(t *expr.Term, model []bool) bool {
-	l, ok := e.cache[t]
+	n, ok := e.nodes[t]
 	if !ok {
 		panic("smt: support: unencoded subformula")
 	}
-	return model[l.Var()] != l.Neg()
+	return model[n.lit.Var()] != n.lit.Neg()
 }
 
 // support extracts a subset of theory literals that by itself forces the
 // root formula true under the given skeleton model: a cheap prime
 // implicant. For a true disjunction one true child suffices; for a false
 // conjunction one false child suffices; everything else is followed
-// according to its model value.
+// according to its model value. The returned slice is reused by the next
+// call.
 func (e *encoder) support(root *expr.Term, model []bool) []suppLit {
-	var out []suppLit
-	seen := make(map[*expr.Term]bool)
-	var mark func(t *expr.Term)
-	mark = func(t *expr.Term) {
-		if seen[t] {
+	e.gen++
+	if e.gen == 0 { // wrapped: stale stamps could collide, wipe them
+		for t, n := range e.nodes {
+			e.nodes[t] = node{lit: n.lit}
+		}
+		e.gen = 1
+	}
+	e.supp = e.supp[:0]
+	e.mark(root, model)
+	return e.supp
+}
+
+// mark visits t once per support traversal, appending the theory literals
+// it needs to e.supp.
+func (e *encoder) mark(t *expr.Term, model []bool) {
+	n, ok := e.nodes[t]
+	if !ok {
+		panic("smt: support: unencoded subformula")
+	}
+	if n.mark == e.gen {
+		return
+	}
+	e.nodes[t] = node{lit: n.lit, mark: e.gen}
+	val := model[n.lit.Var()] != n.lit.Neg()
+	switch t.Op {
+	case expr.OpBoolConst:
+		// constants need no support
+	case expr.OpVar:
+		// boolean decision variables carry no theory content
+	case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
+		e.supp = append(e.supp, suppLit{atom: t, positive: val})
+	case expr.OpEq, expr.OpNe:
+		if t.Args[0].Sort == expr.SortInt {
+			e.supp = append(e.supp, suppLit{atom: t, positive: val})
 			return
 		}
-		seen[t] = true
-		val := e.litValue(t, model)
-		switch t.Op {
-		case expr.OpBoolConst:
-			// constants need no support
-		case expr.OpVar:
-			// boolean decision variables carry no theory content
-		case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
-			out = append(out, suppLit{atom: t, positive: val})
-		case expr.OpEq, expr.OpNe:
-			if t.Args[0].Sort == expr.SortInt {
-				out = append(out, suppLit{atom: t, positive: val})
-				return
-			}
-			mark(t.Args[0])
-			mark(t.Args[1])
-		case expr.OpNot:
-			mark(t.Args[0])
-		case expr.OpAnd:
-			if val {
-				for _, a := range t.Args {
-					mark(a)
-				}
-				return
-			}
+		e.mark(t.Args[0], model)
+		e.mark(t.Args[1], model)
+	case expr.OpNot:
+		e.mark(t.Args[0], model)
+	case expr.OpAnd:
+		if val {
 			for _, a := range t.Args {
-				if !e.litValue(a, model) {
-					mark(a)
-					return
-				}
+				e.mark(a, model)
 			}
-		case expr.OpOr:
-			if !val {
-				for _, a := range t.Args {
-					mark(a)
-				}
-				return
-			}
-			for _, a := range t.Args {
-				if e.litValue(a, model) {
-					mark(a)
-					return
-				}
-			}
-		case expr.OpImplies:
-			if !val {
-				mark(t.Args[0])
-				mark(t.Args[1])
-				return
-			}
-			if !e.litValue(t.Args[0], model) {
-				mark(t.Args[0])
-				return
-			}
-			mark(t.Args[1])
-		case expr.OpIte:
-			mark(t.Args[0])
-			if e.litValue(t.Args[0], model) {
-				mark(t.Args[1])
-			} else {
-				mark(t.Args[2])
-			}
-		default:
-			panic("smt: support: unexpected operator " + t.Op.String())
+			return
 		}
+		for _, a := range t.Args {
+			if !e.litValue(a, model) {
+				e.mark(a, model)
+				return
+			}
+		}
+	case expr.OpOr:
+		if !val {
+			for _, a := range t.Args {
+				e.mark(a, model)
+			}
+			return
+		}
+		for _, a := range t.Args {
+			if e.litValue(a, model) {
+				e.mark(a, model)
+				return
+			}
+		}
+	case expr.OpImplies:
+		if !val {
+			e.mark(t.Args[0], model)
+			e.mark(t.Args[1], model)
+			return
+		}
+		if !e.litValue(t.Args[0], model) {
+			e.mark(t.Args[0], model)
+			return
+		}
+		e.mark(t.Args[1], model)
+	case expr.OpIte:
+		e.mark(t.Args[0], model)
+		if e.litValue(t.Args[0], model) {
+			e.mark(t.Args[1], model)
+		} else {
+			e.mark(t.Args[2], model)
+		}
+	default:
+		panic("smt: support: unexpected operator " + t.Op.String())
 	}
-	mark(root)
-	return out
 }
 
 func (e *encoder) atomLit(t *expr.Term) sat.Lit {
