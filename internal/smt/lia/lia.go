@@ -7,8 +7,9 @@
 //  2. enumeration of small-domain variables occurring in nonlinear
 //     monomials (patch parameters have box bounds, so products such as
 //     x*a become linear after enumerating a),
-//  3. a Fourier–Motzkin rational relaxation with exact big.Rat
-//     arithmetic, and
+//  3. a Fourier–Motzkin rational relaxation, exact on overflow-checked
+//     int64 rows and redone on big.Rat rows for the calls that overflow
+//     them, and
 //  4. branch-and-bound on fractional sample components and violated
 //     disequalities.
 //
@@ -48,8 +49,9 @@ func (r Rel) String() string {
 	return "?"
 }
 
-// Term is a monomial with an integer coefficient: Coef · Π Vars. Vars is
-// sorted and non-empty; repeated names denote powers.
+// Term is a monomial with an integer coefficient: Coef · Π Vars. Coef is
+// nonzero (bound propagation divides by it). Vars is sorted and non-empty;
+// repeated names denote powers.
 type Term struct {
 	Coef int64
 	Vars []string
@@ -151,6 +153,11 @@ var ErrUnbounded = errors.New("lia: unbounded variable")
 type solver struct {
 	opts  Options
 	steps int
+	fm    fm64
+	// exact sends every elimination to the big.Rat rows (the reference in
+	// tests); fallbacks counts the eliminations that went there.
+	exact     bool
+	fallbacks int
 }
 
 // Solve decides the problem. It returns ErrBudget when limits are hit and
@@ -158,7 +165,12 @@ type solver struct {
 // Solve never writes into p.Cons or the constraints it holds: every derived
 // constraint is a new value, so callers may share and memoize them.
 func Solve(p Problem, opts Options) (Result, error) {
-	s := &solver{opts: opts.withDefaults()}
+	return (&solver{opts: opts.withDefaults()}).solveProblem(p, make(map[string]interval.Interval, len(p.Bounds)))
+}
+
+// solveProblem is Solve with the bound-propagation map supplied: an empty
+// map the solve fills from p.Bounds and then tightens.
+func (s *solver) solveProblem(p Problem, bounds map[string]interval.Interval) (Result, error) {
 	for _, c := range p.Cons {
 		for _, t := range c.Terms {
 			for _, v := range t.Vars {
@@ -168,7 +180,6 @@ func Solve(p Problem, opts Options) (Result, error) {
 			}
 		}
 	}
-	bounds := make(map[string]interval.Interval, len(p.Bounds))
 	for v, iv := range p.Bounds {
 		if iv.IsEmpty() {
 			return Result{Status: Unsat}, nil

@@ -2,6 +2,7 @@ package lia
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -350,4 +351,28 @@ func BenchmarkLinearChain(b *testing.B) {
 			b.Fatalf("got %v %v", res.Status, err)
 		}
 	}
+}
+
+// TestMinInt64LowerBound: the bound row x ≥ −2^63 is −x ≤ 2^63, which
+// int64 cannot hold. Negating it in int64 wrapped it to −x ≤ −2^63, i.e.
+// x ≥ 2^63, so x + y ≤ 0 ∧ x − y ≤ 0 came back unsat although x = y = 0
+// satisfies it.
+func TestMinInt64LowerBound(t *testing.T) {
+	p := Problem{
+		Cons: []Constraint{
+			{Terms: []Term{lin(1, "x"), lin(1, "y")}, K: 0, Rel: RelLe},
+			{Terms: []Term{lin(1, "x"), lin(-1, "y")}, K: 0, Rel: RelLe},
+		},
+		Bounds: map[string]interval.Interval{"x": iv(math.MinInt64, 0), "y": iv(0, 10)},
+	}
+	res := solve(t, p)
+	if res.Status != Sat {
+		t.Fatalf("Solve: status %v, want sat", res.Status)
+	}
+	checkModel(t, p, res.Model)
+	bres, err := NewBox(p.Bounds).Solve(p.Cons, Options{})
+	if err != nil || bres.Status != Sat {
+		t.Fatalf("Box.Solve: %v %v, want sat", bres.Status, err)
+	}
+	checkModel(t, p, bres.Model)
 }

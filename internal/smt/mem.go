@@ -4,10 +4,11 @@ package smt
 // incremental context — clause DB, learnt clauses, Tseitin maps, LIA
 // constraint memo — is the solver's only structure that grows without
 // bound across queries, so it is what the governor's soft rung retires.
-// The scratch encoder is retained too, up to its high-water mark: every
-// scratch query resets it, and its cleared maps and reset sat.Solver keep
-// their capacity. TrimMemory drops it with the context; the next scratch
-// query builds a fresh one.
+// The scratch encoder is retained too: every scratch query resets it, and
+// its cleared maps and reset sat.Solver keep their capacity up to their
+// high-water mark, while its LIA constraint memo is kept whole, bounded by
+// the distinct atoms of the solver's job. TrimMemory drops it with the
+// context; the next scratch query builds a fresh one.
 //
 // Retiring a context is the same mechanism incrementalCtx already uses
 // when the clause DB outgrows maxContextClauses: drop it and let the next

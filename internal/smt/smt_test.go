@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -332,6 +333,28 @@ func BenchmarkCheckConjunction(b *testing.B) {
 		res, err := s.Check(f, nil)
 		if err != nil || res.Status != Sat {
 			b.Fatalf("got %v %v", res.Status, err)
+		}
+	}
+}
+
+// TestMinInt64LowerBound: a lower bound of −2^63 must not turn into
+// x ≥ 2^63 in the LIA tier: x + y ≤ 0 ∧ x − y ≤ 0 is sat (x = y = 0), on
+// every entry point, with the incremental context on and off.
+func TestMinInt64LowerBound(t *testing.T) {
+	x, y := expr.IntVar("x"), expr.IntVar("y")
+	f := expr.And(expr.Le(expr.Add(x, y), expr.Int(0)), expr.Le(expr.Sub(x, y), expr.Int(0)))
+	bounds := map[string]interval.Interval{"x": interval.New(math.MinInt64, 0), "y": interval.New(0, 10)}
+	for _, incremental := range []bool{false, true} {
+		s := NewSolver(Options{Incremental: incremental})
+		res := mustCheck(t, s, f, bounds)
+		if res.Status != Sat {
+			t.Fatalf("incremental=%v: Check: status %v, want sat", incremental, res.Status)
+		}
+		if ok, err := expr.EvalBool(f, res.Model); err != nil || !ok {
+			t.Fatalf("incremental=%v: model %v does not satisfy the formula: %v %v", incremental, res.Model, ok, err)
+		}
+		if st, err := s.Decide(f, bounds); err != nil || st != Sat {
+			t.Fatalf("incremental=%v: Decide: %v %v, want sat", incremental, st, err)
 		}
 	}
 }

@@ -22,7 +22,9 @@ type encoder struct {
 	boolVar map[string]int     // named boolean variable → SAT var
 	nodes   map[*expr.Term]node
 	// cons memoizes atomToConstraint per (atom, polarity): the DPLL(T) loop
-	// asserts the same atoms round after round.
+	// asserts the same atoms round after round, and a solver's queries
+	// share most of theirs. reset keeps it: the translation is a pure
+	// function of the interned atom, and lia never writes a constraint.
 	cons     map[conKey]lia.Constraint
 	trueLit  sat.Lit
 	haveTrue bool
@@ -61,22 +63,23 @@ func newEncoder() *encoder {
 }
 
 // reset returns the encoder to the state newEncoder produces, keeping its
-// storage. Every scratch query starts from a reset encoder, so it numbers
-// variables and adds clauses exactly as a fresh one would.
+// storage and its constraint memo. Every scratch query starts from a reset
+// encoder, so it numbers variables and adds clauses exactly as a fresh one
+// would.
 func (e *encoder) reset() {
 	e.peak = max(e.peak, e.approxMemBytes())
 	e.sat.Reset()
 	clear(e.atomVar)
 	clear(e.boolVar)
 	clear(e.nodes)
-	clear(e.cons)
 	e.atoms = e.atoms[:0]
 	e.trueLit, e.haveTrue = 0, false
 }
 
 // constraint returns the LIA constraint of a support literal, translating
-// each (atom, polarity) once per encoder lifetime: one scratch query, or
-// one incremental context.
+// each (atom, polarity) once per encoder lifetime: the lifetime of its
+// Solver (one repair job) for the scratch encoder, of its context for the
+// incremental one.
 func (e *encoder) constraint(sl suppLit) (lia.Constraint, error) {
 	k := conKey{atom: sl.atom, pos: sl.positive}
 	if con, ok := e.cons[k]; ok {
