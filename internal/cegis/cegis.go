@@ -174,7 +174,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 		// under successively blocked parameter vectors; the verdict cache
 		// answers the repeats (and shares hits with a caller-provided
 		// cache, e.g. cpr-bench running CPR and CEGIS on one subject).
-		opts.SMT.Cache = cache.New(cache.Options{})
+		opts.SMT.Cache = cache.New()
 		if rs != nil && rs.hasCache {
 			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
 				warnf(co, "cegis checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)

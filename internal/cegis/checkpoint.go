@@ -19,7 +19,7 @@ import (
 // cegisSnapVersion is the schema version of the baseline's snapshot
 // payload; bump on any encoding change. The container format is owned by
 // internal/journal.
-const cegisSnapVersion = 1
+const cegisSnapVersion = 2
 
 // exploreState is phase 1's resumable loop state. A zero value starts the
 // phase fresh; a restored value continues it. After the phase completes,
@@ -143,7 +143,7 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 
 	m.Bool(ck.ownCache)
 	if ck.ownCache {
-		encodeCacheExport(m, te, ck.cacheRef.Export())
+		core.EncodeCacheExport(m, te, ck.cacheRef.Export())
 	}
 
 	// Witnessed paths, in observation order (both phases need them: phase
@@ -273,7 +273,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 
 	rs.hasCache = d.Bool()
 	if rs.hasCache {
-		ex, err := decodeCacheExport(d, td)
+		ex, err := core.DecodeCacheExport(d, td)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -529,56 +529,4 @@ func decodeTermMap(d *journal.Decoder, td *journal.TermDecoder) (map[string]*exp
 		mp[name] = t
 	}
 	return mp, d.Err()
-}
-
-func encodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Export) {
-	m.U64(uint64(len(ex.Entries)))
-	for _, e := range ex.Entries {
-		m.U64(te.ID(e.F))
-		m.Str(e.Bounds)
-		m.Bool(e.Value.Sat)
-		encodeI64Map(m, e.Value.Model)
-	}
-	m.U64(uint64(len(ex.Cores)))
-	for _, c := range ex.Cores {
-		m.U64(te.ID(c.F))
-		m.Str(c.Bounds)
-	}
-}
-
-func decodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
-	var ex cache.Export
-	ne := d.U64()
-	if err := lenCheck(d, ne, "cache entries"); err != nil {
-		return ex, err
-	}
-	for i := uint64(0); i < ne; i++ {
-		f, err := td.Term(d.U64())
-		if err != nil {
-			return ex, err
-		}
-		bounds := d.Str()
-		sat := d.Bool()
-		model, err := decodeI64Map(d)
-		if err != nil {
-			return ex, err
-		}
-		v := cache.Value{Sat: sat}
-		if model != nil {
-			v.Model = expr.Model(model)
-		}
-		ex.Entries = append(ex.Entries, cache.ExportedEntry{F: f, Bounds: bounds, Value: v})
-	}
-	nc := d.U64()
-	if err := lenCheck(d, nc, "cache cores"); err != nil {
-		return ex, err
-	}
-	for i := uint64(0); i < nc; i++ {
-		f, err := td.Term(d.U64())
-		if err != nil {
-			return ex, err
-		}
-		ex.Cores = append(ex.Cores, cache.ExportedCore{F: f, Bounds: d.Str()})
-	}
-	return ex, d.Err()
 }

@@ -65,7 +65,7 @@ func (o CheckpointOptions) warnf(format string, args ...any) {
 
 // coreSnapVersion is the schema version of the engine-state payload inside
 // a snapshot container; bump on any encoding change.
-const coreSnapVersion = 2
+const coreSnapVersion = 3
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
@@ -254,7 +254,6 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	}
 	cacheNow := e.opts.SMT.Cache.Stats()
 	m.U64(e.baseCacheEvict + (cacheNow.Evictions - e.cacheStart.Evictions))
-	m.U64(e.baseCacheSub + (cacheNow.Subsumed - e.cacheStart.Subsumed))
 
 	// Patch pool: identity, ranking evidence, and parameter region per
 	// surviving patch. Templates are not serialized — synthesis is
@@ -307,7 +306,7 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	// caller's to persist).
 	m.Bool(e.ownCache)
 	if e.ownCache {
-		encodeCacheExport(m, te, e.opts.SMT.Cache.Export())
+		EncodeCacheExport(m, te, e.opts.SMT.Cache.Export())
 	}
 
 	ck.framed.Reset()
@@ -329,7 +328,6 @@ type resumeState struct {
 	solverAgg   smt.Stats
 	cursors     []uint64
 	cacheEvict  uint64
-	cacheSub    uint64
 	pool        []patchState
 	seen        []uint64
 	iter        int
@@ -433,7 +431,6 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 		rs.cursors[i] = d.U64()
 	}
 	rs.cacheEvict = d.U64()
-	rs.cacheSub = d.U64()
 
 	np := d.U64()
 	if err := lenCheck(d, np, "pool"); err != nil {
@@ -485,7 +482,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 
 	rs.hasCache = d.Bool()
 	if rs.hasCache {
-		ex, err := decodeCacheExport(d, td)
+		ex, err := DecodeCacheExport(d, td)
 		if err != nil {
 			return nil, err
 		}
@@ -545,7 +542,6 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 	e.flipsDropped.Store(rs.counters[6])
 	e.baseAgg = rs.solverAgg
 	e.baseCacheEvict = rs.cacheEvict
-	e.baseCacheSub = rs.cacheSub
 	// Restore per-solver cross-check sampling cursors in worker order. A
 	// resumed run with fewer workers restores a prefix; extra workers keep
 	// fresh cursors (worker-count changes only claim fingerprint-level
@@ -593,7 +589,6 @@ func encodeStats(m *journal.Encoder, s *Stats) {
 	m.Int(s.FlipsDropped)
 	m.Int(s.Workers)
 	m.U64(s.CacheEvictions)
-	m.U64(s.CacheSubsumed)
 }
 
 func decodeStats(d *journal.Decoder, s *Stats) {
@@ -616,7 +611,6 @@ func decodeStats(d *journal.Decoder, s *Stats) {
 	s.FlipsDropped = d.Int()
 	s.Workers = d.Int()
 	s.CacheEvictions = d.U64()
-	s.CacheSubsumed = d.U64()
 }
 
 func encodeRegion(m *journal.Encoder, r interval.Region) {
@@ -841,7 +835,10 @@ func decodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHi
 	return h, d.Err()
 }
 
-func encodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Export) {
+// EncodeCacheExport writes a verdict-cache export to a snapshot, and
+// DecodeCacheExport reads it back. Engine and baseline snapshots both
+// persist the cache they own in this form.
+func EncodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Export) {
 	m.U64(uint64(len(ex.Entries)))
 	for _, e := range ex.Entries {
 		m.U64(te.ID(e.F))
@@ -849,14 +846,10 @@ func encodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Exp
 		m.Bool(e.Value.Sat)
 		encodeI64Map(m, e.Value.Model)
 	}
-	m.U64(uint64(len(ex.Cores)))
-	for _, c := range ex.Cores {
-		m.U64(te.ID(c.F))
-		m.Str(c.Bounds)
-	}
 }
 
-func decodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
+// DecodeCacheExport is the inverse of EncodeCacheExport.
+func DecodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
 	var ex cache.Export
 	ne := d.U64()
 	if err := lenCheck(d, ne, "cache entries"); err != nil {
@@ -878,17 +871,6 @@ func decodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Expor
 			v.Model = expr.Model(model)
 		}
 		ex.Entries = append(ex.Entries, cache.ExportedEntry{F: f, Bounds: bounds, Value: v})
-	}
-	nc := d.U64()
-	if err := lenCheck(d, nc, "cache cores"); err != nil {
-		return ex, err
-	}
-	for i := uint64(0); i < nc; i++ {
-		f, err := td.Term(d.U64())
-		if err != nil {
-			return ex, err
-		}
-		ex.Cores = append(ex.Cores, cache.ExportedCore{F: f, Bounds: d.Str()})
 	}
 	return ex, d.Err()
 }

@@ -237,7 +237,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	// under parallelism the cache also lets workers reuse each other's
 	// answers. A caller-provided cache (e.g. shared across runs) is kept.
 	if ownCache {
-		opts.SMT.Cache = cache.New(cache.Options{})
+		opts.SMT.Cache = cache.New()
 		if rs != nil && rs.hasCache {
 			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
 				opts.Checkpoint.warnf("checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
@@ -382,7 +382,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 	stats.Stats = agg
 	cacheEnd := opts.SMT.Cache.Stats()
 	stats.CacheEvictions = eng.baseCacheEvict + (cacheEnd.Evictions - cacheStart.Evictions)
-	stats.CacheSubsumed = eng.baseCacheSub + (cacheEnd.Subsumed - cacheStart.Subsumed)
 	stats.MemStats = eng.mem
 	return &Result{Pool: pool, Ranked: pool.Ranked(), Stats: *stats}, nil
 }
@@ -457,7 +456,6 @@ type engine struct {
 	cacheStart     cache.Stats
 	baseAgg        smt.Stats
 	baseCacheEvict uint64
-	baseCacheSub   uint64
 
 	// Memory-governor state (see govern.go). The plain fields are
 	// coordinator-only; the atomic gauges are read by governor source

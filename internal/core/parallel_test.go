@@ -98,7 +98,7 @@ func TestWorkersShareCache(t *testing.T) {
 // TestWorkersSharedCacheInstance: an explicitly provided cache is shared
 // by caller and engine — its counters account for the run's traffic.
 func TestWorkersSharedCacheInstance(t *testing.T) {
-	c := cache.New(cache.Options{})
+	c := cache.New()
 	opts := Options{Workers: testWorkers()}
 	opts.SMT.Cache = c
 	res, err := Repair(divZeroJob(), opts)

@@ -58,10 +58,11 @@ type Stats struct {
 	FlipsDropped  int `json:"flips_dropped,omitempty"`
 	// Workers is the resolved size of the exploration worker pool.
 	Workers int `json:"workers"`
-	// CacheSubsumed is the subset of the verdict cache's hits answered by
-	// unsat-core subsumption rather than an exact entry, and
-	// CacheEvictions counts its LRU evictions. Both come from the cache,
-	// not the solvers.
+	// CacheEvictions counts the verdict cache's LRU evictions; it comes
+	// from the cache, not the solvers. CacheSubsumed is always zero: the
+	// cache is exact memoization and answers nothing by subsumption. It
+	// stays declared only because the benchmark harness still reads it,
+	// and it is in no snapshot.
 	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
 	CacheSubsumed  uint64 `json:"cache_subsumed,omitempty"`
 	// The solver counters, summed across every worker's solvers (retry
@@ -178,13 +179,9 @@ func (s Stats) SummaryLines() []string {
 			s.SatTime.Round(time.Millisecond), s.LIATime.Round(time.Millisecond), s.ValidateTime.Round(time.Millisecond))
 	}
 	if enc := s.EncodeCacheHits + s.EncodeCacheMisses; enc > 0 {
-		meanCore := 0.0
-		if s.AssumptionCores > 0 {
-			meanCore = float64(s.AssumptionCoreLits) / float64(s.AssumptionCores)
-		}
-		line("incremental: enc-cache hit rate %.1f%% (%d/%d), clauses %d learned / %d kept / %d deleted, %d cores (mean %.1f conjuncts)",
+		line("incremental: enc-cache hit rate %.1f%% (%d/%d), clauses %d learned / %d kept / %d deleted",
 			float64(s.EncodeCacheHits)/float64(enc)*100, s.EncodeCacheHits, enc,
-			s.ClausesLearned, s.ClausesKept, s.ClausesDeleted, s.AssumptionCores, meanCore)
+			s.ClausesLearned, s.ClausesKept, s.ClausesDeleted)
 	}
 	if s.SolverUnknowns+s.SolverPanics+s.ExecPanics+s.FlipsRequeued+s.FlipsDropped > 0 {
 		line("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips requeued %d / dropped %d",

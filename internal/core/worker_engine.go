@@ -47,7 +47,7 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	opts.NewDistributor = nil
 	opts.Cancel = nil
 	opts.SMT.Cancel = nil
-	opts.SMT.Cache = cache.New(cache.Options{})
+	opts.SMT.Cache = cache.New()
 
 	job.Components.Cancel = nil
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)

@@ -49,10 +49,6 @@ const (
 	// dangerous lie, since an accepted spurious unsat silently removes
 	// feasible paths and patches.
 	SolverSpuriousUnsat
-	// SolverTruncateCore drops conjuncts from an unsat assumption core,
-	// making the core formula satisfiable; an accepted truncated core
-	// poisons the cache's subsumption index.
-	SolverTruncateCore
 )
 
 // PanicMsg is the value injected panics carry, so recover sites (and
@@ -85,8 +81,8 @@ type Plan struct {
 	// fail loudly at query entry, lies corrupt an otherwise successful
 	// answer — they exist to exercise the guard layer's validation.
 	LieEvery int
-	// LieKind selects the adversarial fault class: SolverFlipModel,
-	// SolverSpuriousUnsat, or SolverTruncateCore.
+	// LieKind selects the adversarial fault class: SolverFlipModel or
+	// SolverSpuriousUnsat.
 	LieKind Fault
 	// CrashEvery fires Crash at every Nth generation barrier (0 disables).
 	CrashEvery int

@@ -51,7 +51,7 @@ func BenchmarkSolverCheck(b *testing.B) {
 // so this is the cache's hot-path cost (canonical bounds key + one map
 // probe) rather than a solve.
 func BenchmarkSolverCheckCached(b *testing.B) {
-	s := NewSolver(Options{Cache: cache.New(cache.Options{})})
+	s := NewSolver(Options{Cache: cache.New()})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := s.Check(benchFormula(int64(i%8)), benchBounds)

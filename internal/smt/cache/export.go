@@ -17,30 +17,22 @@ import (
 // in its own snapshot as baselines.
 
 // ExportedEntry is one exact verdict entry. Bounds is the canonical
-// bounds-key rendering (BoundsKey), which is parseable and sufficient to
-// rebuild the subsumption index on import.
+// bounds-key rendering (BoundsKey).
 type ExportedEntry struct {
 	F      *expr.Term
 	Bounds string
 	Value  Value
 }
 
-// ExportedCore identifies an unsat-subsumption core by its source entry.
-type ExportedCore struct {
-	F      *expr.Term
-	Bounds string
-}
-
 // Export is a cache's full retained content, ordered oldest-first so a
 // faithful Import replays insertions in LRU order.
 type Export struct {
 	Entries []ExportedEntry
-	Cores   []ExportedCore
 }
 
-// Export snapshots the cache's entries and subsumption cores, both
-// oldest-first. Models are cloned; the export shares nothing mutable with
-// the live cache. A nil cache exports empty.
+// Export snapshots the cache's entries, oldest-first. Models are cloned;
+// the export shares nothing mutable with the live cache. A nil cache
+// exports empty.
 func (c *Cache) Export() Export {
 	if c == nil {
 		return Export{}
@@ -50,25 +42,18 @@ func (c *Cache) Export() Export {
 	var ex Export
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
-		v := e.value
-		if v.Model != nil {
-			v.Model = v.Model.Clone()
-		}
-		ex.Entries = append(ex.Entries, ExportedEntry{F: e.key.f, Bounds: e.key.bounds, Value: v})
-	}
-	for el := c.cores.Back(); el != nil; el = el.Prev() {
-		core := el.Value.(*unsatCore)
-		ex.Cores = append(ex.Cores, ExportedCore{F: core.src.f, Bounds: core.src.bounds})
+		ex.Entries = append(ex.Entries, ExportedEntry{F: e.key.f, Bounds: e.key.bounds, Value: e.value.clone()})
 	}
 	return ex
 }
 
 // Import replays an export into the cache: entries are inserted in order
-// (so LRU recency matches the exporting cache), then each exported core is
-// rebuilt from its source entry by re-deriving conjuncts and variable
-// domains from the parsed bounds key. Import counts no traffic and is
-// meant for an empty cache; entries beyond the cache's limits evict
-// oldest-first exactly as live Stores would (without counting evictions).
+// (so LRU recency matches the exporting cache), each one counted in
+// ApproxBytes exactly as a live Store would count it. Import counts no
+// traffic and is meant for an empty cache; entries beyond the cache's
+// limits evict oldest-first as live Stores would (without counting
+// evictions). The export is read from disk, so a malformed bounds key is
+// rejected.
 func (c *Cache) Import(ex Export) error {
 	if c == nil {
 		return nil
@@ -82,38 +67,7 @@ func (c *Cache) Import(ex Export) error {
 		if _, _, err := parseBoundsKey(e.Bounds); err != nil {
 			return err
 		}
-		v := e.Value
-		if v.Model != nil {
-			v.Model = v.Model.Clone()
-		}
-		k := key{f: e.F, bounds: e.Bounds}
-		if el, ok := c.entries[k]; ok {
-			el.Value.(*entry).value = v
-			c.lru.MoveToFront(el)
-			continue
-		}
-		c.entries[k] = c.lru.PushFront(&entry{key: k, value: v})
-		for len(c.entries) > c.opts.MaxEntries {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*entry).key)
-		}
-	}
-	for _, core := range ex.Cores {
-		if core.F == nil {
-			return fmt.Errorf("cache import: core with nil formula")
-		}
-		def, bounds, err := parseBoundsKey(core.Bounds)
-		if err != nil {
-			return err
-		}
-		k := key{f: core.F, bounds: core.Bounds}
-		if _, ok := c.entries[k]; !ok {
-			// The source entry was evicted above (or never exported);
-			// its generalization must not outlive it.
-			continue
-		}
-		c.addCore(core.F, bounds, def, k)
+		c.insertLocked(Key{f: e.F, bounds: e.Bounds}, e.Value.clone())
 	}
 	return nil
 }

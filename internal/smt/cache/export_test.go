@@ -10,7 +10,7 @@ import (
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	b := map[string]interval.Interval{"x": interval.New(0, 10)}
 
 	fSat := expr.Gt(x(), expr.Int(3))
@@ -24,11 +24,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if len(ex.Entries) != 3 {
 		t.Fatalf("exported %d entries, want 3", len(ex.Entries))
 	}
-	if len(ex.Cores) != 1 {
-		t.Fatalf("exported %d cores, want 1", len(ex.Cores))
-	}
 
-	fresh := New(Options{})
+	fresh := New()
 	if err := fresh.Import(ex); err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +45,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if sat, ok := fresh.LookupVerdict(fVerdict, nil, def); !ok || !sat {
 		t.Fatalf("verdict-only entry lost: sat=%v ok=%v", sat, ok)
 	}
-	// Unsat entry and its rebuilt subsumption core survive: a superset
-	// conjunct query over the same domains is unsat without solving.
-	super := expr.And(fUnsat, expr.Ge(y(), expr.Int(0)))
-	if sat, ok := fresh.LookupVerdict(super, b, def); !ok || sat {
-		t.Fatalf("subsumption core not rebuilt: sat=%v ok=%v", sat, ok)
+	// Unsat entry survives.
+	if sat, ok := fresh.LookupVerdict(fUnsat, b, def); !ok || sat {
+		t.Fatalf("unsat entry lost: sat=%v ok=%v", sat, ok)
 	}
 
 	// Import left traffic stats untouched except the lookups above.
@@ -63,7 +58,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 func TestExportIsolation(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	f := expr.Eq(x(), expr.Int(7))
 	c.Store(f, nil, def, Value{Sat: true, Model: expr.Model{"x": 7}})
 	ex := c.Export()
@@ -75,43 +70,42 @@ func TestExportIsolation(t *testing.T) {
 }
 
 func TestImportRespectsLimits(t *testing.T) {
-	big := New(Options{MaxEntries: 16})
-	var unsat *expr.Term
+	big := New()
+	big.max = 16
+	var oldest *expr.Term
 	for i := 0; i < 16; i++ {
 		f := expr.Eq(x(), expr.Int(int64(i)))
 		if i == 0 {
-			// Oldest entry is unsat and contributes a core.
 			f = expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(2)))
-			unsat = f
+			oldest = f
 			big.Store(f, nil, def, Value{Sat: false})
 			continue
 		}
 		big.Store(f, nil, def, Value{Sat: true, Model: expr.Model{"x": int64(i)}})
 	}
-	small := New(Options{MaxEntries: 4})
+	small := New()
+	small.max = 4
 	if err := small.Import(big.Export()); err != nil {
 		t.Fatal(err)
 	}
 	if small.Len() != 4 {
 		t.Fatalf("imported cache holds %d entries, want the 4 newest", small.Len())
 	}
-	// The unsat source entry was evicted during import, so its core must
-	// not have been rebuilt.
-	if sat, ok := small.LookupVerdict(expr.And(unsat, expr.Ge(y(), expr.Int(0))), nil, def); ok && !sat {
-		t.Fatal("core outlived its evicted source entry")
+	if _, ok := small.LookupVerdict(oldest, nil, def); ok {
+		t.Fatal("the oldest exported entry survived an import past the cap")
+	}
+	if st := small.Stats(); st.Evictions != 0 {
+		t.Fatalf("import counted %d evictions", st.Evictions)
 	}
 }
 
 func TestImportRejectsMalformed(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	if err := c.Import(Export{Entries: []ExportedEntry{{F: nil, Bounds: "d:0:1"}}}); err == nil {
 		t.Fatal("imported a nil formula")
 	}
 	if err := c.Import(Export{Entries: []ExportedEntry{{F: x(), Bounds: "garbage"}}}); err == nil {
 		t.Fatal("imported a malformed bounds key")
-	}
-	if err := c.Import(Export{Cores: []ExportedCore{{F: x(), Bounds: ":::"}}}); err == nil {
-		t.Fatal("imported a malformed core bounds key")
 	}
 }
 
@@ -142,8 +136,8 @@ func TestParseBoundsKeyRoundTrip(t *testing.T) {
 // that made it into an export lands intact in the importing cache, with
 // models preserved.
 func TestExportImportDeltaRoundtripConcurrent(t *testing.T) {
-	src := New(Options{})
-	dst := New(Options{})
+	src := New()
+	dst := New()
 	b := map[string]interval.Interval{"x": interval.New(0, 1000)}
 
 	var wg sync.WaitGroup
@@ -170,26 +164,17 @@ func TestExportImportDeltaRoundtripConcurrent(t *testing.T) {
 
 	// Delta exchanges under fire: each round exports whatever is retained,
 	// filters against what was already shipped, and imports the remainder.
-	sent := make(map[key]bool)
+	sent := make(map[Key]bool)
 	for round := 0; round < 20; round++ {
 		ex := src.Export()
 		var delta Export
 		for _, e := range ex.Entries {
-			k := key{f: e.F, bounds: e.Bounds}
+			k := Key{f: e.F, bounds: e.Bounds}
 			if sent[k] {
 				continue
 			}
 			sent[k] = true
 			delta.Entries = append(delta.Entries, e)
-		}
-		present := make(map[key]bool, len(delta.Entries))
-		for _, e := range delta.Entries {
-			present[key{f: e.F, bounds: e.Bounds}] = true
-		}
-		for _, c := range ex.Cores {
-			if present[key{f: c.F, bounds: c.Bounds}] {
-				delta.Cores = append(delta.Cores, c)
-			}
 		}
 		if err := dst.Import(delta); err != nil {
 			t.Fatalf("round %d: import: %v", round, err)
@@ -213,7 +198,7 @@ func TestExportImportDeltaRoundtripConcurrent(t *testing.T) {
 	// A final quiescent roundtrip into a fresh cache must be faithful
 	// entry-for-entry.
 	final := src.Export()
-	fresh := New(Options{})
+	fresh := New()
 	if err := fresh.Import(final); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestInvalidateExactEntry(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	f := expr.Gt(x(), expr.Int(3))
 	b := map[string]interval.Interval{"x": interval.New(0, 10)}
 	c.Store(f, b, def, Value{Sat: true, Model: expr.Model{"x": 4}})
@@ -27,72 +27,14 @@ func TestInvalidateExactEntry(t *testing.T) {
 	c.InvalidateKey(Key{})
 }
 
-func TestInvalidateWithdrawsSubsumptionCore(t *testing.T) {
-	c := New(Options{})
-	// Unsat formula whose core would subsume the stronger query below.
-	f := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)))
-	b := map[string]interval.Interval{"x": interval.New(-10, 10)}
-	c.Store(f, b, def, Value{Sat: false})
-
-	stronger := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)), expr.Gt(y(), expr.Int(0)))
-	bs := map[string]interval.Interval{"x": interval.New(-10, 10), "y": interval.New(0, 5)}
-	if v, ok := c.Lookup(stronger, bs, def); !ok || v.Sat {
-		t.Fatal("subsumption index not primed")
-	}
-
-	// Pulling the unsat entry must also pull its generalization: a poisoned
-	// unsat verdict that kept answering supersets via the core index would
-	// defeat the invalidation entirely.
-	c.Invalidate(f, b, def)
-	if _, ok := c.Lookup(f, b, def); ok {
-		t.Fatal("invalidated unsat entry still answers exactly")
-	}
-	if v, ok := c.Lookup(stronger, bs, def); ok && !v.Sat {
-		t.Fatal("invalidated unsat entry still answers via subsumption")
-	}
-}
-
-func TestInvalidateLeavesOtherCores(t *testing.T) {
-	c := New(Options{})
-	f1 := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)))
-	f2 := expr.And(expr.Gt(y(), expr.Int(9)), expr.Lt(y(), expr.Int(2)))
-	c.Store(f1, nil, def, Value{Sat: false})
-	c.Store(f2, nil, def, Value{Sat: false})
-	c.Invalidate(f1, nil, def)
-
-	q := expr.And(expr.Gt(y(), expr.Int(9)), expr.Lt(y(), expr.Int(2)), expr.Gt(x(), expr.Int(0)))
-	if v, ok := c.Lookup(q, nil, def); !ok || v.Sat {
-		t.Fatal("unrelated subsumption core lost to invalidation")
-	}
-}
-
-func TestCoreEvictionCleansIndex(t *testing.T) {
-	c := New(Options{MaxUnsatCores: 2})
-	var fs []*expr.Term
-	for i := 0; i < 4; i++ {
-		f := expr.And(expr.Gt(x(), expr.Int(int64(10+i))), expr.Lt(x(), expr.Int(int64(i))))
-		fs = append(fs, f)
-		c.Store(f, nil, def, Value{Sat: false})
-	}
-	// The two oldest cores were evicted; invalidating their source entries
-	// must not disturb the two survivors (regression for coreByKey staleness).
-	c.Invalidate(fs[0], nil, def)
-	c.Invalidate(fs[1], nil, def)
-	q := expr.And(expr.Gt(x(), expr.Int(13)), expr.Lt(x(), expr.Int(3)), expr.Gt(y(), expr.Int(0)))
-	if v, ok := c.Lookup(q, nil, def); !ok || v.Sat {
-		t.Fatal("surviving core lost after evicted-core invalidation")
-	}
-	if c.cores.Len() != 2 || len(c.coreByKey) != 2 {
-		t.Fatalf("core index inconsistent: list=%d map=%d", c.cores.Len(), len(c.coreByKey))
-	}
-}
-
-// TestConcurrentSubsumptionWriters exercises the unsat-core subsumption
-// index under 4 concurrent writers mixed with invalidations and subsuming
-// readers — the exact access pattern of 4 exploration workers sharing one
-// cache while the guard layer pulls poisoned entries. Run under -race.
-func TestConcurrentSubsumptionWriters(t *testing.T) {
-	c := New(Options{MaxEntries: 64, MaxUnsatCores: 16})
+// TestConcurrentInvalidateWriters races Store, Lookup and Invalidate from
+// 4 concurrent writers — the access pattern of 4 exploration workers
+// sharing one cache while the guard layer pulls poisoned entries. Run
+// under -race; the final check proves the entry map, the LRU list and the
+// byte figure survive the interleaving.
+func TestConcurrentInvalidateWriters(t *testing.T) {
+	c := New()
+	c.max = 64
 	const workers = 4
 	const rounds = 200
 	var wg sync.WaitGroup
@@ -105,10 +47,8 @@ func TestConcurrentSubsumptionWriters(t *testing.T) {
 				unsat := expr.And(expr.Gt(v, expr.Int(5)), expr.Lt(v, expr.Int(3)))
 				b := map[string]interval.Interval{v.Name: interval.New(-10, int64(10+w))}
 				c.Store(unsat, b, def, Value{Sat: false})
-				q := expr.And(expr.Gt(v, expr.Int(5)), expr.Lt(v, expr.Int(3)), expr.Gt(x(), expr.Int(0)))
-				qb := map[string]interval.Interval{v.Name: interval.New(-10, 10), "x": interval.New(0, 5)}
-				if val, ok := c.Lookup(q, qb, def); ok && val.Sat {
-					t.Error("subsumption produced a sat verdict for an unsat superset")
+				if val, ok := c.Lookup(unsat, b, def); ok && val.Sat {
+					t.Error("an unsat entry answered sat")
 					return
 				}
 				if i%3 == 0 {
@@ -121,41 +61,43 @@ func TestConcurrentSubsumptionWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := c.cores.Len(), len(c.coreByKey); got < want {
-		t.Fatalf("core index leaked: list=%d map=%d", got, want)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var want uint64
+	for _, el := range c.entries {
+		e := el.Value.(*entry)
+		want += entryBytes(e.key, e.value)
+	}
+	if len(c.entries) != c.lru.Len() || c.bytes != want {
+		t.Fatalf("cache inconsistent: map=%d list=%d bytes=%d recomputed=%d", len(c.entries), c.lru.Len(), c.bytes, want)
 	}
 }
 
 // TestImportDoesNotResurrectInvalidatedCore: an Export taken after
-// Invalidate carries neither the withdrawn entry nor its subsumption core,
-// so a snapshot written after an epoch withdrew a verdict cannot bring it
-// back on import.
+// Invalidate does not carry the withdrawn entry, so a snapshot written
+// after an epoch withdrew a verdict cannot bring it back on import.
 func TestImportDoesNotResurrectInvalidatedCore(t *testing.T) {
 	b := map[string]interval.Interval{"x": interval.New(0, 10)}
 	f := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)))
-	super := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)), expr.Gt(y(), expr.Int(0)))
 
-	src := New(Options{})
+	src := New()
 	src.Store(f, b, def, Value{Sat: false})
 	src.Invalidate(f, b, def)
+	if _, ok := src.LookupVerdict(f, b, def); ok {
+		t.Fatal("invalidated unsat entry still answers")
+	}
 
 	clean := src.Export()
 	for _, e := range clean.Entries {
-		if (key{f: e.F, bounds: e.Bounds}) == (key{f: f, bounds: BoundsKey(b, def)}) {
+		if (Key{f: e.F, bounds: e.Bounds}) == (Key{f: f, bounds: BoundsKey(b, def)}) {
 			t.Fatal("export still carries the invalidated entry")
 		}
 	}
-	if len(clean.Cores) != 0 {
-		t.Fatalf("export still carries %d cores after invalidation", len(clean.Cores))
-	}
-	dst := New(Options{})
+	dst := New()
 	if err := dst.Import(clean); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := dst.LookupVerdict(f, b, def); ok {
 		t.Fatal("import resurrected the withdrawn entry")
-	}
-	if _, ok := dst.LookupVerdict(super, b, def); ok {
-		t.Fatal("import resurrected the withdrawn core")
 	}
 }

@@ -40,9 +40,8 @@ type Context struct {
 	enc     *encoder
 	auxNext int // global purifier counter: aux names never collide across conjuncts
 
-	groups   map[*expr.Term]*group
-	selGroup map[sat.Lit]*expr.Term
-	boxes    map[string]*boxState
+	groups map[*expr.Term]*group
+	boxes  map[string]*boxState
 
 	intVars   []string // integer variables seen so far, first-seen order
 	intVarSet map[string]bool
@@ -91,7 +90,6 @@ func newContext(opts Options, stats *solverStats) *Context {
 		stats:     stats,
 		enc:       newEncoder(),
 		groups:    make(map[*expr.Term]*group),
-		selGroup:  make(map[sat.Lit]*expr.Term),
 		boxes:     make(map[string]*boxState),
 		intVarSet: make(map[string]bool),
 	}
@@ -126,7 +124,6 @@ func (c *Context) prep(cj *expr.Term) *group {
 		root := c.enc.encode(p)
 		g.sel = sat.MkLit(c.enc.sat.NewVar(), false)
 		c.enc.sat.AddClause(g.sel.Not(), root)
-		c.selGroup[g.sel] = cj
 		for _, v := range expr.Vars(p) {
 			if v.Sort == expr.SortInt && !c.intVarSet[v.Name] {
 				c.intVarSet[v.Name] = true
@@ -170,10 +167,8 @@ func (c *Context) syncClauseStats() {
 }
 
 // decide runs the DPLL(T) loop for f under bounds on the persistent state
-// and returns the verdict. On Unsat it also returns the subset of f's
-// top-level conjuncts in the assumption core (nil when the core does not
-// narrow f, e.g. a trivially false conjunct reported as itself).
-func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, []*expr.Term, error) {
+// and returns the verdict.
+func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, error) {
 	defer c.syncClauseStats()
 
 	conjs := f.Args
@@ -187,12 +182,12 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		case trivTrue:
 			continue
 		case trivFalse:
-			return Unsat, []*expr.Term{cj}, nil
+			return Unsat, nil
 		}
 		groups = append(groups, g)
 	}
 	if len(groups) == 0 {
-		return Sat, nil, nil
+		return Sat, nil
 	}
 
 	box := c.boxFor(bounds)
@@ -228,7 +223,7 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 	var block []sat.Lit
 	for round := 0; round < c.opts.MaxTheoryRounds; round++ {
 		if qtok.Expired() {
-			return Unknown, nil, budgetErr("deadline", round, qtok.Err())
+			return Unknown, budgetErr("deadline", round, qtok.Err())
 		}
 		c.stats.theoryRounds.Add(1)
 		satStart := time.Now()
@@ -236,21 +231,20 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		c.stats.timeSat(satStart)
 		switch satStatus {
 		case sat.Unsat:
-			core := c.assumptionCore(conjs)
-			return Unsat, core, nil
+			return Unsat, nil
 		case sat.Unknown:
 			stage := "sat-conflicts"
 			if qtok.Expired() {
 				stage = "deadline"
 			}
-			return Unknown, nil, budgetErr(stage, round, nil)
+			return Unknown, budgetErr(stage, round, nil)
 		}
 		if c.selfCheck() {
 			if !c.enc.sat.VerifyModel() {
 				// The retained clause database produced a model that does
 				// not satisfy it. The solver quarantines this context and
 				// retries the query on the scratch rung.
-				return Unknown, nil, fmt.Errorf("%w (incremental sat tier, query %d round %d)", guard.ErrVerdictRejected, query, round)
+				return Unknown, fmt.Errorf("%w (incremental sat tier, query %d round %d)", guard.ErrVerdictRejected, query, round)
 			}
 		}
 		model := c.enc.sat.Model()
@@ -262,7 +256,7 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 			for _, sl := range c.enc.support(g.g, model) {
 				con, err := c.enc.constraint(sl)
 				if err != nil {
-					return Unknown, nil, err
+					return Unknown, err
 				}
 				cons = append(cons, con)
 				block = append(block, sat.MkLit(c.enc.atomVar[sl.atom], sl.positive))
@@ -277,20 +271,20 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 				if qtok.Expired() {
 					stage = "deadline"
 				}
-				return Unknown, nil, budgetErr(stage, round, err)
+				return Unknown, budgetErr(stage, round, err)
 			}
-			return Unknown, nil, err
+			return Unknown, err
 		}
 		if res.Status == lia.Sat {
-			return Sat, nil, nil
+			return Sat, nil
 		}
 		// Theory conflict: block this support set for this bounds box.
 		// AddClause dedups literals shared between groups.
 		if !c.enc.sat.AddClause(block...) {
-			return Unsat, nil, nil
+			return Unsat, nil
 		}
 	}
-	return Unknown, nil, budgetErr("theory-rounds", c.opts.MaxTheoryRounds, nil)
+	return Unknown, budgetErr("theory-rounds", c.opts.MaxTheoryRounds, nil)
 }
 
 // selfCheck counts a sat round and reports whether its model is replayed
@@ -300,32 +294,4 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 func (c *Context) selfCheck() bool {
 	c.verifyTick++
 	return c.opts.Guard.Paranoid || c.verifyTick&15 == 0
-}
-
-// assumptionCore maps the SAT layer's assumption core back to the query's
-// top-level conjuncts, in original conjunct order. The box selector (and a
-// nil core: unsat independent of assumptions) maps to no conjuncts.
-func (c *Context) assumptionCore(conjs []*expr.Term) []*expr.Term {
-	lits := c.enc.sat.Core()
-	if len(lits) == 0 {
-		return nil
-	}
-	inCore := make(map[*expr.Term]bool, len(lits))
-	for _, l := range lits {
-		if cj, ok := c.selGroup[l]; ok {
-			inCore[cj] = true
-		}
-	}
-	if len(inCore) == 0 {
-		return nil
-	}
-	core := make([]*expr.Term, 0, len(inCore))
-	for _, cj := range conjs {
-		if inCore[cj] {
-			core = append(core, cj)
-		}
-	}
-	c.stats.assumptionCores.Add(1)
-	c.stats.assumptionCoreLits.Add(uint64(len(core)))
-	return core
 }

@@ -43,7 +43,7 @@ func TestAbortEpochInvalidatesJournaledWrites(t *testing.T) {
 		{"budget abort", faultinject.SolverTimeout, ErrBudget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cache.New(cache.Options{})
+			c := cache.New()
 			s := NewSolver(Options{Cache: c})
 
 			s.BeginEpoch()
@@ -73,7 +73,7 @@ func TestAbortEpochInvalidatesJournaledWrites(t *testing.T) {
 // TestAbortEpochScopedByBeginEpoch: only writes since the last BeginEpoch
 // are withdrawn; earlier iterations' entries stay valid.
 func TestAbortEpochScopedByBeginEpoch(t *testing.T) {
-	c := cache.New(cache.Options{})
+	c := cache.New()
 	s := NewSolver(Options{Cache: c})
 
 	s.BeginEpoch()

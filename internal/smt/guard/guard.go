@@ -201,7 +201,7 @@ func (g *Guard) ValidateModel(f *expr.Term, bounds map[string]interval.Interval,
 
 // NoteCrossCheck records an unsat cross-check that ran; NoteFailure
 // records a validation failure detected outside ValidateModel (a
-// cross-check divergence or a rejected assumption core).
+// cross-check divergence).
 func (g *Guard) NoteCrossCheck() { g.validations.Add(1) }
 
 // CrossCheckCursor returns the unsat sampling counter behind

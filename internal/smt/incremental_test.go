@@ -83,29 +83,43 @@ func incrementalBattery() []struct {
 
 // TestIncrementalDifferentialVerdicts: one persistent incremental solver
 // across the whole battery must agree with a fresh scratch solve of every
-// query.
+// query, and so must the verdicts a verdict cache hands back for them.
 func TestIncrementalDifferentialVerdicts(t *testing.T) {
+	battery := incrementalBattery()
+	want := make([]Status, len(battery))
 	inc := NewSolver(Options{Incremental: true})
-	for i, q := range incrementalBattery() {
+	for i, q := range battery {
 		st, err := inc.Decide(q.f, q.bounds)
 		if err != nil {
 			t.Fatalf("query %d: incremental Decide: %v", i, err)
 		}
 		scratch := NewSolver(Options{})
-		want, err := scratch.Check(q.f, q.bounds)
+		res, err := scratch.Check(q.f, q.bounds)
 		if err != nil {
 			t.Fatalf("query %d: scratch Check: %v", i, err)
 		}
-		if st != want.Status {
-			t.Fatalf("query %d (%v): incremental=%v scratch=%v", i, q.f, st, want.Status)
+		if want[i] = res.Status; st != want[i] {
+			t.Fatalf("query %d (%v): incremental=%v scratch=%v", i, q.f, st, want[i])
 		}
 	}
-	st := inc.Stats()
-	if st.EncodeCacheHits == 0 {
+	if st := inc.Stats(); st.EncodeCacheHits == 0 {
 		t.Errorf("no encoding-cache hits over a shared-prefix battery: %+v", st)
 	}
-	if st.AssumptionCores == 0 {
-		t.Errorf("no assumption cores over an unsat-heavy battery: %+v", st)
+
+	// Twice more through a solver with a verdict cache: the first pass
+	// fills it, and every query of the repeat pass is a hit that agrees
+	// with scratch Check.
+	cached := NewSolver(Options{Incremental: true, Cache: cache.New()})
+	for pass := 0; pass < 2; pass++ {
+		before := cached.Stats().CacheHits
+		for i, q := range battery {
+			if st, err := cached.Decide(q.f, q.bounds); err != nil || st != want[i] {
+				t.Fatalf("pass %d query %d: cached Decide=%v (%v), scratch=%v", pass, i, st, err, want[i])
+			}
+		}
+		if hits := cached.Stats().CacheHits - before; pass == 1 && hits != uint64(len(battery)) {
+			t.Fatalf("repeat pass: %d cache hits over %d queries", hits, len(battery))
+		}
 	}
 }
 
@@ -247,9 +261,9 @@ func TestIncrementalFaultInjectionMidSequence(t *testing.T) {
 }
 
 // TestIncrementalCacheInteraction: verdict-only entries, model upgrades,
-// and assumption cores feeding the subsumption index.
+// and unsat verdicts answered from the cache.
 func TestIncrementalCacheInteraction(t *testing.T) {
-	c := cache.New(cache.Options{})
+	c := cache.New()
 	s := NewSolver(Options{Incremental: true, Cache: c})
 	x := expr.IntVar("x")
 	y := expr.IntVar("y")
@@ -277,24 +291,19 @@ func TestIncrementalCacheInteraction(t *testing.T) {
 		t.Fatalf("model entry not cached: %+v, %v", res2, err)
 	}
 
-	// Unsat with a narrowing core: a propositional contradiction among
-	// three of four conjuncts (the SAT-level final conflict never touches
-	// the fourth), so the stored core subsumes later supersets.
+	// An unsat Decide is stored and answers its repeat.
 	p := expr.BoolVar("cp")
 	q := expr.BoolVar("cq")
-	clash := []*expr.Term{p, expr.Implies(p, q), expr.Not(q)}
-	if st, err := s.Decide(expr.And(append(clash, expr.Gt(y, expr.Int(1)))...), b); err != nil || st != Unsat {
-		t.Fatalf("core query: %v, %v", st, err)
-	}
-	if s.Stats().AssumptionCores == 0 {
-		t.Fatal("propositional contradiction produced no assumption core")
+	clash := expr.And(p, expr.Implies(p, q), expr.Not(q), expr.Gt(y, expr.Int(1)))
+	if st, err := s.Decide(clash, b); err != nil || st != Unsat {
+		t.Fatalf("unsat query: %v, %v", st, err)
 	}
 	pre := c.Stats()
-	if st, err := s.Decide(expr.And(append(clash, expr.Lt(y, expr.Int(49)))...), b); err != nil || st != Unsat {
-		t.Fatalf("superset query: %v, %v", st, err)
+	if st, err := s.Decide(clash, b); err != nil || st != Unsat {
+		t.Fatalf("repeat unsat query: %v, %v", st, err)
 	}
-	if post := c.Stats(); post.Subsumed != pre.Subsumed+1 {
-		t.Fatalf("assumption core did not feed subsumption: %+v -> %+v", pre, post)
+	if post := c.Stats(); post.Hits != pre.Hits+1 {
+		t.Fatalf("repeat unsat Decide missed the verdict cache: %+v -> %+v", pre, post)
 	}
 }
 

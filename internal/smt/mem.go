@@ -78,7 +78,7 @@ func (c *Context) approxMemBytes() uint64 {
 		return 0
 	}
 	n := c.enc.approxMemBytes()
-	n += uint64(len(c.groups)+len(c.selGroup)) * memMapEntryBytes
+	n += uint64(len(c.groups)) * memMapEntryBytes
 	n += uint64(len(c.intVars)+len(c.intVarSet)) * memMapEntryBytes
 	n += uint64(len(c.boxes)) * memBoxBytes
 	return n

@@ -108,7 +108,7 @@ func TestScratchReuseConcurrentSolvers(t *testing.T) {
 		want[i] = checkAnswer(ref, q)
 		want[i].Rounds = 0 // cache hits spend no rounds
 	}
-	c := cache.New(cache.Options{})
+	c := cache.New()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func coreSet(core []Lit) map[Lit]bool {
-	m := make(map[Lit]bool, len(core))
-	for _, l := range core {
-		m[l] = true
-	}
-	return m
-}
-
 func TestSolveUnderBasic(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()
@@ -27,9 +19,6 @@ func TestSolveUnderBasic(t *testing.T) {
 	if s.SolveUnder(lit(a), nlit(b)) != Unsat {
 		t.Fatal("a ∧ ¬b with a→b should be unsat")
 	}
-	if s.Core() == nil {
-		t.Fatal("unsat under assumptions must report a core")
-	}
 	// Unsat-under-assumptions must not poison the clause set.
 	if s.SolveUnder(lit(a)) != Sat {
 		t.Fatal("solver unusable after an assumption-unsat answer")
@@ -39,35 +28,12 @@ func TestSolveUnderBasic(t *testing.T) {
 	}
 }
 
-func TestSolveUnderCoreExcludesIrrelevant(t *testing.T) {
-	s := New()
-	s1, s2, s3 := s.NewVar(), s.NewVar(), s.NewVar()
-	a := s.NewVar()
-	s.AddClause(nlit(s1), lit(a))  // s1 → a
-	s.AddClause(nlit(s2), nlit(a)) // s2 → ¬a
-
-	if s.SolveUnder(lit(s3), lit(s1), lit(s2)) != Unsat {
-		t.Fatal("s1 ∧ s2 should be unsat")
-	}
-	core := coreSet(s.Core())
-	if !core[lit(s1)] || !core[lit(s2)] {
-		t.Fatalf("core %v must contain s1 and s2", s.Core())
-	}
-	if core[lit(s3)] {
-		t.Fatalf("core %v must not contain the irrelevant s3", s.Core())
-	}
-}
-
 func TestSolveUnderDirectlyFalsifiedAssumption(t *testing.T) {
 	s := New()
 	a := s.NewVar()
 	s.AddClause(nlit(a)) // level-0 unit ¬a
 	if s.SolveUnder(lit(a)) != Unsat {
 		t.Fatal("assuming a falsified unit should be unsat")
-	}
-	core := s.Core()
-	if len(core) != 1 || core[0] != lit(a) {
-		t.Fatalf("core = %v, want [a]", core)
 	}
 	if s.Solve() != Sat {
 		t.Fatal("clause set itself is satisfiable")
@@ -81,9 +47,8 @@ func TestSolveUnderContradictoryAssumptions(t *testing.T) {
 	if s.SolveUnder(lit(a), nlit(a)) != Unsat {
 		t.Fatal("a ∧ ¬a assumptions should be unsat")
 	}
-	core := coreSet(s.Core())
-	if !core[lit(a)] || !core[nlit(a)] {
-		t.Fatalf("core = %v, want both polarities of a", s.Core())
+	if s.SolveUnder(lit(a)) != Sat {
+		t.Fatal("solver unusable after a contradictory-assumption unsat")
 	}
 }
 
@@ -96,9 +61,6 @@ func TestSolveUnderGloballyUnsat(t *testing.T) {
 	}
 	if s.SolveUnder(lit(a)) != Unsat {
 		t.Fatal("globally unsat set must stay unsat under assumptions")
-	}
-	if s.Core() != nil {
-		t.Fatalf("core = %v, want nil for assumption-independent unsat", s.Core())
 	}
 }
 
@@ -123,10 +85,6 @@ func TestSelectorRetraction(t *testing.T) {
 		}
 		if s.SolveUnder(lit(s1), lit(s2)) != Unsat {
 			t.Fatalf("round %d: both groups should conflict", round)
-		}
-		core := coreSet(s.Core())
-		if !core[lit(s1)] || !core[lit(s2)] {
-			t.Fatalf("round %d: core %v misses a selector", round, s.Core())
 		}
 	}
 }
@@ -228,14 +186,6 @@ func TestSolveUnderDifferential(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d query %d assumps %v: incremental=%v scratch=%v",
 					trial, q, assumps, got, want)
-			}
-			if got == Unsat {
-				// Assuming only the core must still be unsat.
-				if core := inc.Core(); core != nil {
-					if inc.SolveUnder(core...) != Unsat {
-						t.Fatalf("trial %d query %d: core %v does not reproduce unsat", trial, q, core)
-					}
-				}
 			}
 		}
 	}

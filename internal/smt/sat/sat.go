@@ -132,10 +132,8 @@ type Solver struct {
 	Statist Stats
 
 	// assumps holds the assumption literals of the in-flight SolveUnder
-	// call; core holds the assumption subset returned by Core after an
-	// unsat-under-assumptions answer.
+	// call.
 	assumps []Lit
-	core    []Lit
 
 	// Reusable scratch for AddClause (generation-stamped dedup, indexed by
 	// literal) and for analyze (learned-literal and cleanup buffers): these
@@ -601,13 +599,11 @@ func luby(i uint64) uint64 {
 func (s *Solver) Solve() Status { return s.SolveUnder() }
 
 // SolveUnder decides satisfiability of the accumulated clauses under the
-// given assumption literals (MiniSat's solve-with-assumptions). On Unsat,
-// Core reports the subset of assumptions involved in the final conflict;
-// an Unsat answer under non-empty assumptions does NOT mark the clause set
+// given assumption literals (MiniSat's solve-with-assumptions). An Unsat
+// answer under non-empty assumptions does NOT mark the clause set
 // unsatisfiable, so the solver remains usable for further calls — this is
 // what makes selector-guarded assertions retractable.
 func (s *Solver) SolveUnder(assumptions ...Lit) Status {
-	s.core = nil
 	if !s.ok {
 		return Unsat
 	}
@@ -701,8 +697,7 @@ func (s *Solver) search(budget uint64, maxLearnts *int, conflictsAtStart uint64)
 				s.trailLim = append(s.trailLim, len(s.trail))
 			case lFalse:
 				// The clause set forces ¬p under the earlier assumptions:
-				// unsat under assumptions, with a final-conflict core.
-				s.core = s.analyzeFinal(p)
+				// unsat under assumptions.
 				return Unsat
 			default:
 				next = p
@@ -725,46 +720,6 @@ func (s *Solver) search(budget uint64, maxLearnts *int, conflictsAtStart uint64)
 		s.uncheckedEnqueue(next, nil)
 	}
 }
-
-// analyzeFinal computes the assumption subset sufficient for the
-// falsification of assumption p (MiniSat's final-conflict analysis): it
-// expands reasons backward from ¬p; assumption decisions reached by the
-// walk join p in the core. It is only called from the decide step, where
-// every decision on the trail is itself an assumption.
-func (s *Solver) analyzeFinal(p Lit) []Lit {
-	out := []Lit{p}
-	if s.decisionLevel() == 0 {
-		return out
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if r := s.reason[v]; r == nil {
-			// A decision, hence an assumption: it is part of the core. The
-			// trail holds the literal as assumed (true-valued).
-			out = append(out, s.trail[i])
-		} else {
-			for _, l := range r.lits {
-				if l.Var() != v && s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
-	return out
-}
-
-// Core returns the subset of the last SolveUnder call's assumptions that
-// participated in the Unsat answer (p for a directly falsified assumption
-// p, plus the assumptions that forced it). A nil core after Unsat means
-// the clause set is unsatisfiable regardless of assumptions. The slice is
-// owned by the caller.
-func (s *Solver) Core() []Lit { return s.core }
 
 // stopped rate-limits the Stop callback: it polls the callback on every
 // everyth call (a power of two), so hot paths pay only a counter

@@ -96,9 +96,8 @@ type Options struct {
 	// Incremental enables the persistent solving context (see Context) for
 	// verdict-only queries (Decide, IsSat, Valid): per-conjunct Tseitin
 	// encodings are cached, the CDCL clause database with its learned
-	// clauses is retained across queries, per-query formulas are asserted
-	// through selector assumptions, and unsat answers come with assumption
-	// cores that feed the cache's subsumption index. Model queries (Check,
+	// clauses is retained across queries, and per-query formulas are
+	// asserted through selector assumptions. Model queries (Check,
 	// GetModel) always solve from scratch. Verdicts are identical to
 	// scratch mode and models come from the same deterministic path, so
 	// repair results do not depend on this flag — only speed does. Off by
@@ -167,12 +166,6 @@ type Stats struct {
 	ClausesLearned uint64 `json:"clauses_learned,omitempty"`
 	ClausesKept    uint64 `json:"clauses_kept,omitempty"`
 	ClausesDeleted uint64 `json:"clauses_deleted,omitempty"`
-	// AssumptionCores counts incremental unsat answers that produced a
-	// non-empty assumption core; AssumptionCoreLits sums the core sizes
-	// (in conjuncts), so AssumptionCoreLits/AssumptionCores is the mean
-	// core size.
-	AssumptionCores    uint64 `json:"assumption_cores,omitempty"`
-	AssumptionCoreLits uint64 `json:"assumption_core_lits,omitempty"`
 	// Wall-time breakdown of solver work: SatTime is spent in CDCL
 	// search, LIATime in the arithmetic
 	// procedure, ValidateTime in verdict validation (model replays and
@@ -215,8 +208,6 @@ func (a Stats) Add(b Stats) Stats {
 	a.ClausesLearned += b.ClausesLearned
 	a.ClausesKept += b.ClausesKept
 	a.ClausesDeleted += b.ClausesDeleted
-	a.AssumptionCores += b.AssumptionCores
-	a.AssumptionCoreLits += b.AssumptionCoreLits
 	a.SatTime += b.SatTime
 	a.LIATime += b.LIATime
 	a.ValidateTime += b.ValidateTime
@@ -235,7 +226,7 @@ func (s *Stats) snapFields() []*uint64 {
 	return []*uint64{
 		&s.SolverQueries, &s.TheoryRounds, &s.SatAnswers, &s.UnsatAnswers, &s.Unknowns, &s.Panics,
 		&s.CacheHits, &s.CacheMisses, &s.EncodeCacheHits, &s.EncodeCacheMisses,
-		&s.ClausesLearned, &s.ClausesKept, &s.ClausesDeleted, &s.AssumptionCores, &s.AssumptionCoreLits,
+		&s.ClausesLearned, &s.ClausesKept, &s.ClausesDeleted,
 		&s.Validations, &s.ValidationFailures, &s.Quarantines, &s.FallbackSolves, &s.RebuildRetries, &s.BreakerTrips,
 	}
 }
@@ -268,13 +259,11 @@ type solverStats struct {
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 
-	encodeCacheHits    atomic.Uint64
-	encodeCacheMisses  atomic.Uint64
-	clausesLearned     atomic.Uint64
-	clausesKept        atomic.Uint64 // gauge: retained learnts, stored after each query
-	clausesDeleted     atomic.Uint64
-	assumptionCores    atomic.Uint64
-	assumptionCoreLits atomic.Uint64
+	encodeCacheHits   atomic.Uint64
+	encodeCacheMisses atomic.Uint64
+	clausesLearned    atomic.Uint64
+	clausesKept       atomic.Uint64 // gauge: retained learnts, stored after each query
+	clausesDeleted    atomic.Uint64
 
 	satNanos      atomic.Int64
 	liaNanos      atomic.Int64
@@ -351,13 +340,11 @@ func (s *Solver) Stats() Stats {
 		CacheHits:     s.stats.cacheHits.Load(),
 		CacheMisses:   s.stats.cacheMisses.Load(),
 
-		EncodeCacheHits:    s.stats.encodeCacheHits.Load(),
-		EncodeCacheMisses:  s.stats.encodeCacheMisses.Load(),
-		ClausesLearned:     s.stats.clausesLearned.Load(),
-		ClausesKept:        s.stats.clausesKept.Load(),
-		ClausesDeleted:     s.stats.clausesDeleted.Load(),
-		AssumptionCores:    s.stats.assumptionCores.Load(),
-		AssumptionCoreLits: s.stats.assumptionCoreLits.Load(),
+		EncodeCacheHits:   s.stats.encodeCacheHits.Load(),
+		EncodeCacheMisses: s.stats.encodeCacheMisses.Load(),
+		ClausesLearned:    s.stats.clausesLearned.Load(),
+		ClausesKept:       s.stats.clausesKept.Load(),
+		ClausesDeleted:    s.stats.clausesDeleted.Load(),
 
 		SatTime:      time.Duration(s.stats.satNanos.Load()),
 		LIATime:      time.Duration(s.stats.liaNanos.Load()),
@@ -479,9 +466,8 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 	if c := s.opts.Cache; c != nil {
 		if v, ok := c.Lookup(f, bounds, s.opts.DefaultBounds); ok {
 			if v.Sat && !s.validateModel(f, bounds, v.Model) {
-				// Poisoned entry: quarantine it (pull the entry and any
-				// subsumption core it contributed) and fall through to
-				// re-solve one rung down.
+				// Poisoned entry: quarantine it (pull the entry) and fall
+				// through to re-solve one rung down.
 				c.Invalidate(f, bounds, s.opts.DefaultBounds)
 				s.guard.NoteQuarantine()
 				s.guard.NoteFallback()
@@ -569,7 +555,7 @@ func (s *Solver) vet(f *expr.Term, bounds map[string]interval.Interval, res Resu
 		}
 		return tres, nil
 	case Unsat:
-		ok, _, tres := s.verifyUnsat(f, bounds, nil)
+		ok, tres := s.verifyUnsat(f, bounds)
 		if !ok {
 			s.guard.NoteFallback()
 			return tres, nil
@@ -587,43 +573,25 @@ func (s *Solver) validateModel(f *expr.Term, bounds map[string]interval.Interval
 	return ok
 }
 
-// verifyUnsat cross-checks a sampled unsat verdict (and its assumption
-// core, if any) against the trusted scratch solver. It returns ok=false
-// with the trusted result when the verdict itself diverged; a lying core
-// under a genuine unsat verdict is dropped (nil core) and the incremental
-// rung quarantined, since only the context produces cores.
-func (s *Solver) verifyUnsat(f *expr.Term, bounds map[string]interval.Interval, core []*expr.Term) (bool, []*expr.Term, Result) {
+// verifyUnsat cross-checks a sampled unsat verdict against the trusted
+// scratch solver. It returns ok=false with the trusted result when the
+// verdict diverged.
+func (s *Solver) verifyUnsat(f *expr.Term, bounds map[string]interval.Interval) (bool, Result) {
 	if !s.guard.ShouldCrossCheck() {
-		return true, core, Result{}
+		return true, Result{}
 	}
 	start := time.Now()
 	defer s.stats.timeValidate(start)
 	s.guard.NoteCrossCheck()
 	tres, terr := s.trustedScratch().Check(f, bounds)
 	if terr != nil || tres.Status == Unknown {
-		return true, core, Result{} // inconclusive: budgets ran out re-solving
+		return true, Result{} // inconclusive: budgets ran out re-solving
 	}
 	if tres.Status == Sat {
 		s.guard.NoteFailure()
-		return false, nil, tres
+		return false, tres
 	}
-	// Unsat confirmed. A narrowing core is about to be generalized into the
-	// cache's subsumption index, so it gets its own cross-check: the core
-	// formula must itself be unsat.
-	if len(core) > 0 && f.Op == expr.OpAnd && len(core) < len(f.Args) {
-		coreF := expr.And(core...)
-		if coreF != f && !coreF.IsTrue() {
-			s.guard.NoteCrossCheck()
-			if cres, cerr := s.trustedScratch().Check(coreF, bounds); cerr == nil && cres.Status == Sat {
-				// The verdict stands but the core is a lie; drop it and
-				// quarantine the context that produced it.
-				s.guard.NoteFailure()
-				s.quarantineCtx()
-				core = nil
-			}
-		}
-	}
-	return true, core, Result{}
+	return true, Result{}
 }
 
 // quarantineCtx discards the incremental context after a validation
@@ -654,21 +622,14 @@ func (s *Solver) trustedScratch() *Solver {
 // applyLieDecide is the adversarial-fault hook for verdict-only answers
 // from the incremental context (see faultinject.SolverLie). No-op outside
 // tests.
-func (s *Solver) applyLieDecide(st Status, core []*expr.Term) (Status, []*expr.Term) {
+func (s *Solver) applyLieDecide(st Status) Status {
 	if st == Unknown {
-		return st, core
+		return st
 	}
-	switch faultinject.SolverLie() {
-	case faultinject.SolverSpuriousUnsat:
-		if st == Sat {
-			return Unsat, nil
-		}
-	case faultinject.SolverTruncateCore:
-		if st == Unsat && len(core) > 1 {
-			return st, core[:1]
-		}
+	if faultinject.SolverLie() == faultinject.SolverSpuriousUnsat && st == Sat {
+		return Unsat
 	}
-	return st, core
+	return st
 }
 
 // applyLieResult is the adversarial-fault hook for scratch-path results
@@ -736,23 +697,6 @@ func (s *Solver) incrementalCtx() *Context {
 		s.ctx = newContext(s.opts, &s.stats)
 	}
 	return s.ctx
-}
-
-// storeUnsat records an incremental unsat verdict in the cache, plus the
-// assumption core as its own unsat entry when it genuinely narrows the
-// query — that is what feeds the subsumption index with small cores.
-func (s *Solver) storeUnsat(f *expr.Term, bounds map[string]interval.Interval, core []*expr.Term) {
-	if s.opts.Cache == nil {
-		return
-	}
-	s.storeValue(f, bounds, cache.Value{Sat: false})
-	if len(core) == 0 || f.Op != expr.OpAnd || len(core) >= len(f.Args) {
-		return
-	}
-	coreF := expr.And(core...)
-	if coreF != f && !coreF.IsTrue() {
-		s.storeValue(coreF, bounds, cache.Value{Sat: false})
-	}
 }
 
 func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
@@ -944,11 +888,8 @@ func clamp(pref int64, iv interval.Interval) int64 {
 // entirely on the persistent context, which is the fast path the repair
 // loop's feasibility checks (IsSat, Valid) ride on. Decide is the only
 // entry point that uses the context: Check always solves from scratch.
-//
-// An incremental unsat answer's assumption core (the subset of f's
-// top-level conjuncts the context found sufficient for the conflict) is
-// vetted by verifyUnsat and stored as its own cache entry, feeding the
-// cache's subsumption index.
+// Its unsat verdicts are vetted and cached like Check's; its sat verdicts
+// are cached verdict-only, until a later Check adds the model.
 func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st Status, err error) {
 	if !s.opts.Incremental {
 		res, err := s.Check(f, bounds)
@@ -1005,8 +946,8 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 		res, err := s.solve(f, bounds, qtok, query)
 		return res.Status, err
 	}
-	st, core, err := s.incrementalCtx().decide(f, bounds, qtok, query)
-	st, core = s.applyLieDecide(st, core)
+	st, err = s.incrementalCtx().decide(f, bounds, qtok, query)
+	st = s.applyLieDecide(st)
 	switch st {
 	case Unknown:
 		if errors.Is(err, guard.ErrVerdictRejected) {
@@ -1021,13 +962,11 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 		}
 	case Sat:
 		s.stats.satAnswers.Add(1)
-		if s.opts.Cache != nil {
-			// Verdict-only entry: answers future Decide calls; a later
-			// Check upgrades it with the model.
-			s.storeValue(f, bounds, cache.Value{Sat: true})
-		}
+		// Verdict-only entry: answers future Decide calls; a later Check
+		// upgrades it with the model.
+		s.storeValue(f, bounds, cache.Value{Sat: true})
 	case Unsat:
-		ok, core2, tres := s.verifyUnsat(f, bounds, core)
+		ok, tres := s.verifyUnsat(f, bounds)
 		if !ok {
 			// Spurious unsat from the context: quarantine it and serve the
 			// trusted scratch verdict (with its model, which upgrades the
@@ -1038,7 +977,7 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 			return res.Status, ferr
 		}
 		s.stats.unsatAnswers.Add(1)
-		s.storeUnsat(f, bounds, core2)
+		s.storeValue(f, bounds, cache.Value{Sat: false})
 	}
 	return st, err
 }
