@@ -33,9 +33,8 @@ func main() {
 		workers     = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
 		incremental = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
 		paranoid    = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
-		memSoft     = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink caches and retire idle solver contexts above it; measured tables are identical either way")
-		memHigh     = flag.String("mem-high", "", "high memory watermark: shrink caches to a quarter and retire idle solver contexts above it; measured tables are identical either way")
-		memLimit    = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%)")
+		memHigh     = flag.String("mem-high", "", "high memory watermark (e.g. 512M): shrink verdict caches to a quarter above it; measured tables are identical either way")
+		memLimit    = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (70/85%)")
 		jsonOut     = flag.String("json", "", "write per-subject measurements (wall time, iterations, solver queries, cache hit rate) to this JSON file (committed atomically)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-safe suite journals and per-subject engine snapshots (empty = off)")
 		resume      = flag.Bool("resume", false, "resume a killed suite run: completed subjects replay from the journal, the interrupted one continues from its snapshot")
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	opts := bench.RunOptions{SubjectTimeout: *timeout}
-	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, warnf)
+	gov, err := govern.Setup(*memHigh, *memLimit, warnf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,9 +60,8 @@ func main() {
 		workers  = flag.Int("workers", 0, "exploration worker pool size (0 = NumCPU); 1 replays the sequential engine")
 		incr     = flag.Bool("incremental", true, "use incremental solver contexts (persistent encodings, retained learned clauses); results are identical either way")
 		paranoid = flag.Bool("paranoid", false, "force 100% solver verdict validation (every unsat answer cross-checked by an independent scratch solve); CPR_PARANOID=1 forces it too")
-		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): shrink the verdict cache and retire idle solver contexts above it; results are identical either way")
-		memHigh  = flag.String("mem-high", "", "high memory watermark: shrink the verdict cache to a quarter and retire idle solver contexts above it; results are identical either way")
-		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
+		memHigh  = flag.String("mem-high", "", "high memory watermark (e.g. 512M): shrink the verdict cache to a quarter above it; results are identical either way")
+		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (70/85%); sustained critical pressure ends the run with its best-so-far (anytime) pool")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for crash-safe run snapshots (empty = checkpointing off)")
 		ckptIvl  = flag.Int("checkpoint-interval", 0, "generation barriers between snapshots (0 = default)")
 		resume   = flag.Bool("resume", false, "resume from the latest intact snapshot in -checkpoint-dir")
@@ -120,7 +119,7 @@ func main() {
 	tok, stopSignals := cpr.WithSignalCancel(nil, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	opts := cpr.Options{Workers: *workers, Cancel: tok}
-	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, func(format string, args ...any) { log.Printf(format, args...) })
+	gov, err := govern.Setup(*memHigh, *memLimit, func(format string, args ...any) { log.Printf(format, args...) })
 	if err != nil {
 		log.Fatal(err)
 	}

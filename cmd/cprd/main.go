@@ -65,9 +65,8 @@ func main() {
 		queueTO = flag.Duration("queue-timeout", 0, "expire jobs queued longer than this (0 = never)")
 		runTO   = flag.Duration("run-timeout", 0, "wall-clock bound per attempt (0 = none)")
 
-		memSoft  = flag.String("mem-soft", "", "soft memory watermark (e.g. 512M): jobs shrink caches and retire idle solver contexts above it; results are identical either way")
-		memHigh  = flag.String("mem-high", "", "high memory watermark: jobs shrink caches to a quarter, and new submits shed while a retry backlog drains")
-		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (50/70/85%); at critical pressure new submits shed with 503 + Retry-After")
+		memHigh  = flag.String("mem-high", "", "high memory watermark (e.g. 512M): jobs shrink verdict caches to a quarter, and new submits shed while a retry backlog drains")
+		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (70/85%); at critical pressure new submits shed with 503 + Retry-After")
 
 		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
 		incr     = flag.Bool("incremental", true, "incremental solver contexts per job")
@@ -142,7 +141,7 @@ func main() {
 		Paranoid:             *paranoid,
 		Warn:                 func(msg string) { log.Print(msg) },
 	}
-	gov, err := govern.Setup(*memSoft, *memHigh, *memLimit, warnf)
+	gov, err := govern.Setup(*memHigh, *memLimit, warnf)
 	if err != nil {
 		log.Fatal(err)
 	}

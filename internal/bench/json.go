@@ -12,8 +12,9 @@ import (
 // JSONRow is the machine-readable form of one SubjectResult, written by
 // cpr-bench -json: the row's identity and outcome, wall time, and the
 // engine's core.Stats under its json tags (solver durations as integer
-// nanoseconds, *_ns). Memory-governance counters and structure peaks
-// describe scheduling, not results: equality comparisons (e.g. CI's
+// nanoseconds, *_ns). The memory-governance counters (polls per rung,
+// cache shrinks) and the frontier and seen-set peaks describe
+// scheduling, not results: equality comparisons (e.g. CI's
 // constrained-vs-unconstrained differential) must ignore them.
 type JSONRow struct {
 	Subject string `json:"subject"`

@@ -160,7 +160,6 @@ func (sj *suiteJournal) subjectOpts(s *Subject, opts RunOptions) RunOptions {
 	ck := core.CheckpointOptions{
 		Interval: opts.Checkpoint.Interval,
 		Resume:   opts.Checkpoint.Resume,
-		Keep:     opts.Checkpoint.Keep,
 		Warn:     opts.Checkpoint.Warn,
 	}
 	opts.Core.Checkpoint = ck

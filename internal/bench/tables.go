@@ -34,7 +34,7 @@ type RunOptions struct {
 	// subject row is journaled to <Dir>/suite-<tag>.journal and the
 	// in-flight subject writes engine snapshots under <Dir>/subjects/; with
 	// Resume, completed rows replay from the journal and the interrupted
-	// subject continues from its snapshot. Interval/Keep/Warn pass through
+	// subject continues from its snapshot. Interval/Warn pass through
 	// to the per-subject engine checkpoints.
 	Checkpoint core.CheckpointOptions
 }

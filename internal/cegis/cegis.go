@@ -145,7 +145,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	if opts.MaxStepsPerRun == 0 {
 		opts.MaxStepsPerRun = 1 << 18
 	}
-	co := ckptDefaults(opts.Checkpoint)
+	co := opts.Checkpoint.WithDefaults()
 	ownCache := opts.SMT.Cache == nil
 
 	// Resume, step 1: load the latest intact snapshot before the budget
@@ -177,7 +177,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 		opts.SMT.Cache = cache.New()
 		if rs != nil && rs.hasCache {
 			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
-				warnf(co, "cegis checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
+				co.Warnf("cegis checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
 			}
 		}
 	}

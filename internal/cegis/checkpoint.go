@@ -71,24 +71,6 @@ type checkpointer struct {
 	framed journal.Encoder
 }
 
-func warnf(o core.CheckpointOptions, format string, args ...any) {
-	if o.Warn != nil {
-		o.Warn(fmt.Sprintf(format, args...))
-	}
-}
-
-// ckptDefaults mirrors core's CheckpointOptions defaulting (the fields are
-// shared; the methods are the engine's own).
-func ckptDefaults(o core.CheckpointOptions) core.CheckpointOptions {
-	if o.Interval <= 0 {
-		o.Interval = 8
-	}
-	if o.Keep <= 0 {
-		o.Keep = 2
-	}
-	return o
-}
-
 // atBarrier is called at the top of every phase-loop iteration: the
 // deterministic point where a snapshot captures a consistent state. It
 // writes a due checkpoint, then gives fault injection its chance to kill
@@ -105,14 +87,7 @@ func (ck *checkpointer) atBarrier() {
 
 func (ck *checkpointer) write() {
 	elapsed := ck.elapsedBase + time.Since(ck.start)
-	payload := ck.encodeSnapshot(elapsed)
-	if err := journal.WriteSnapshot(ck.opts.Dir, ck.barrier, payload); err != nil {
-		warnf(ck.opts, "cegis checkpoint: write at barrier %d failed: %v", ck.barrier, err)
-		return
-	}
-	if err := journal.Prune(ck.opts.Dir, ck.opts.Keep); err != nil {
-		warnf(ck.opts, "cegis checkpoint: prune failed: %v", err)
-	}
+	ck.opts.WriteSnapshot("cegis checkpoint", ck.barrier, ck.encodeSnapshot(elapsed))
 }
 
 // fingerprintRun hashes the job (shared with core) plus the baseline's
@@ -153,7 +128,7 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 		m.U64(te.ID(o.phi))
 		m.U64(uint64(len(o.holeHits)))
 		for _, h := range o.holeHits {
-			encodeHoleHit(m, te, h)
+			core.EncodeHoleHit(m, te, h)
 		}
 		m.U64(uint64(len(o.bugHits)))
 		for _, b := range o.bugHits {
@@ -176,7 +151,7 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 		}
 		m.U64(uint64(len(ck.ex.queue)))
 		for _, it := range ck.ex.queue {
-			encodeI64Map(m, it.input)
+			core.EncodeI64Map(m, it.input)
 			m.U64(te.ID(it.guard))
 			m.Int(it.bound)
 		}
@@ -232,21 +207,21 @@ func loadResume(co core.CheckpointOptions, fp uint64) *resumeState {
 	snap, err := journal.LoadLatest(co.Dir)
 	if err != nil {
 		if !errors.Is(err, journal.ErrNoSnapshot) || co.Warn != nil {
-			warnf(co, "cegis checkpoint: resume unavailable, starting fresh: %v", err)
+			co.Warnf("cegis checkpoint: resume unavailable, starting fresh: %v", err)
 		}
 		return nil
 	}
 	rs, gotFP, err := decodeSnapshot(snap.Payload)
 	if err != nil {
-		warnf(co, "cegis checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
+		co.Warnf("cegis checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
 		return nil
 	}
 	if rs.barrier != snap.Barrier {
-		warnf(co, "cegis checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
+		co.Warnf("cegis checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
 		return nil
 	}
 	if gotFP != fp {
-		warnf(co, "cegis checkpoint: snapshot belongs to a different job or configuration, starting fresh")
+		co.Warnf("cegis checkpoint: snapshot belongs to a different job or configuration, starting fresh")
 		return nil
 	}
 	return rs
@@ -281,7 +256,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 	}
 
 	no := d.U64()
-	if err := lenCheck(d, no, "observations"); err != nil {
+	if err := core.LenCheck(d, no, "observations"); err != nil {
 		return nil, 0, err
 	}
 	rs.obs = make([]pathObs, no)
@@ -293,18 +268,18 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 		}
 		o.phi = phi
 		nh := d.U64()
-		if err := lenCheck(d, nh, "hole hits"); err != nil {
+		if err := core.LenCheck(d, nh, "hole hits"); err != nil {
 			return nil, 0, err
 		}
 		for j := uint64(0); j < nh; j++ {
-			h, err := decodeHoleHit(d, td)
+			h, err := core.DecodeHoleHit(d, td)
 			if err != nil {
 				return nil, 0, err
 			}
 			o.holeHits = append(o.holeHits, h)
 		}
 		nb := d.U64()
-		if err := lenCheck(d, nb, "bug hits"); err != nil {
+		if err := core.LenCheck(d, nb, "bug hits"); err != nil {
 			return nil, 0, err
 		}
 		for j := uint64(0); j < nb; j++ {
@@ -322,7 +297,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 	case 0:
 		rs.iter = d.Int()
 		ns := d.U64()
-		if err := lenCheck(d, ns, "seen set"); err != nil {
+		if err := core.LenCheck(d, ns, "seen set"); err != nil {
 			return nil, 0, err
 		}
 		rs.seen = make([]uint64, ns)
@@ -330,12 +305,12 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 			rs.seen[i] = d.U64()
 		}
 		nq := d.U64()
-		if err := lenCheck(d, nq, "queue"); err != nil {
+		if err := core.LenCheck(d, nq, "queue"); err != nil {
 			return nil, 0, err
 		}
 		rs.queue = make([]exploreItem, nq)
 		for i := range rs.queue {
-			input, err := decodeI64Map(d)
+			input, err := core.DecodeI64Map(d)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -347,7 +322,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 		}
 	case 1:
 		nr := d.U64()
-		if err := lenCheck(d, nr, "remaining"); err != nil {
+		if err := core.LenCheck(d, nr, "remaining"); err != nil {
 			return nil, 0, err
 		}
 		rs.ref.remaining = make([]int64, nr)
@@ -357,7 +332,7 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 		rs.ref.idx = d.Int()
 		rs.ref.rounds = d.Int()
 		nbl := d.U64()
-		if err := lenCheck(d, nbl, "blocked constraints"); err != nil {
+		if err := core.LenCheck(d, nbl, "blocked constraints"); err != nil {
 			return nil, 0, err
 		}
 		for i := uint64(0); i < nbl; i++ {
@@ -376,8 +351,8 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 	return rs, fp, nil
 }
 
-// --- field-level codecs (the baseline's own Stats, plus duplicates of
-// the small shared helpers; core's equivalents are unexported) ---
+// --- field-level codecs: the baseline's own Stats and bug hits; the
+// shared helpers are core's ---
 
 func encodeCegisStats(m *journal.Encoder, s *Stats) {
 	m.I64(s.PInit)
@@ -401,93 +376,20 @@ func decodeCegisStats(d *journal.Decoder, s *Stats) {
 	s.ExecPanics = d.Int()
 }
 
-func lenCheck(d *journal.Decoder, n uint64, what string) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n > uint64(len(d.Rest())) {
-		return fmt.Errorf("%w: %s count %d exceeds remaining payload", journal.ErrCorrupt, what, n)
-	}
-	return nil
-}
-
-func encodeI64Map(m *journal.Encoder, mp map[string]int64) {
-	m.Bool(mp != nil)
-	if mp == nil {
-		return
-	}
-	names := make([]string, 0, len(mp))
-	for n := range mp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	m.U64(uint64(len(names)))
-	for _, n := range names {
-		m.Str(n)
-		m.I64(mp[n])
-	}
-}
-
-func decodeI64Map(d *journal.Decoder) (map[string]int64, error) {
-	if !d.Bool() {
-		return nil, d.Err()
-	}
-	n := d.U64()
-	if err := lenCheck(d, n, "map"); err != nil {
-		return nil, err
-	}
-	mp := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.Str()
-		mp[name] = d.I64()
-	}
-	return mp, d.Err()
-}
-
-func encodeHoleHit(m *journal.Encoder, te *journal.TermEncoder, h concolic.HoleHit) {
-	m.U64(te.ID(h.Out))
-	encodeTermMap(m, te, h.Snapshot)
-	encodeI64Map(m, h.Concrete)
-	m.Int(h.AtBranch)
-}
-
-func decodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHit, error) {
-	var h concolic.HoleHit
-	out, err := td.Term(d.U64())
-	if err != nil {
-		return h, err
-	}
-	h.Out = out
-	snap, err := decodeTermMap(d, td)
-	if err != nil {
-		return h, err
-	}
-	h.Snapshot = snap
-	conc, err := decodeI64Map(d)
-	if err != nil {
-		return h, err
-	}
-	if conc != nil {
-		h.Concrete = expr.Model(conc)
-	}
-	h.AtBranch = d.Int()
-	return h, d.Err()
-}
-
 func encodeBugHit(m *journal.Encoder, te *journal.TermEncoder, b concolic.BugHit) {
-	encodeTermMap(m, te, b.Snapshot)
-	encodeI64Map(m, b.Concrete)
+	core.EncodeTermMap(m, te, b.Snapshot)
+	core.EncodeI64Map(m, b.Concrete)
 	m.Int(b.AtBranch)
 }
 
 func decodeBugHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.BugHit, error) {
 	var b concolic.BugHit
-	snap, err := decodeTermMap(d, td)
+	snap, err := core.DecodeTermMap(d, td)
 	if err != nil {
 		return b, err
 	}
 	b.Snapshot = snap
-	conc, err := decodeI64Map(d)
+	conc, err := core.DecodeI64Map(d)
 	if err != nil {
 		return b, err
 	}
@@ -496,37 +398,4 @@ func decodeBugHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.BugHit,
 	}
 	b.AtBranch = d.Int()
 	return b, d.Err()
-}
-
-func encodeTermMap(m *journal.Encoder, te *journal.TermEncoder, mp map[string]*expr.Term) {
-	names := make([]string, 0, len(mp))
-	for n := range mp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	m.U64(uint64(len(names)))
-	for _, n := range names {
-		m.Str(n)
-		m.U64(te.ID(mp[n]))
-	}
-}
-
-func decodeTermMap(d *journal.Decoder, td *journal.TermDecoder) (map[string]*expr.Term, error) {
-	n := d.U64()
-	if err := lenCheck(d, n, "term map"); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, d.Err()
-	}
-	mp := make(map[string]*expr.Term, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.Str()
-		t, err := td.Term(d.U64())
-		if err != nil {
-			return nil, err
-		}
-		mp[name] = t
-	}
-	return mp, d.Err()
 }

@@ -37,29 +37,43 @@ type CheckpointOptions struct {
 	// A missing, corrupt, or mismatched snapshot degrades to a fresh
 	// start with a warning — never an error or a partial load.
 	Resume bool
-	// Keep is the number of snapshot files retained (default 2: the
-	// newest plus one fallback in case the newest is damaged).
-	Keep int
 	// Warn receives non-fatal checkpoint diagnostics (failed writes,
 	// rejected snapshots, fresh-start fallbacks). Nil discards them.
 	Warn func(msg string)
 }
 
+// keepSnapshots is the number of snapshot files a checkpoint directory
+// retains: the newest plus one fallback in case the newest is damaged.
+const keepSnapshots = 2
+
 func (o CheckpointOptions) enabled() bool { return o.Dir != "" }
 
-func (o CheckpointOptions) withDefaults() CheckpointOptions {
+// WithDefaults fills in the default Interval. The engine and the CEGIS
+// baseline both resolve their CheckpointOptions through it.
+func (o CheckpointOptions) WithDefaults() CheckpointOptions {
 	if o.Interval <= 0 {
 		o.Interval = 8
-	}
-	if o.Keep <= 0 {
-		o.Keep = 2
 	}
 	return o
 }
 
-func (o CheckpointOptions) warnf(format string, args ...any) {
+// Warnf formats a diagnostic for Warn; it is dropped when Warn is nil.
+func (o CheckpointOptions) Warnf(format string, args ...any) {
 	if o.Warn != nil {
 		o.Warn(fmt.Sprintf(format, args...))
+	}
+}
+
+// WriteSnapshot commits payload as the snapshot for barrier in Dir and
+// prunes Dir to the newest keepSnapshots snapshots. A failure is only a
+// warning, prefixed with who: the run goes on without that checkpoint.
+func (o CheckpointOptions) WriteSnapshot(who string, barrier uint64, payload []byte) {
+	if err := journal.WriteSnapshot(o.Dir, barrier, payload); err != nil {
+		o.Warnf("%s: write at barrier %d failed: %v", who, barrier, err)
+		return
+	}
+	if err := journal.Prune(o.Dir, keepSnapshots); err != nil {
+		o.Warnf("%s: prune failed: %v", who, err)
 	}
 }
 
@@ -115,22 +129,15 @@ func (e *engine) atBarrier(st *exploreState, phaseStats *Stats) {
 	}
 	faultinject.CrashPoint()
 	// Memory governance last: a crash injected at this barrier must replay
-	// from the snapshot just written, and the governor's actions (shrink,
-	// retire) are all result-neutral, so their position after the snapshot
-	// cannot change what a resumed run computes.
+	// from the snapshot just written, and the governor's cache shrink is
+	// result-neutral, so its position after the snapshot cannot change
+	// what a resumed run computes.
 	e.governAtBarrier(st)
 }
 
 func (ck *checkpointer) write(st *exploreState, phaseStats *Stats) {
 	elapsed := ck.elapsedBase + time.Since(ck.start)
-	payload := ck.encodeSnapshot(st, phaseStats, elapsed)
-	if err := journal.WriteSnapshot(ck.opts.Dir, ck.barrier, payload); err != nil {
-		ck.opts.warnf("checkpoint: write at barrier %d failed: %v", ck.barrier, err)
-		return
-	}
-	if err := journal.Prune(ck.opts.Dir, ck.opts.Keep); err != nil {
-		ck.opts.warnf("checkpoint: prune failed: %v", err)
-	}
+	ck.opts.WriteSnapshot("checkpoint", ck.barrier, ck.encodeSnapshot(st, phaseStats, elapsed))
 }
 
 // fingerprintRun hashes everything that determines the run's trajectory:
@@ -367,21 +374,21 @@ func loadResume(opts Options, fp uint64) *resumeState {
 	snap, err := journal.LoadLatest(co.Dir)
 	if err != nil {
 		if !errors.Is(err, journal.ErrNoSnapshot) || co.Warn != nil {
-			co.warnf("checkpoint: resume unavailable, starting fresh: %v", err)
+			co.Warnf("checkpoint: resume unavailable, starting fresh: %v", err)
 		}
 		return nil
 	}
 	rs, err := decodeSnapshot(snap.Payload)
 	if err != nil {
-		co.warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
+		co.Warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
 		return nil
 	}
 	if rs.barrier != snap.Barrier {
-		co.warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
+		co.Warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
 		return nil
 	}
 	if fp != 0 && decodedFP(snap.Payload) != fp {
-		co.warnf("checkpoint: snapshot belongs to a different job or configuration, starting fresh")
+		co.Warnf("checkpoint: snapshot belongs to a different job or configuration, starting fresh")
 		return nil
 	}
 	return rs
@@ -423,7 +430,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	}
 	smt.DecodeSolverStats(d, &rs.solverAgg)
 	nc := d.U64()
-	if err := lenCheck(d, nc, "cross-check cursors"); err != nil {
+	if err := LenCheck(d, nc, "cross-check cursors"); err != nil {
 		return nil, err
 	}
 	rs.cursors = make([]uint64, nc)
@@ -433,7 +440,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	rs.cacheEvict = d.U64()
 
 	np := d.U64()
-	if err := lenCheck(d, np, "pool"); err != nil {
+	if err := LenCheck(d, np, "pool"); err != nil {
 		return nil, err
 	}
 	rs.pool = make([]patchState, np)
@@ -449,7 +456,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	}
 
 	ns := d.U64()
-	if err := lenCheck(d, ns, "seen set"); err != nil {
+	if err := LenCheck(d, ns, "seen set"); err != nil {
 		return nil, err
 	}
 	rs.seen = make([]uint64, ns)
@@ -459,7 +466,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	rs.iter = d.Int()
 
 	nd := d.U64()
-	if err := lenCheck(d, nd, "deletion memo"); err != nil {
+	if err := LenCheck(d, nd, "deletion memo"); err != nil {
 		return nil, err
 	}
 	rs.del = make([]delMemoState, nd)
@@ -468,7 +475,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	}
 
 	nq := d.U64()
-	if err := lenCheck(d, nq, "queue"); err != nil {
+	if err := LenCheck(d, nq, "queue"); err != nil {
 		return nil, err
 	}
 	rs.queue = make([]workItem, nq)
@@ -494,9 +501,9 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	return rs, nil
 }
 
-// lenCheck rejects counts that cannot fit in the remaining payload — a
+// LenCheck rejects counts that cannot fit in the remaining payload — a
 // corrupt length must not drive a huge allocation.
-func lenCheck(d *journal.Decoder, n uint64, what string) error {
+func LenCheck(d *journal.Decoder, n uint64, what string) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -521,7 +528,7 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 		if !ok {
 			// Unreachable when the fingerprint matched (synthesis is
 			// deterministic); degrade by dropping rather than corrupting.
-			ck.opts.warnf("checkpoint: snapshot patch #%d not in re-synthesized pool, dropped", ps.id)
+			ck.opts.Warnf("checkpoint: snapshot patch #%d not in re-synthesized pool, dropped", ps.id)
 			continue
 		}
 		p.Score = ps.score
@@ -629,7 +636,7 @@ func decodeRegion(d *journal.Decoder) (interval.Region, error) {
 	r := interval.Region{Dim: d.Int()}
 	r.Mode = interval.SplitMode(d.U64())
 	nb := d.U64()
-	if err := lenCheck(d, nb, "region boxes"); err != nil {
+	if err := LenCheck(d, nb, "region boxes"); err != nil {
 		return r, err
 	}
 	if r.Dim < 0 || r.Dim > 1<<16 {
@@ -646,9 +653,9 @@ func decodeRegion(d *journal.Decoder) (interval.Region, error) {
 	return r, d.Err()
 }
 
-// encodeI64Map writes a string→int64 map with a nil flag (nil and empty
+// EncodeI64Map writes a string→int64 map with a nil flag (nil and empty
 // maps restore distinctly) in sorted key order.
-func encodeI64Map(m *journal.Encoder, mp map[string]int64) {
+func EncodeI64Map(m *journal.Encoder, mp map[string]int64) {
 	m.Bool(mp != nil)
 	if mp == nil {
 		return
@@ -665,12 +672,13 @@ func encodeI64Map(m *journal.Encoder, mp map[string]int64) {
 	}
 }
 
-func decodeI64Map(d *journal.Decoder) (map[string]int64, error) {
+// DecodeI64Map is the inverse of EncodeI64Map.
+func DecodeI64Map(d *journal.Decoder) (map[string]int64, error) {
 	if !d.Bool() {
 		return nil, d.Err()
 	}
 	n := d.U64()
-	if err := lenCheck(d, n, "map"); err != nil {
+	if err := LenCheck(d, n, "map"); err != nil {
 		return nil, err
 	}
 	mp := make(map[string]int64, n)
@@ -682,9 +690,9 @@ func decodeI64Map(d *journal.Decoder) (map[string]int64, error) {
 }
 
 func encodeItem(m *journal.Encoder, te *journal.TermEncoder, it workItem) {
-	encodeI64Map(m, it.input)
+	EncodeI64Map(m, it.input)
 	m.Int(it.patchID)
-	encodeI64Map(m, it.params)
+	EncodeI64Map(m, it.params)
 	m.Int(it.score)
 	m.Int(it.bound)
 	m.Int(it.seq)
@@ -698,13 +706,13 @@ func encodeItem(m *journal.Encoder, te *journal.TermEncoder, it workItem) {
 
 func decodeItem(d *journal.Decoder, td *journal.TermDecoder) (workItem, error) {
 	var it workItem
-	input, err := decodeI64Map(d)
+	input, err := DecodeI64Map(d)
 	if err != nil {
 		return it, err
 	}
 	it.input = input
 	it.patchID = d.Int()
-	params, err := decodeI64Map(d)
+	params, err := DecodeI64Map(d)
 	if err != nil {
 		return it, err
 	}
@@ -739,14 +747,14 @@ func encodeFlip(m *journal.Encoder, te *journal.TermEncoder, f *concolic.Flip) {
 	m.Bool(f.ParentHitBug)
 	m.U64(uint64(len(f.HoleHits)))
 	for _, h := range f.HoleHits {
-		encodeHoleHit(m, te, h)
+		EncodeHoleHit(m, te, h)
 	}
 }
 
 func decodeFlip(d *journal.Decoder, td *journal.TermDecoder) (*concolic.Flip, error) {
 	f := &concolic.Flip{}
 	np := d.U64()
-	if err := lenCheck(d, np, "flip prefix"); err != nil {
+	if err := LenCheck(d, np, "flip prefix"); err != nil {
 		return nil, err
 	}
 	if np > 0 {
@@ -770,13 +778,13 @@ func decodeFlip(d *journal.Decoder, td *journal.TermDecoder) (*concolic.Flip, er
 	f.ParentHitPatch = d.Bool()
 	f.ParentHitBug = d.Bool()
 	nh := d.U64()
-	if err := lenCheck(d, nh, "flip hole hits"); err != nil {
+	if err := LenCheck(d, nh, "flip hole hits"); err != nil {
 		return nil, err
 	}
 	if nh > 0 {
 		f.HoleHits = make([]concolic.HoleHit, nh)
 		for i := range f.HoleHits {
-			h, err := decodeHoleHit(d, td)
+			h, err := DecodeHoleHit(d, td)
 			if err != nil {
 				return nil, err
 			}
@@ -786,45 +794,66 @@ func decodeFlip(d *journal.Decoder, td *journal.TermDecoder) (*concolic.Flip, er
 	return f, d.Err()
 }
 
-func encodeHoleHit(m *journal.Encoder, te *journal.TermEncoder, h concolic.HoleHit) {
-	m.U64(te.ID(h.Out))
-	names := make([]string, 0, len(h.Snapshot))
-	for n := range h.Snapshot {
+// EncodeTermMap writes a name→term map in sorted key order, each term by
+// its table ID; an empty map decodes as nil.
+func EncodeTermMap(m *journal.Encoder, te *journal.TermEncoder, mp map[string]*expr.Term) {
+	names := make([]string, 0, len(mp))
+	for n := range mp {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	m.U64(uint64(len(names)))
 	for _, n := range names {
 		m.Str(n)
-		m.U64(te.ID(h.Snapshot[n]))
+		m.U64(te.ID(mp[n]))
 	}
-	encodeI64Map(m, h.Concrete)
+}
+
+// DecodeTermMap is the inverse of EncodeTermMap.
+func DecodeTermMap(d *journal.Decoder, td *journal.TermDecoder) (map[string]*expr.Term, error) {
+	n := d.U64()
+	if err := LenCheck(d, n, "term map"); err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, d.Err()
+	}
+	mp := make(map[string]*expr.Term, n)
+	for i := uint64(0); i < n; i++ {
+		name := d.Str()
+		t, err := td.Term(d.U64())
+		if err != nil {
+			return nil, err
+		}
+		mp[name] = t
+	}
+	return mp, d.Err()
+}
+
+// EncodeHoleHit writes one patch-location hit: the hole output, its
+// symbolic snapshot, the concrete values and the branch index. Engine
+// frontier items and baseline path observations both carry hole hits.
+func EncodeHoleHit(m *journal.Encoder, te *journal.TermEncoder, h concolic.HoleHit) {
+	m.U64(te.ID(h.Out))
+	EncodeTermMap(m, te, h.Snapshot)
+	EncodeI64Map(m, h.Concrete)
 	m.Int(h.AtBranch)
 }
 
-func decodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHit, error) {
+// DecodeHoleHit is the inverse of EncodeHoleHit.
+func DecodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHit, error) {
 	var h concolic.HoleHit
 	out, err := td.Term(d.U64())
 	if err != nil {
 		return h, err
 	}
 	h.Out = out
-	ns := d.U64()
-	if err := lenCheck(d, ns, "hole-hit snapshot"); err != nil {
+	snap, err := DecodeTermMap(d, td)
+	if err != nil {
 		return h, err
 	}
-	if ns > 0 {
-		h.Snapshot = make(map[string]*expr.Term, ns)
-		for i := uint64(0); i < ns; i++ {
-			name := d.Str()
-			t, err := td.Term(d.U64())
-			if err != nil {
-				return h, err
-			}
-			h.Snapshot[name] = t
-		}
-	}
-	conc, err := decodeI64Map(d)
+	h.Snapshot = snap
+	conc, err := DecodeI64Map(d)
 	if err != nil {
 		return h, err
 	}
@@ -844,7 +873,7 @@ func EncodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Exp
 		m.U64(te.ID(e.F))
 		m.Str(e.Bounds)
 		m.Bool(e.Value.Sat)
-		encodeI64Map(m, e.Value.Model)
+		EncodeI64Map(m, e.Value.Model)
 	}
 }
 
@@ -852,7 +881,7 @@ func EncodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Exp
 func DecodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
 	var ex cache.Export
 	ne := d.U64()
-	if err := lenCheck(d, ne, "cache entries"); err != nil {
+	if err := LenCheck(d, ne, "cache entries"); err != nil {
 		return ex, err
 	}
 	for i := uint64(0); i < ne; i++ {
@@ -862,7 +891,7 @@ func DecodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Expor
 		}
 		bounds := d.Str()
 		sat := d.Bool()
-		model, err := decodeI64Map(d)
+		model, err := DecodeI64Map(d)
 		if err != nil {
 			return ex, err
 		}

@@ -58,16 +58,15 @@ func ckptOptions(dir string, workers, interval int, resume bool, warns *[]string
 	}
 }
 
-// dropWallTimes zeroes the wall-time breakdown and the memory-size peaks
-// before a stats equality check: times are measurements of this machine's
-// clock, not run state, and the peaks are observations of process memory
-// over whatever barriers the run actually passed — a resumed run never
-// sees the pre-crash pool's peak. Every counting field still compares
+// dropWallTimes zeroes the wall-time breakdown and the structure-size
+// peaks before a stats equality check: times are measurements of this
+// machine's clock, not run state, and the peaks are observations over
+// whatever barriers the run actually passed — a resumed run never sees
+// the pre-crash frontier's peak. Every counting field still compares
 // exactly.
 func dropWallTimes(st Stats) Stats {
 	st.SatTime, st.LIATime, st.ValidateTime = 0, 0, 0
 	st.FrontierPeak, st.SeenPeak = 0, 0
-	st.FrontierPeakBytes, st.SeenPeakBytes, st.PoolPeakBytes = 0, 0, 0
 	return st
 }
 

@@ -128,9 +128,9 @@ type Options struct {
 	Checkpoint CheckpointOptions
 	// Govern, when non-nil, is the memory governor (internal/govern): the
 	// engine polls it at every generation barrier and applies its rung's
-	// degradation actions — verdict-cache shrinks, context retirement,
-	// and (under sustained critical pressure) the anytime stop. Nil means
-	// no governance; a daemon shares one governor across jobs.
+	// actions — verdict-cache shrinks and (under sustained critical
+	// pressure) the anytime stop. Nil means no governance; a daemon shares
+	// one governor across jobs.
 	Govern *govern.Governor
 	// NewDistributor, when non-nil, supplies a Distributor (see dist.go):
 	// the engine hands its flip-feasibility scans and pool reductions to it
@@ -201,7 +201,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	if job.Spec == nil {
 		job.Spec = expr.True()
 	}
-	opts.Checkpoint = opts.Checkpoint.withDefaults()
+	opts.Checkpoint = opts.Checkpoint.WithDefaults()
 	ownCache := opts.SMT.Cache == nil
 
 	// Resume, step 1: load the latest intact snapshot before the budget
@@ -240,7 +240,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 		opts.SMT.Cache = cache.New()
 		if rs != nil && rs.hasCache {
 			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
-				opts.Checkpoint.warnf("checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
+				opts.Checkpoint.Warnf("checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
 			}
 		}
 	}
@@ -273,7 +273,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 	eng.cacheStart = cacheStart
 	eng.workers = eng.newWorkers(opts.Workers)
 	eng.curBounds = eng.inputBounds()
-	defer eng.registerGovernSources()()
 	if opts.NewDistributor != nil {
 		dist, err := opts.NewDistributor(job, opts)
 		if err != nil {
@@ -457,13 +456,9 @@ type engine struct {
 	baseAgg        smt.Stats
 	baseCacheEvict uint64
 
-	// Memory-governor state (see govern.go). The plain fields are
-	// coordinator-only; the atomic gauges are read by governor source
-	// callbacks, possibly from a daemon's ticker goroutine.
-	lastRung                   govern.Rung
-	mem                        MemStats
-	gFrontierBytes, gSeenBytes atomic.Uint64
-	gPoolBytes, gSolverBytes   atomic.Uint64
+	// Memory-governor state (see govern.go); coordinator-only.
+	lastRung govern.Rung
+	mem      MemStats
 }
 
 // noteSolverErr classifies and counts a degraded solver answer; it

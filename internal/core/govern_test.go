@@ -16,9 +16,9 @@ import (
 )
 
 // governedOpts builds the option set the governor differential tests run
-// under: incremental solving on (so context retirement has something to
-// retire) and the given governor. Identical modulo Govern, so the
-// baseline and the pressured run differ only in governance.
+// under: incremental solving on and the given governor. Identical modulo
+// Govern, so the baseline and the pressured run differ only in
+// governance.
 func governedOpts(workers int, g *govern.Governor) Options {
 	o := Options{Workers: workers, Govern: g}
 	o.SMT.Incremental = true
@@ -31,8 +31,7 @@ func governedOpts(workers int, g *govern.Governor) Options {
 // repair result — pool, regions, ranking, headline stats — is
 // bit-identical to the unpressured run, at one worker and many. The
 // critical rung here is transient-critical (the stop threshold is set
-// unreachably high): its shrink and retire actions fire, the anytime stop
-// does not.
+// unreachably high): its cache shrink fires, the anytime stop does not.
 func TestGovernForcedRungsBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, testWorkers()} {
 		base, err := Repair(divZeroJob(), governedOpts(workers, nil))
@@ -40,7 +39,7 @@ func TestGovernForcedRungsBitIdentical(t *testing.T) {
 			t.Fatalf("baseline workers=%d: %v", workers, err)
 		}
 		want := fingerprint(base)
-		for rung := govern.RungSoft; rung <= govern.RungCritical; rung++ {
+		for rung := govern.RungHigh; rung <= govern.RungCritical; rung++ {
 			rung := rung
 			t.Run(fmt.Sprintf("workers=%d_rung=%s", workers, rung), func(t *testing.T) {
 				faultinject.Activate(&faultinject.Plan{MemRungEvery: 1, MemRung: int(rung)})
@@ -57,13 +56,8 @@ func TestGovernForcedRungsBitIdentical(t *testing.T) {
 				if st.GovernPolls == 0 {
 					t.Fatal("governor never polled")
 				}
-				var rungPolls uint64
-				switch rung {
-				case govern.RungSoft:
-					rungPolls = st.MemRungSoft
-				case govern.RungHigh:
-					rungPolls = st.MemRungHigh
-				case govern.RungCritical:
+				rungPolls := st.MemRungHigh
+				if rung == govern.RungCritical {
 					rungPolls = st.MemRungCritical
 				}
 				if rungPolls == 0 {
@@ -71,9 +65,6 @@ func TestGovernForcedRungsBitIdentical(t *testing.T) {
 				}
 				if st.MemCacheShrinks == 0 {
 					t.Error("no verdict-cache shrink under pressure")
-				}
-				if st.MemContextRetires == 0 {
-					t.Error("no incremental context retired under pressure")
 				}
 				if st.MemStopped || st.TimedOut {
 					t.Errorf("transient %s pressure stopped the run: stopped=%v timedOut=%v", rung, st.MemStopped, st.TimedOut)
@@ -113,7 +104,7 @@ func TestGovernUnpressuredGovernorChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	g := govern.New(govern.Config{SoftBytes: 1 << 60, HighBytes: 1 << 61, CriticalBytes: 1 << 62})
+	g := govern.New(govern.Config{HighBytes: 1 << 61, CriticalBytes: 1 << 62})
 	res, err := Repair(divZeroJob(), governedOpts(1, g))
 	if err != nil {
 		t.Fatalf("governed Repair: %v", err)
@@ -125,8 +116,7 @@ func TestGovernUnpressuredGovernorChangesNothing(t *testing.T) {
 	if st.GovernPolls == 0 {
 		t.Fatal("governor never polled")
 	}
-	if st.MemRungSoft+st.MemRungHigh+st.MemRungCritical != 0 ||
-		st.MemCacheShrinks != 0 || st.MemContextRetires != 0 || st.MemStopped {
+	if st.MemRungHigh+st.MemRungCritical != 0 || st.MemCacheShrinks != 0 || st.MemStopped {
 		t.Fatalf("idle governor took actions: %+v", st)
 	}
 }

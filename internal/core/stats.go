@@ -77,16 +77,11 @@ type Stats struct {
 // fingerprints: they describe memory scheduling, not the repair
 // trajectory.
 type MemStats struct {
-	// Barrier polls classified at each rung, verdict-cache shrinks (count
-	// and bytes freed), and incremental solver contexts retired (count and
-	// approximate bytes).
-	MemRungSoft           uint64 `json:"mem_rung_soft,omitempty"`
-	MemRungHigh           uint64 `json:"mem_rung_high,omitempty"`
-	MemRungCritical       uint64 `json:"mem_rung_critical,omitempty"`
-	MemCacheShrinks       uint64 `json:"mem_cache_shrinks,omitempty"`
-	MemCacheShrinkBytes   uint64 `json:"mem_cache_shrink_bytes,omitempty"`
-	MemContextRetires     uint64 `json:"mem_context_retires,omitempty"`
-	MemContextRetireBytes uint64 `json:"mem_context_retire_bytes,omitempty"`
+	// Barrier polls classified at each rung, and the verdict-cache shrinks
+	// they caused (the evicted entries count in CacheEvictions).
+	MemRungHigh     uint64 `json:"mem_rung_high,omitempty"`
+	MemRungCritical uint64 `json:"mem_rung_critical,omitempty"`
+	MemCacheShrinks uint64 `json:"mem_cache_shrinks,omitempty"`
 	// MemStopped reports that sustained critical pressure stopped the run
 	// (it implies TimedOut: the stop IS the budget-expiry path).
 	MemStopped bool `json:"mem_stopped,omitempty"`
@@ -95,13 +90,9 @@ type MemStats struct {
 	GovernPolls       uint64 `json:"govern_polls,omitempty"`
 	GovernTransitions uint64 `json:"govern_transitions,omitempty"`
 	// Peaks tracked at every generation barrier whether or not a governor
-	// is configured: frontier length and approximate bytes, seen-set size
-	// and bytes, and pool bytes.
-	FrontierPeak      int    `json:"frontier_peak,omitempty"`
-	SeenPeak          int    `json:"seen_peak,omitempty"`
-	FrontierPeakBytes uint64 `json:"frontier_peak_bytes,omitempty"`
-	SeenPeakBytes     uint64 `json:"seen_peak_bytes,omitempty"`
-	PoolPeakBytes     uint64 `json:"pool_peak_bytes,omitempty"`
+	// is configured: frontier length and seen-set size.
+	FrontierPeak int `json:"frontier_peak,omitempty"`
+	SeenPeak     int `json:"seen_peak,omitempty"`
 }
 
 // Add returns the aggregate of two runs' stats: counters sum (the solver
@@ -130,21 +121,14 @@ func (a Stats) Add(b Stats) Stats {
 	a.Stats = a.Stats.Add(b.Stats)
 
 	m, o := &a.MemStats, b.MemStats
-	m.MemRungSoft += o.MemRungSoft
 	m.MemRungHigh += o.MemRungHigh
 	m.MemRungCritical += o.MemRungCritical
 	m.MemCacheShrinks += o.MemCacheShrinks
-	m.MemCacheShrinkBytes += o.MemCacheShrinkBytes
-	m.MemContextRetires += o.MemContextRetires
-	m.MemContextRetireBytes += o.MemContextRetireBytes
 	m.MemStopped = m.MemStopped || o.MemStopped
 	m.GovernPolls += o.GovernPolls
 	m.GovernTransitions += o.GovernTransitions
 	m.FrontierPeak = max(m.FrontierPeak, o.FrontierPeak)
 	m.SeenPeak = max(m.SeenPeak, o.SeenPeak)
-	m.FrontierPeakBytes = max(m.FrontierPeakBytes, o.FrontierPeakBytes)
-	m.SeenPeakBytes = max(m.SeenPeakBytes, o.SeenPeakBytes)
-	m.PoolPeakBytes = max(m.PoolPeakBytes, o.PoolPeakBytes)
 	return a
 }
 
@@ -192,13 +176,11 @@ func (s Stats) SummaryLines() []string {
 			s.Validations, s.ValidationFailures, s.Quarantines, s.FallbackSolves, s.RebuildRetries, s.BreakerTrips)
 	}
 	if s.GovernPolls > 0 {
-		line("memory: %d governor polls (%d soft / %d high / %d critical), cache shrinks %d (%d B freed), contexts retired %d (%d B)",
-			s.GovernPolls, s.MemRungSoft, s.MemRungHigh, s.MemRungCritical,
-			s.MemCacheShrinks, s.MemCacheShrinkBytes, s.MemContextRetires, s.MemContextRetireBytes)
+		line("memory: %d governor polls (%d high / %d critical), cache shrinks %d",
+			s.GovernPolls, s.MemRungHigh, s.MemRungCritical, s.MemCacheShrinks)
 	}
 	if s.FrontierPeak > 0 {
-		line("peaks: frontier %d items (%d B), seen set %d entries (%d B), pool %d B",
-			s.FrontierPeak, s.FrontierPeakBytes, s.SeenPeak, s.SeenPeakBytes, s.PoolPeakBytes)
+		line("peaks: frontier %d items, seen set %d entries", s.FrontierPeak, s.SeenPeak)
 	}
 	return out
 }

@@ -110,17 +110,12 @@ type Plan struct {
 	// rung MemRung regardless of real heap usage (0 disables). Because the
 	// governor polls at generation barriers — which are deterministic for a
 	// deterministic workload — this addresses individual barriers by
-	// ordinal, so a test can force exactly the soft/high/critical rung
-	// actions and then diff the run against an unpressured one.
+	// ordinal, so a test can force exactly the high/critical rung actions
+	// and then diff the run against an unpressured one.
 	MemRungEvery int
 	// MemRung is the rung value reported when MemRungEvery matches:
-	// 1 = soft, 2 = high, 3 = critical (package govern's Rung values).
+	// 1 = high, 2 = critical (package govern's Rung values).
 	MemRung int
-	// MemRungSustain, when > 0, keeps reporting MemRung for that many
-	// consecutive polls after each MemRungEvery match instead of a single
-	// poll — it exercises the governor's sustained-critical stop, which
-	// only fires after several critical polls in a row.
-	MemRungSustain int
 	// MemSpikeBytes inflates every MemSpikeEvery'th heap sample seen by the
 	// governor by this many synthetic bytes (0 disables). Unlike MemRung
 	// forcing, which bypasses the watermark comparison, a spike exercises
@@ -135,7 +130,6 @@ type Plan struct {
 	barrierCalls int
 	jobStarts    int
 	memPolls     int
-	memSustain   int
 	memSamples   int
 }
 
@@ -249,13 +243,6 @@ func MemRung() (rung int, forced bool) {
 	defer p.mu.Unlock()
 	p.memPolls++
 	if p.memPolls%p.MemRungEvery == 0 {
-		if p.MemRungSustain > 1 {
-			p.memSustain = p.MemRungSustain - 1
-		}
-		return p.MemRung, true
-	}
-	if p.memSustain > 0 {
-		p.memSustain--
 		return p.MemRung, true
 	}
 	return 0, false

@@ -39,16 +39,12 @@ func ParseBytes(s string) (uint64, error) {
 	return n << shift, nil
 }
 
-// Setup builds a governor from the CLIs' three -mem-* flag values
-// (sizes per ParseBytes; all empty → nil governor, no governance).
+// Setup builds a governor from the CLIs' two -mem-* flag values
+// (sizes per ParseBytes; both empty → nil governor, no governance).
 // When limit is set it also becomes the Go runtime's soft memory limit
 // (debug.SetMemoryLimit), and unset watermarks default to fractions of
 // it (see Config.withDefaults).
-func Setup(soft, high, limit string, warn func(format string, args ...any)) (*Governor, error) {
-	softB, err := ParseBytes(soft)
-	if err != nil {
-		return nil, fmt.Errorf("-mem-soft: %v", err)
-	}
+func Setup(high, limit string, warn func(format string, args ...any)) (*Governor, error) {
 	highB, err := ParseBytes(high)
 	if err != nil {
 		return nil, fmt.Errorf("-mem-high: %v", err)
@@ -57,14 +53,13 @@ func Setup(soft, high, limit string, warn func(format string, args ...any)) (*Go
 	if err != nil {
 		return nil, fmt.Errorf("-mem-limit: %v", err)
 	}
-	if softB == 0 && highB == 0 && limitB == 0 {
+	if highB == 0 && limitB == 0 {
 		return nil, nil
 	}
 	if limitB > 0 {
 		debug.SetMemoryLimit(int64(limitB))
 	}
 	return New(Config{
-		SoftBytes: softB,
 		HighBytes: highB,
 		MemLimit:  limitB,
 		Warn:      warn,

@@ -42,14 +42,17 @@ func TestSetupDerivesWatermarksAndLimit(t *testing.T) {
 	prev := debug.SetMemoryLimit(-1)
 	defer debug.SetMemoryLimit(prev)
 
-	if g, err := Setup("", "", "", nil); err != nil || g != nil {
+	if g, err := Setup("", "", nil); err != nil || g != nil {
 		t.Fatalf("empty flags: g=%v err=%v, want nil, nil", g, err)
 	}
-	if _, err := Setup("junk", "", "", nil); err == nil {
-		t.Fatal("bad -mem-soft accepted")
+	if _, err := Setup("junk", "", nil); err == nil {
+		t.Fatal("bad -mem-high accepted")
+	}
+	if _, err := Setup("", "junk", nil); err == nil {
+		t.Fatal("bad -mem-limit accepted")
 	}
 
-	g, err := Setup("", "", "1G", nil)
+	g, err := Setup("", "1G", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Setup(-mem-limit=1G): g=%v err=%v", g, err)
 	}
@@ -58,16 +61,16 @@ func TestSetupDerivesWatermarksAndLimit(t *testing.T) {
 	}
 	limit := uint64(1 << 30)
 	cfg := g.cfg
-	if cfg.SoftBytes != limit/2 || cfg.HighBytes != limit/10*7 || cfg.CriticalBytes != limit/100*85 {
-		t.Errorf("derived watermarks = %d/%d/%d, want 50/70/85%% of %d",
-			cfg.SoftBytes, cfg.HighBytes, cfg.CriticalBytes, limit)
+	if cfg.HighBytes != limit/10*7 || cfg.CriticalBytes != limit/100*85 {
+		t.Errorf("derived watermarks = %d/%d, want 70/85%% of %d",
+			cfg.HighBytes, cfg.CriticalBytes, limit)
 	}
 
-	g2, err := Setup("100M", "200M", "", nil)
+	g2, err := Setup("200M", "", nil)
 	if err != nil || g2 == nil {
-		t.Fatalf("Setup(soft,high): g=%v err=%v", g2, err)
+		t.Fatalf("Setup(high): g=%v err=%v", g2, err)
 	}
-	if g2.cfg.SoftBytes != 100<<20 || g2.cfg.HighBytes != 200<<20 {
-		t.Errorf("explicit watermarks = %d/%d", g2.cfg.SoftBytes, g2.cfg.HighBytes)
+	if g2.cfg.HighBytes != 200<<20 || g2.cfg.CriticalBytes != 0 {
+		t.Errorf("explicit watermarks = %d/%d", g2.cfg.HighBytes, g2.cfg.CriticalBytes)
 	}
 }

@@ -1,23 +1,18 @@
-// Package govern is the memory governor: it accounts bytes for the
-// system's big structures and turns host memory pressure into a watermark
-// ladder of degradation actions.
+// Package govern is the memory governor: it samples the Go runtime's heap
+// figures (runtime/metrics) and classifies them against two watermarks:
 //
-// Owners of memory-hungry structures (verdict cache, incremental solver
-// contexts, exploration frontier, serving jobs) register cheap size
-// callbacks; the governor polls them together with the Go runtime's heap
-// figures (runtime/metrics) and classifies the total against three
-// watermarks:
+//	high     → the engine shrinks its verdict cache to a quarter; cprd
+//	           sheds new submits while a retry backlog drains
+//	critical → the engine empties its verdict cache and cprd sheds every
+//	           new submit; sustained critical makes the engine fall back
+//	           to its anytime best-so-far result, exactly like a budget
+//	           expiry
 //
-//	soft     → shrink caches, retire incremental contexts, force reduceDB
-//	high     → soft actions with caches shrunk to a quarter
-//	critical → caches emptied; sustained critical makes the engine fall
-//	           back to its anytime best-so-far result, exactly like a
-//	           budget expiry
-//
-// Every rung below the sustained-critical stop reuses mechanisms that are
-// proven result-neutral (memoization caches, context retirement), so
-// forcing any rung produces a bit-identical repair result. The governor itself decides nothing about
-// *what* to shrink — it only classifies pressure; the owners act.
+// Every action below the sustained-critical stop is a verdict-cache
+// shrink, and the cache is pure memoization, so forcing either rung
+// produces a bit-identical repair result. The governor itself decides
+// nothing about *what* to shrink — it only classifies pressure; the
+// owners act.
 //
 // Determinism: the engine polls the governor only at generation barriers
 // (a single coordinator goroutine), and tests force rungs through
@@ -28,7 +23,6 @@ package govern
 
 import (
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +37,6 @@ type Rung int32
 // the faultinject contract (Plan.MemRung uses them directly).
 const (
 	RungNone Rung = iota
-	RungSoft
 	RungHigh
 	RungCritical
 )
@@ -51,8 +44,6 @@ const (
 // String names a rung for logs and stats payloads.
 func (r Rung) String() string {
 	switch r {
-	case RungSoft:
-		return "soft"
 	case RungHigh:
 		return "high"
 	case RungCritical:
@@ -66,11 +57,10 @@ func (r Rung) String() string {
 // classification (the governor then reports RungNone unless a faultinject
 // plan forces a rung — which is exactly what the differential tests use).
 type Config struct {
-	// SoftBytes/HighBytes/CriticalBytes are the ladder watermarks,
-	// compared against sampled heap bytes (runtime/metrics heap objects +
-	// unused spans) plus any faultinject spike. Unset watermarks are
-	// derived from MemLimit when it is set: 50% / 70% / 85%.
-	SoftBytes     uint64
+	// HighBytes/CriticalBytes are the ladder watermarks, compared against
+	// sampled heap bytes (runtime/metrics heap objects + unused spans) plus
+	// any faultinject spike. Unset watermarks are derived from MemLimit
+	// when it is set: 70% / 85%.
 	HighBytes     uint64
 	CriticalBytes uint64
 	// MemLimit is the process memory ceiling the watermarks defend
@@ -80,7 +70,7 @@ type Config struct {
 	// CriticalStopPolls is how many *consecutive* critical polls it takes
 	// before ShouldStop reports true and the engine falls back to its
 	// anytime result. Transient critical polls fire the critical rung's
-	// shrink and retire actions (result-neutral) without stopping the run.
+	// cache shrink (result-neutral) without stopping the run.
 	// Zero means 4.
 	CriticalStopPolls int
 	// Warn, when non-nil, receives one line per rung transition.
@@ -89,9 +79,6 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MemLimit > 0 {
-		if c.SoftBytes == 0 {
-			c.SoftBytes = c.MemLimit / 2
-		}
 		if c.HighBytes == 0 {
 			c.HighBytes = c.MemLimit / 10 * 7
 		}
@@ -106,27 +93,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Counters is a snapshot of the governor's own activity. Owners count
-// their rung *actions* (shrinks, retirements, sheds) in their own stats; the
-// governor counts polls and classifications.
+// their rung *actions* (shrinks, sheds) in their own stats; the governor
+// counts polls and classifications.
 type Counters struct {
 	// Polls is the total number of Poll calls.
 	Polls uint64 `json:"polls"`
 	// Transitions counts rung changes (any direction).
 	Transitions uint64 `json:"transitions"`
-	// SoftPolls/HighPolls/CriticalPolls count polls classified at each
-	// rung (forced or real).
-	SoftPolls     uint64 `json:"soft_polls"`
+	// HighPolls/CriticalPolls count polls classified at each rung (forced
+	// or real).
 	HighPolls     uint64 `json:"high_polls"`
 	CriticalPolls uint64 `json:"critical_polls"`
 	// ForcedPolls counts polls whose rung came from a faultinject plan.
 	ForcedPolls uint64 `json:"forced_polls"`
-	// Stops counts polls at which ShouldStop first became true.
+	// Stops counts critical streaks that reached CriticalStopPolls.
 	Stops uint64 `json:"stops"`
-	// HeapBytes/AccountedBytes are gauges from the most recent poll: the
-	// sampled runtime heap figure (spike included) and the sum of all
-	// registered size sources.
-	HeapBytes      uint64 `json:"heap_bytes"`
-	AccountedBytes uint64 `json:"accounted_bytes"`
+	// HeapBytes is the sampled runtime heap figure (spike included) from
+	// the most recent poll.
+	HeapBytes uint64 `json:"heap_bytes"`
 }
 
 // Governor classifies memory pressure. The zero value is unusable; use
@@ -137,9 +121,7 @@ type Governor struct {
 	rung atomic.Int32
 
 	mu          sync.Mutex
-	sources     map[string]func() uint64
 	criticalRun int
-	stopped     bool
 	counters    Counters
 
 	// heapSample is replaceable for tests (and nil-safe defaults to the
@@ -156,7 +138,6 @@ type Governor struct {
 func New(cfg Config) *Governor {
 	return &Governor{
 		cfg:        cfg.withDefaults(),
-		sources:    make(map[string]func() uint64),
 		heapSample: sampleHeap,
 	}
 }
@@ -185,69 +166,6 @@ func sampleHeap() uint64 {
 	return total
 }
 
-// Register adds a named byte-size source; the callback must be cheap and
-// safe to call from the governor's polling goroutine. It returns an
-// unregister function (idempotent). Registering the same name twice
-// replaces the source. Safe on a nil governor (returns a no-op).
-func (g *Governor) Register(name string, size func() uint64) (unregister func()) {
-	if g == nil {
-		return func() {}
-	}
-	g.mu.Lock()
-	g.sources[name] = size
-	g.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			delete(g.sources, name)
-			g.mu.Unlock()
-		})
-	}
-}
-
-// Accounted sums the registered size sources. Zero on a nil governor.
-func (g *Governor) Accounted() uint64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	srcs := make([]func() uint64, 0, len(g.sources))
-	for _, f := range g.sources {
-		srcs = append(srcs, f)
-	}
-	g.mu.Unlock()
-	var total uint64
-	for _, f := range srcs {
-		total += f()
-	}
-	return total
-}
-
-// Sources reports each registered source's current size, sorted by name
-// (for /stats payloads). Nil on a nil governor.
-func (g *Governor) Sources() map[string]uint64 {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	names := make([]string, 0, len(g.sources))
-	for name := range g.sources {
-		names = append(names, name)
-	}
-	srcs := make(map[string]func() uint64, len(names))
-	for _, name := range names {
-		srcs[name] = g.sources[name]
-	}
-	g.mu.Unlock()
-	sort.Strings(names)
-	out := make(map[string]uint64, len(names))
-	for _, name := range names {
-		out[name] = srcs[name]()
-	}
-	return out
-}
-
 // Poll samples memory and reclassifies the rung. The classification
 // consults faultinject first (forced rungs bypass the real figures), then
 // compares heap + spike bytes against the watermarks. Returns the new
@@ -263,15 +181,13 @@ func (g *Governor) Poll() Rung {
 	}
 	var heap uint64
 	if !forced {
-		if g.cfg.CriticalBytes > 0 || g.cfg.HighBytes > 0 || g.cfg.SoftBytes > 0 {
+		if g.cfg.CriticalBytes > 0 || g.cfg.HighBytes > 0 {
 			heap = g.heapSample() + faultinject.MemSpike()
 			switch {
 			case g.cfg.CriticalBytes > 0 && heap >= g.cfg.CriticalBytes:
 				rung = RungCritical
 			case g.cfg.HighBytes > 0 && heap >= g.cfg.HighBytes:
 				rung = RungHigh
-			case g.cfg.SoftBytes > 0 && heap >= g.cfg.SoftBytes:
-				rung = RungSoft
 			}
 		}
 	}
@@ -283,8 +199,6 @@ func (g *Governor) Poll() Rung {
 	}
 	g.counters.HeapBytes = heap
 	switch rung {
-	case RungSoft:
-		g.counters.SoftPolls++
 	case RungHigh:
 		g.counters.HighPolls++
 	case RungCritical:
@@ -293,7 +207,6 @@ func (g *Governor) Poll() Rung {
 	if rung == RungCritical {
 		g.criticalRun++
 		if g.criticalRun == g.cfg.CriticalStopPolls {
-			g.stopped = true
 			g.counters.Stops++
 		}
 	} else {
@@ -307,13 +220,6 @@ func (g *Governor) Poll() Rung {
 		}
 	}
 	g.mu.Unlock()
-
-	// Refresh the accounted gauge outside g.mu: source callbacks take
-	// their owners' locks and must not nest under the governor's.
-	acc := g.Accounted()
-	g.mu.Lock()
-	g.counters.AccountedBytes = acc
-	g.mu.Unlock()
 	return rung
 }
 
@@ -326,17 +232,18 @@ func (g *Governor) Rung() Rung {
 	return Rung(g.rung.Load())
 }
 
-// ShouldStop reports whether pressure has been critical for
-// CriticalStopPolls consecutive polls; once true it stays true (the run
-// is ending anyway — it falls back to the anytime result). False on a
-// nil governor.
+// ShouldStop reports whether the current critical streak has lasted
+// CriticalStopPolls consecutive polls. A poll below critical ends the
+// streak, so one governor can outlive many episodes (cprd shares one
+// across every job); a stopped run stays stopped through its own latch.
+// False on a nil governor.
 func (g *Governor) ShouldStop() bool {
 	if g == nil {
 		return false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.stopped
+	return g.criticalRun >= g.cfg.CriticalStopPolls
 }
 
 // Snapshot returns the governor's counters. Zero on a nil governor.

@@ -17,10 +17,9 @@ func TestNilGovernorIsInert(t *testing.T) {
 	if r := g.Poll(); r != RungNone {
 		t.Fatalf("nil Poll = %v", r)
 	}
-	if g.Rung() != RungNone || g.ShouldStop() || g.Accounted() != 0 {
+	if g.Rung() != RungNone || g.ShouldStop() {
 		t.Fatal("nil governor reported pressure")
 	}
-	g.Register("x", func() uint64 { return 1 })()
 	g.StartTicker(time.Millisecond)
 	g.StopTicker()
 	if (g.Snapshot() != Counters{}) {
@@ -29,11 +28,11 @@ func TestNilGovernorIsInert(t *testing.T) {
 }
 
 func TestWatermarkLadder(t *testing.T) {
-	g := New(Config{SoftBytes: 100, HighBytes: 200, CriticalBytes: 300})
+	g := New(Config{HighBytes: 200, CriticalBytes: 300})
 	for _, tc := range []struct {
 		heap uint64
 		want Rung
-	}{{50, RungNone}, {100, RungSoft}, {199, RungSoft}, {200, RungHigh}, {299, RungHigh}, {300, RungCritical}, {50, RungNone}} {
+	}{{50, RungNone}, {199, RungNone}, {200, RungHigh}, {299, RungHigh}, {300, RungCritical}, {50, RungNone}} {
 		fixedHeap(g, tc.heap)
 		if got := g.Poll(); got != tc.want {
 			t.Errorf("heap %d: rung %v, want %v", tc.heap, got, tc.want)
@@ -43,19 +42,19 @@ func TestWatermarkLadder(t *testing.T) {
 		}
 	}
 	c := g.Snapshot()
-	if c.Polls != 7 || c.SoftPolls != 2 || c.HighPolls != 2 || c.CriticalPolls != 1 {
+	if c.Polls != 6 || c.HighPolls != 2 || c.CriticalPolls != 1 {
 		t.Fatalf("counters %+v", c)
 	}
-	// none→soft, soft→high, high→critical, critical→none.
-	if c.Transitions != 4 {
-		t.Fatalf("transitions %d, want 4", c.Transitions)
+	// none→high, high→critical, critical→none.
+	if c.Transitions != 3 {
+		t.Fatalf("transitions %d, want 3", c.Transitions)
 	}
 }
 
 func TestDerivedWatermarks(t *testing.T) {
 	g := New(Config{MemLimit: 1000})
-	if g.cfg.SoftBytes != 500 || g.cfg.HighBytes != 700 || g.cfg.CriticalBytes != 850 {
-		t.Fatalf("derived watermarks %d/%d/%d", g.cfg.SoftBytes, g.cfg.HighBytes, g.cfg.CriticalBytes)
+	if g.cfg.HighBytes != 700 || g.cfg.CriticalBytes != 850 {
+		t.Fatalf("derived watermarks %d/%d", g.cfg.HighBytes, g.cfg.CriticalBytes)
 	}
 	// Explicit values win over derivation.
 	g = New(Config{MemLimit: 1000, HighBytes: 600})
@@ -69,29 +68,6 @@ func TestUnconfiguredGovernorSkipsSampling(t *testing.T) {
 	g.heapSample = func() uint64 { t.Fatal("sampled heap with no watermarks"); return 0 }
 	if r := g.Poll(); r != RungNone {
 		t.Fatalf("rung %v", r)
-	}
-}
-
-func TestSourcesAndAccounting(t *testing.T) {
-	g := New(Config{})
-	un1 := g.Register("cache", func() uint64 { return 100 })
-	defer un1()
-	un2 := g.Register("frontier", func() uint64 { return 23 })
-	if got := g.Accounted(); got != 123 {
-		t.Fatalf("Accounted = %d", got)
-	}
-	src := g.Sources()
-	if src["cache"] != 100 || src["frontier"] != 23 || len(src) != 2 {
-		t.Fatalf("Sources = %v", src)
-	}
-	un2()
-	un2() // idempotent
-	if got := g.Accounted(); got != 100 {
-		t.Fatalf("after unregister Accounted = %d", got)
-	}
-	g.Poll()
-	if c := g.Snapshot(); c.AccountedBytes != 100 {
-		t.Fatalf("AccountedBytes gauge = %d", c.AccountedBytes)
 	}
 }
 
@@ -112,7 +88,7 @@ func TestForcedRungBypassesHeap(t *testing.T) {
 }
 
 func TestSustainedCriticalStops(t *testing.T) {
-	g := New(Config{SoftBytes: 1, HighBytes: 2, CriticalBytes: 3, CriticalStopPolls: 3})
+	g := New(Config{HighBytes: 2, CriticalBytes: 3, CriticalStopPolls: 3})
 	fixedHeap(g, 10)
 	for i := 1; i <= 2; i++ {
 		g.Poll()
@@ -144,6 +120,25 @@ func TestSustainedCriticalStops(t *testing.T) {
 	if c := g2.Snapshot(); c.Stops != 1 {
 		t.Fatalf("Stops = %d", c.Stops)
 	}
+	// The stop belongs to the streak, not to the governor: once pressure
+	// falls below critical, a later episode needs a full streak again
+	// (cprd shares one governor across every job it runs).
+	fixedHeap(g2, 0)
+	if g2.Poll(); g2.ShouldStop() {
+		t.Fatal("stop outlived the critical streak")
+	}
+	fixedHeap(g2, 10)
+	for i := 1; i <= 2; i++ {
+		if g2.Poll(); g2.ShouldStop() {
+			t.Fatalf("stopped after %d critical polls of a new episode", i)
+		}
+	}
+	if g2.Poll(); !g2.ShouldStop() {
+		t.Fatal("not stopped after the new episode's 3 consecutive critical polls")
+	}
+	if c := g2.Snapshot(); c.Stops != 2 {
+		t.Fatalf("Stops = %d after two sustained episodes, want 2", c.Stops)
+	}
 }
 
 func TestMemSpikeRaisesSample(t *testing.T) {
@@ -161,7 +156,7 @@ func TestMemSpikeRaisesSample(t *testing.T) {
 
 func TestWarnOnTransition(t *testing.T) {
 	var lines []string
-	g := New(Config{SoftBytes: 100, Warn: func(f string, a ...interface{}) {
+	g := New(Config{HighBytes: 100, Warn: func(f string, a ...interface{}) {
 		lines = append(lines, fmt.Sprintf(f, a...))
 	}})
 	fixedHeap(g, 200)
@@ -175,7 +170,7 @@ func TestWarnOnTransition(t *testing.T) {
 }
 
 func TestTickerPolls(t *testing.T) {
-	g := New(Config{SoftBytes: 1})
+	g := New(Config{HighBytes: 1})
 	fixedHeap(g, 10)
 	g.StartTicker(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
@@ -187,30 +182,32 @@ func TestTickerPolls(t *testing.T) {
 	}
 	g.StopTicker()
 	g.StopTicker() // idempotent
-	if g.Rung() != RungSoft {
+	if g.Rung() != RungHigh {
 		t.Fatalf("rung %v after ticker", g.Rung())
 	}
 }
 
-func TestConcurrentRegisterAndPoll(t *testing.T) {
-	g := New(Config{SoftBytes: 1})
+// TestConcurrentPoll races every reader against Poll; run it under -race.
+func TestConcurrentPoll(t *testing.T) {
+	g := New(Config{HighBytes: 1, CriticalBytes: 8, CriticalStopPolls: 2})
 	fixedHeap(g, 10)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				un := g.Register(fmt.Sprintf("s%d", i), func() uint64 { return 1 })
 				g.Poll()
-				g.Accounted()
 				g.Rung()
-				un()
+				g.Snapshot()
+				g.ShouldStop()
 			}
 		}()
 	}
 	wg.Wait()
+	if c := g.Snapshot(); c.Polls != 800 || c.CriticalPolls != 800 || c.Stops != 1 {
+		t.Fatalf("counters after 800 concurrent critical polls: %+v", c)
+	}
 }
 
 func TestSampleHeapReadsMetrics(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 // these tests is deterministic.
 func stormWatermarks() govern.Config {
 	return govern.Config{
-		SoftBytes:     1 << 40,
 		HighBytes:     1 << 41,
 		CriticalBytes: 1 << 42,
 		// Transient critical must not stop accepted jobs mid-test.

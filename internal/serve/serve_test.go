@@ -118,14 +118,13 @@ func fullFingerprint(t *testing.T, r *Result) string {
 		return "<nil>"
 	}
 	// The wall-time breakdown measures this machine's clock, not run
-	// state; zero it before the bit-identical comparison. Peak memory
-	// gauges likewise measure the process's observation window — a
+	// state; zero it before the bit-identical comparison. The structure
+	// peaks likewise measure the process's observation window — a
 	// resumed run only sees post-resume peaks (same as core's
 	// dropWallTimes).
 	c := *r
 	c.Stats.SatTime, c.Stats.LIATime, c.Stats.ValidateTime = 0, 0, 0
 	c.Stats.FrontierPeak, c.Stats.SeenPeak = 0, 0
-	c.Stats.FrontierPeakBytes, c.Stats.SeenPeakBytes, c.Stats.PoolPeakBytes = 0, 0, 0
 	b, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)

@@ -107,8 +107,9 @@ type Config struct {
 	// shed with 503 + Retry-After under pressure (every submit at the
 	// critical rung; at the high rung while a retry backlog is still
 	// draining — finishing accepted work beats admitting new work), and
-	// every job attempt runs governed (core.Options.Govern). cmd/cprd
-	// builds one from its -mem-* flags. All degradation is result-neutral:
+	// every job attempt runs governed (core.Options.Govern: verdict-cache
+	// shrinks and the anytime stop). cmd/cprd builds one from its -mem-*
+	// flags. Every shrink and shed is result-neutral:
 	// a shed client retries later to the same answer an unpressured daemon
 	// would have produced.
 	Govern *govern.Governor
@@ -220,11 +221,9 @@ type StatsView struct {
 	// core.Stats.Add, under the same keys as a job's result.stats.
 	Engine core.Stats `json:"engine"`
 	// Memory governance (present only when a governor is configured): the
-	// last polled rung, the governor's poll/transition counters, and the
-	// per-structure byte-accounting sources currently registered.
-	MemRung    string            `json:"mem_rung,omitempty"`
-	Mem        *govern.Counters  `json:"mem,omitempty"`
-	MemSources map[string]uint64 `json:"mem_sources,omitempty"`
+	// last polled rung and the governor's poll/transition counters.
+	MemRung string           `json:"mem_rung,omitempty"`
+	Mem     *govern.Counters `json:"mem,omitempty"`
 }
 
 // AdmissionError is a rejected submit: an HTTP status, an optional
@@ -547,7 +546,6 @@ func (s *Server) Stats() StatsView {
 		c := g.Snapshot()
 		sv.MemRung = g.Rung().String()
 		sv.Mem = &c
-		sv.MemSources = g.Sources()
 	}
 	return sv
 }

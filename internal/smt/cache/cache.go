@@ -27,7 +27,7 @@ import (
 )
 
 // maxEntries caps the exact entries (LRU eviction). The memory governor
-// bounds the cache further through Shrink.
+// bounds the cache further through Shrink, in the same unit.
 const maxEntries = 4096
 
 // Stats counts cache traffic. Evictions includes the entries Shrink
@@ -79,10 +79,6 @@ type Cache struct {
 	entries map[Key]*list.Element
 	lru     *list.List // of *entry; front = most recently used
 	stats   Stats
-	// bytes is the running approximate footprint of the entries,
-	// maintained on every insert/evict/invalidate (see entryBytes). It is
-	// what ApproxBytes reports and Shrink targets.
-	bytes uint64
 }
 
 // New returns an empty cache.
@@ -168,9 +164,9 @@ func (c *Cache) Store(f *expr.Term, bounds map[string]interval.Interval, def int
 	c.stats.Evictions += c.insertLocked(k, v)
 }
 
-// insertLocked records v under k as the most recently used entry, keeps
-// the byte figure, and evicts past the entry cap, returning how many
-// entries it evicted. Caller holds c.mu and owns v's model.
+// insertLocked records v under k as the most recently used entry and
+// evicts past the entry cap, returning how many entries it evicted.
+// Caller holds c.mu and owns v's model.
 func (c *Cache) insertLocked(k Key, v Value) (evicted uint64) {
 	if el, ok := c.entries[k]; ok {
 		// Concurrent workers race to fill the same slot; the solver is
@@ -178,14 +174,12 @@ func (c *Cache) insertLocked(k Key, v Value) (evicted uint64) {
 		// that a verdict-only value must not downgrade an entry that
 		// already carries a model.
 		if old := el.Value.(*entry).value; !(v.verdictOnly() && !old.verdictOnly()) {
-			c.bytes += entryBytes(k, v) - entryBytes(k, old)
 			el.Value.(*entry).value = v
 		}
 		c.lru.MoveToFront(el)
 		return 0
 	}
 	c.entries[k] = c.lru.PushFront(&entry{key: k, value: v})
-	c.bytes += entryBytes(k, v)
 	for len(c.entries) > c.max {
 		c.evictOldestLocked()
 		evicted++
@@ -198,60 +192,26 @@ func (c *Cache) insertLocked(k Key, v Value) (evicted uint64) {
 func (c *Cache) evictOldestLocked() {
 	oldest := c.lru.Back()
 	c.lru.Remove(oldest)
-	e := oldest.Value.(*entry)
-	delete(c.entries, e.key)
-	c.bytes -= entryBytes(e.key, e.value)
+	delete(c.entries, oldest.Value.(*entry).key)
 }
 
-// Approximate per-entry overheads: struct headers, the list element, and
-// a share of the map bucket. The goal is a cheap, monotone estimate the
-// governor can act on — not malloc-exact truth.
-const (
-	entryOverheadBytes = 160
-	modelEntryBytes    = 48 // map bucket share + name header; name length added separately
-)
-
-// entryBytes approximates the heap footprint of one exact entry.
-func entryBytes(k Key, v Value) uint64 {
-	n := uint64(entryOverheadBytes + len(k.bounds))
-	for name := range v.Model {
-		n += modelEntryBytes + uint64(len(name))
-	}
-	return n
-}
-
-// ApproxBytes reports the cache's approximate byte footprint. Zero on a
-// nil cache. This is the size callback the memory governor polls, so it
-// must stay cheap: the figure is maintained incrementally, never
-// recomputed.
-func (c *Cache) ApproxBytes() uint64 {
+// Shrink evicts least-recently-used entries until at most keep remain; a
+// keep of 0 empties the cache. It returns the number of entries evicted,
+// which Stats also counts as Evictions. Safe on a nil cache and safe to
+// race with concurrent Lookup/Store traffic — the cache is pure
+// memoization, so shrinking never changes results, only hit rates.
+func (c *Cache) Shrink(keep int) (evicted int) {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Shrink evicts least-recently-used entries until the approximate
-// footprint is at or below targetBytes. A target of 0 empties the cache.
-// It returns the number of entries evicted and the approximate bytes
-// freed. Safe on a nil cache and safe to race with concurrent
-// Lookup/Store traffic — the cache is pure memoization, so shrinking never
-// changes results, only hit rates.
-func (c *Cache) Shrink(targetBytes uint64) (evicted int, freed uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	before := c.bytes
-	for c.bytes > targetBytes && len(c.entries) > 0 {
+	for len(c.entries) > max(keep, 0) {
 		c.evictOldestLocked()
-		c.stats.Evictions++
 		evicted++
 	}
-	return evicted, before - c.bytes
+	c.stats.Evictions += uint64(evicted)
+	return evicted
 }
 
 // KeyOf returns the exact-entry key a Store for this query would use.
@@ -270,7 +230,6 @@ func (c *Cache) InvalidateKey(k Key) {
 	if el, ok := c.entries[k]; ok {
 		c.lru.Remove(el)
 		delete(c.entries, k)
-		c.bytes -= entryBytes(k, el.Value.(*entry).value)
 	}
 }
 

@@ -48,8 +48,7 @@ func (c *Cache) Export() Export {
 }
 
 // Import replays an export into the cache: entries are inserted in order
-// (so LRU recency matches the exporting cache), each one counted in
-// ApproxBytes exactly as a live Store would count it. Import counts no
+// (so LRU recency matches the exporting cache). Import counts no
 // traffic and is meant for an empty cache; entries beyond the cache's
 // limits evict oldest-first as live Stores would (without counting
 // evictions). The export is read from disk, so a malformed bounds key is

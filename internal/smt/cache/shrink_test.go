@@ -17,47 +17,50 @@ func fill(c *Cache, n int) {
 	}
 }
 
-func TestApproxBytesTracksInserts(t *testing.T) {
+func TestShrinkToTarget(t *testing.T) {
 	c := New()
-	if got := c.ApproxBytes(); got != 0 {
-		t.Fatalf("empty cache ApproxBytes = %d", got)
+	fill(c, 100)
+	if evicted := c.Shrink(100); evicted != 0 {
+		t.Fatalf("Shrink(100) on 100 entries evicted %d", evicted)
 	}
-	fill(c, 10)
-	got := c.ApproxBytes()
-	if got == 0 {
-		t.Fatal("ApproxBytes stayed 0 after stores")
+	if evicted := c.Shrink(25); evicted != 75 {
+		t.Fatalf("Shrink(25) evicted %d, want 75", evicted)
 	}
-	// Per-entry floor: overhead + bounds string + one model var.
-	if min := uint64(10 * entryOverheadBytes); got < min {
-		t.Fatalf("ApproxBytes = %d, want >= %d", got, min)
+	if c.Len() != 25 {
+		t.Fatalf("Len = %d after Shrink(25)", c.Len())
+	}
+	if st := c.Stats(); st.Evictions != 75 {
+		t.Fatalf("stats %+v, want 75 evictions", st)
+	}
+	// Shrinking keeps the MRU end: exactly the 25 newest entries survive.
+	for i := 0; i < 100; i++ {
+		f := expr.Gt(x(), expr.Int(int64(i)))
+		if _, ok := c.LookupVerdict(f, nil, def); ok != (i >= 75) {
+			t.Fatalf("entry %d present=%v after Shrink(25)", i, ok)
+		}
+	}
+}
+
+func TestShrinkToZeroEmptiesEverything(t *testing.T) {
+	c := New()
+	fill(c, 20)
+	for i := 0; i < 5; i++ {
+		f := expr.And(expr.Gt(x(), expr.Int(int64(10+i))), expr.Lt(x(), expr.Int(0)))
+		c.Store(f, nil, def, Value{Sat: false})
+	}
+	if evicted := c.Shrink(0); evicted != 25 || c.Len() != 0 || c.lru.Len() != 0 {
+		t.Fatalf("Shrink(0) evicted %d, left len=%d list=%d", evicted, c.Len(), c.lru.Len())
 	}
 	var nilCache *Cache
-	if nilCache.ApproxBytes() != 0 {
-		t.Fatal("nil ApproxBytes non-zero")
+	if nilCache.Shrink(0) != 0 {
+		t.Fatal("nil Shrink did something")
 	}
 }
 
-func TestApproxBytesReturnsToZero(t *testing.T) {
-	c := New()
-	// Mix a sat entry with a verdict-only upgrade and an unsat entry so
-	// every accounting path runs.
-	f1 := expr.Gt(x(), expr.Int(1))
-	c.Store(f1, nil, def, Value{Sat: true})                            // verdict-only
-	c.Store(f1, nil, def, Value{Sat: true, Model: expr.Model{"x": 2}}) // upgrade
-	f2 := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(0)))
-	b := map[string]interval.Interval{"x": interval.New(0, 10)}
-	c.Store(f2, b, def, Value{Sat: false})
-	c.Invalidate(f1, nil, def)
-	c.Invalidate(f2, b, def)
-	if got := c.ApproxBytes(); got != 0 {
-		t.Fatalf("ApproxBytes = %d after invalidating everything, want 0", got)
-	}
-}
-
-// TestApproxBytesCountsImport: imported entries count toward the
-// footprint exactly as stored ones do, so after a resume the governor
-// sees the restored cache, invalidation cannot underflow the figure, and
-// Shrink(0) can empty it.
+// TestApproxBytesCountsImport: imported entries count toward the cache's
+// size exactly as stored ones do. The size is now the entry count (Len),
+// the unit Shrink takes, so after a resume the governor sees the restored
+// cache, invalidation removes imported entries, and Shrink(0) empties it.
 func TestApproxBytesCountsImport(t *testing.T) {
 	src := New()
 	fill(src, 40)
@@ -73,70 +76,27 @@ func TestApproxBytesCountsImport(t *testing.T) {
 	if err := dst.Import(ex); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dst.ApproxBytes(), src.ApproxBytes(); got != want {
-		t.Fatalf("ApproxBytes = %d after Import, source holds %d", got, want)
+	if got, want := dst.Len(), src.Len(); got != want || dst.lru.Len() != want {
+		t.Fatalf("Len = %d (list %d) after Import, source holds %d", got, dst.lru.Len(), want)
 	}
 	for _, e := range ex.Entries {
 		dst.InvalidateKey(Key{f: e.F, bounds: e.Bounds})
 	}
-	if got := dst.ApproxBytes(); got != 0 {
-		t.Fatalf("ApproxBytes = %d after invalidating every imported entry, want 0", got)
+	if dst.Len() != 0 || dst.lru.Len() != 0 {
+		t.Fatalf("invalidating every imported entry left len=%d list=%d", dst.Len(), dst.lru.Len())
 	}
 	if err := dst.Import(ex); err != nil {
 		t.Fatal(err)
 	}
-	dst.Shrink(0)
-	if dst.Len() != 0 || dst.ApproxBytes() != 0 {
-		t.Fatalf("Shrink(0) after Import left len=%d bytes=%d", dst.Len(), dst.ApproxBytes())
+	if evicted := dst.Shrink(0); evicted != 50 || dst.Len() != 0 || dst.lru.Len() != 0 {
+		t.Fatalf("Shrink(0) after Import evicted %d, left len=%d list=%d", evicted, dst.Len(), dst.lru.Len())
 	}
 }
 
-func TestShrinkToTarget(t *testing.T) {
-	c := New()
-	fill(c, 100)
-	before := c.ApproxBytes()
-	target := before / 2
-	evicted, freed := c.Shrink(target)
-	if evicted == 0 || freed == 0 {
-		t.Fatalf("Shrink(%d) evicted=%d freed=%d", target, evicted, freed)
-	}
-	if got := c.ApproxBytes(); got > target {
-		t.Fatalf("ApproxBytes = %d after Shrink(%d)", got, target)
-	}
-	if before-c.ApproxBytes() != freed {
-		t.Fatalf("freed %d but footprint dropped %d", freed, before-c.ApproxBytes())
-	}
-	if st := c.Stats(); st.Evictions != uint64(evicted) {
-		t.Fatalf("stats %+v, want %d evictions", st, evicted)
-	}
-	// Shrinking keeps the MRU end: the newest entry must survive.
-	f := expr.Gt(x(), expr.Int(99))
-	if _, ok := c.Lookup(f, nil, def); !ok {
-		t.Fatal("Shrink evicted the most-recently-used entry")
-	}
-}
-
-func TestShrinkToZeroEmptiesEverything(t *testing.T) {
-	c := New()
-	fill(c, 20)
-	for i := 0; i < 5; i++ {
-		f := expr.And(expr.Gt(x(), expr.Int(int64(10+i))), expr.Lt(x(), expr.Int(0)))
-		c.Store(f, nil, def, Value{Sat: false})
-	}
-	c.Shrink(0)
-	if c.Len() != 0 || c.ApproxBytes() != 0 {
-		t.Fatalf("Shrink(0) left len=%d bytes=%d", c.Len(), c.ApproxBytes())
-	}
-	var nilCache *Cache
-	if e, f := nilCache.Shrink(0); e != 0 || f != 0 {
-		t.Fatal("nil Shrink did something")
-	}
-}
-
-// TestShrinkRacesConcurrentWriters is the satellite's shrink race test:
-// hammer Store/Lookup from several goroutines while another goroutine
-// repeatedly shrinks. Run under -race this proves the locking; the final
-// consistency check proves the byte accounting survives interleaving.
+// TestShrinkRacesConcurrentWriters hammers Store/Lookup from several
+// goroutines while another goroutine repeatedly shrinks. Run under -race
+// this proves the locking; the final check proves the map and the LRU
+// list survive the interleaving consistent with each other.
 func TestShrinkRacesConcurrentWriters(t *testing.T) {
 	c := New()
 	c.max = 512
@@ -167,24 +127,22 @@ func TestShrinkRacesConcurrentWriters(t *testing.T) {
 				return
 			default:
 			}
-			c.Shrink(c.ApproxBytes() / 2)
+			c.Shrink(c.Len() / 2)
 		}
 	}()
 	writers.Wait()
 	close(stop)
 	shrinker.Wait()
 
-	// Consistency: recompute the footprint from scratch and compare with
-	// the running figure.
 	c.mu.Lock()
-	var want uint64
-	for _, el := range c.entries {
-		e := el.Value.(*entry)
-		want += entryBytes(e.key, e.value)
+	defer c.mu.Unlock()
+	if len(c.entries) != c.lru.Len() {
+		t.Fatalf("map holds %d entries, LRU list %d", len(c.entries), c.lru.Len())
 	}
-	got := c.bytes
-	c.mu.Unlock()
-	if got != want {
-		t.Fatalf("running bytes %d != recomputed %d after concurrent shrink", got, want)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		k := el.Value.(*entry).key
+		if c.entries[k] != el {
+			t.Fatalf("LRU element for %v is not the map's", k)
+		}
 	}
 }

@@ -128,29 +128,3 @@ func TestScratchReuseConcurrentSolvers(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestTrimMemoryDropsScratchEncoder: with incremental solving off, the
-// scratch encoder is the solver's only retained structure. The governor
-// sees its bytes, TrimMemory drops them without counting a retired
-// context, and the next answer is unchanged.
-func TestTrimMemoryDropsScratchEncoder(t *testing.T) {
-	qs := reuseBattery()
-	s := NewSolver(Options{})
-	for _, q := range qs[:20] {
-		checkAnswer(s, q)
-	}
-	if s.ApproxMemBytes() == 0 {
-		t.Fatal("ApproxMemBytes is 0 after scratch queries")
-	}
-	retired, freed := s.TrimMemory()
-	if retired != 0 || freed == 0 {
-		t.Fatalf("TrimMemory = (%d retired, %d freed), want (0, > 0)", retired, freed)
-	}
-	if n := s.ApproxMemBytes(); n != 0 {
-		t.Fatalf("ApproxMemBytes = %d after TrimMemory, want 0", n)
-	}
-	want := checkAnswer(NewSolver(Options{}), qs[20])
-	if got := checkAnswer(s, qs[20]); !reflect.DeepEqual(got, want) {
-		t.Fatalf("answer after TrimMemory: got %+v, want %+v", got, want)
-	}
-}

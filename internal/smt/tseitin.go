@@ -33,10 +33,6 @@ type encoder struct {
 	// traversal's reusable output buffer.
 	gen  uint32
 	supp []suppLit
-
-	// peak is the largest approxMemBytes a reset has discarded: cleared
-	// maps and a reset sat.Solver keep their capacity.
-	peak uint64
 }
 
 // node is an encoded subformula's literal plus the support traversal's
@@ -67,7 +63,6 @@ func newEncoder() *encoder {
 // encoder, so it numbers variables and adds clauses exactly as a fresh one
 // would.
 func (e *encoder) reset() {
-	e.peak = max(e.peak, e.approxMemBytes())
 	e.sat.Reset()
 	clear(e.atomVar)
 	clear(e.boolVar)
