@@ -15,8 +15,10 @@
 // On SIGTERM or SIGINT the daemon drains: admission stops (readyz flips to
 // 503), running jobs stop at the next generation barrier (their periodic
 // engine checkpoints stay on disk), and queued jobs stay journaled.
-// Restarting with -resume finishes all of them with results bit-identical
-// to an uninterrupted run. A second signal kills the process
+// Restarting with -resume finishes all of them with the repair an
+// uninterrupted run produces (the same ranked pool; only the solver-work
+// counters differ, since the verdict cache restarts cold). A second
+// signal kills the process
 // immediately — which the same -resume restart also recovers from, via the
 // periodic checkpoints.
 package main

@@ -5,7 +5,8 @@
 //	go build -ldflags "-X cpr/internal/buildinfo.Version=$(git describe --tags --always)" ./cmd/...
 //
 // Unstamped builds report "dev" plus the VCS revision embedded by the Go
-// toolchain when available.
+// toolchain when available, marked "+dirty" when the working tree had
+// uncommitted changes.
 package buildinfo
 
 import (
@@ -20,13 +21,34 @@ var Version = "dev"
 // String returns the one-line identity printed by every binary's -version
 // flag: tool name, version, VCS revision when embedded, and the toolchain.
 func String(tool string) string {
-	rev := ""
+	var settings []debug.BuildSetting
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && len(s.Value) >= 12 {
-				rev = " (" + s.Value[:12] + ")"
+		settings = bi.Settings
+	}
+	return format(tool, settings)
+}
+
+// format renders the identity line from the toolchain's build settings.
+// The revision is "(<12 hex digits>)", with "+dirty" appended when
+// vcs.modified is true, so a binary built from an edited tree cannot pass
+// for the commit it started from; without vcs.revision it is left out.
+func format(tool string, settings []debug.BuildSetting) string {
+	rev, dirty := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			if len(s.Value) >= 12 {
+				rev = s.Value[:12]
 			}
+		case "vcs.modified":
+			dirty = s.Value == "true"
 		}
+	}
+	if rev != "" {
+		if dirty {
+			rev += "+dirty"
+		}
+		rev = " (" + rev + ")"
 	}
 	return fmt.Sprintf("%s %s%s %s %s/%s", tool, Version, rev, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 }

@@ -27,6 +27,9 @@ import (
 	"cpr/internal/synth"
 )
 
+// maxStepsPerRun bounds one concolic execution.
+const maxStepsPerRun = 1 << 18
+
 // Options tunes the baseline.
 type Options struct {
 	// SMT configures the shared solver.
@@ -37,8 +40,6 @@ type Options struct {
 	// RefinementIterations bounds phase 2 candidate/verify rounds
 	// (default: the other half).
 	RefinementIterations int
-	// MaxStepsPerRun bounds one concolic execution.
-	MaxStepsPerRun int
 	// Cancel, when non-nil, winds the baseline down cooperatively; it is
 	// combined with the job's MaxDuration/Deadline like core.Repair.
 	Cancel *cancel.Token
@@ -142,11 +143,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	if opts.RefinementIterations == 0 {
 		opts.RefinementIterations = budget.MaxIterations - opts.ExplorationIterations
 	}
-	if opts.MaxStepsPerRun == 0 {
-		opts.MaxStepsPerRun = 1 << 18
-	}
 	co := opts.Checkpoint.WithDefaults()
-	ownCache := opts.SMT.Cache == nil
 
 	// Resume, step 1: load the latest intact snapshot before the budget
 	// token is derived, so the wall-clock budget can be re-based on the
@@ -169,17 +166,13 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	}
 	opts.Cancel = tok
 	opts.SMT.Cancel = tok
-	if ownCache {
+	if opts.SMT.Cache == nil {
 		// Counterexample checks re-solve the same verification constraint
 		// under successively blocked parameter vectors; the verdict cache
 		// answers the repeats (and shares hits with a caller-provided
-		// cache, e.g. cpr-bench running CPR and CEGIS on one subject).
+		// cache, e.g. cpr-bench running CPR and CEGIS on one subject). Like
+		// core.Repair, a resumed run starts with a cold cache.
 		opts.SMT.Cache = cache.New()
-		if rs != nil && rs.hasCache {
-			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
-				co.Warnf("cegis checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
-			}
-		}
 	}
 
 	solver := smt.NewSolver(opts.SMT)
@@ -189,15 +182,13 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 
 	var ck *checkpointer
 	if co.Dir != "" {
-		ck = &checkpointer{opts: co, fp: fp, solver: solver, ownCache: ownCache,
-			cacheRef: opts.SMT.Cache, stats: &stats, start: time.Now()}
+		ck = &checkpointer{opts: co, fp: fp, solver: solver, stats: &stats, start: time.Now()}
 	}
 	var baseSolver smt.Stats
 	ex := &exploreState{}
 	if rs != nil {
 		stats = rs.stats
 		baseSolver = rs.solverAgg
-		solver.SetCrossCheckCursor(rs.cursor)
 		ex = rs.exState()
 		if ck != nil {
 			ck.baseSolver = baseSolver
@@ -374,7 +365,7 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 		st.queue = st.queue[1:]
 		exec, panicked := safeExecute(job.Program, it.input, concolic.Options{
 			Patch:    it.guard,
-			MaxSteps: opts.MaxStepsPerRun,
+			MaxSteps: maxStepsPerRun,
 			Stop:     opts.Cancel.Expired,
 		})
 		if panicked {

@@ -13,13 +13,12 @@ import (
 	"cpr/internal/faultinject"
 	"cpr/internal/journal"
 	"cpr/internal/smt"
-	"cpr/internal/smt/cache"
 )
 
 // cegisSnapVersion is the schema version of the baseline's snapshot
 // payload; bump on any encoding change. The container format is owned by
 // internal/journal.
-const cegisSnapVersion = 2
+const cegisSnapVersion = 3
 
 // exploreState is phase 1's resumable loop state. A zero value starts the
 // phase fresh; a restored value continues it. After the phase completes,
@@ -55,8 +54,6 @@ type checkpointer struct {
 	opts        core.CheckpointOptions
 	fp          uint64
 	solver      *smt.Solver
-	ownCache    bool
-	cacheRef    *cache.Cache
 	stats       *Stats
 	baseSolver  smt.Stats
 	start       time.Time
@@ -95,8 +92,8 @@ func (ck *checkpointer) write() {
 // called after option defaulting so derived iteration splits are pinned.
 func fingerprintRun(job core.Job, opts Options) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "cegis|job:%x|%d:%d:%d", core.JobFingerprint(job),
-		opts.ExplorationIterations, opts.RefinementIterations, opts.MaxStepsPerRun)
+	fmt.Fprintf(h, "cegis|job:%x|%d:%d", core.JobFingerprint(job),
+		opts.ExplorationIterations, opts.RefinementIterations)
 	return h.Sum64()
 }
 
@@ -114,12 +111,6 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 	encodeCegisStats(m, ck.stats)
 	agg := ck.baseSolver.Add(ck.solver.Stats())
 	smt.EncodeSolverStats(m, agg)
-	m.U64(ck.solver.CrossCheckCursor())
-
-	m.Bool(ck.ownCache)
-	if ck.ownCache {
-		core.EncodeCacheExport(m, te, ck.cacheRef.Export())
-	}
 
 	// Witnessed paths, in observation order (both phases need them: phase
 	// 1 is still collecting, phase 2 verifies candidates against them).
@@ -176,19 +167,16 @@ func (ck *checkpointer) encodeSnapshot(elapsed time.Duration) []byte {
 
 // resumeState is a decoded baseline snapshot.
 type resumeState struct {
-	barrier     uint64
-	elapsed     time.Duration
-	phase       int
-	stats       Stats
-	solverAgg   smt.Stats
-	cursor      uint64
-	hasCache    bool
-	cacheExport cache.Export
-	obs         []pathObs
-	iter        int
-	seen        []uint64
-	queue       []exploreItem
-	ref         refineState
+	barrier   uint64
+	elapsed   time.Duration
+	phase     int
+	stats     Stats
+	solverAgg smt.Stats
+	obs       []pathObs
+	iter      int
+	seen      []uint64
+	queue     []exploreItem
+	ref       refineState
 }
 
 // exState returns the phase-1 loop state the snapshot was taken at (for a
@@ -244,16 +232,6 @@ func decodeSnapshot(payload []byte) (*resumeState, uint64, error) {
 
 	decodeCegisStats(d, &rs.stats)
 	smt.DecodeSolverStats(d, &rs.solverAgg)
-	rs.cursor = d.U64()
-
-	rs.hasCache = d.Bool()
-	if rs.hasCache {
-		ex, err := core.DecodeCacheExport(d, td)
-		if err != nil {
-			return nil, 0, err
-		}
-		rs.cacheExport = ex
-	}
 
 	no := d.U64()
 	if err := core.LenCheck(d, no, "observations"); err != nil {

@@ -15,18 +15,21 @@ import (
 	"cpr/internal/lang"
 	"cpr/internal/patch"
 	"cpr/internal/smt"
-	"cpr/internal/smt/cache"
 	"cpr/internal/synth"
 )
 
 // CheckpointOptions makes a repair run resumable: with Dir set, the engine
-// commits a snapshot of its full state (pool, frontier, seen set, stats,
-// budget accounting, verdict cache) every Interval generation barriers,
-// and with Resume it restores the latest intact snapshot before starting.
-// A resumed run replays the uninterrupted run exactly: the snapshot points
-// are deterministic generation barriers — the top of an explore-loop
+// commits a snapshot of its repair state (pool, frontier, seen set, stats,
+// budget accounting) every Interval generation barriers, and with Resume it
+// restores the latest intact snapshot before starting. A resumed run
+// reaches the uninterrupted run's result exactly: the snapshot points are
+// deterministic generation barriers — the top of an explore-loop
 // iteration, where all worker fan-out has merged — so Workers=1 and
-// Workers=N resume to the identical result.
+// Workers=N resume to the identical pool. The verdict cache is not
+// persisted: it is exact memoization of a deterministic solver, so a
+// resumed run answers every query the same from a cold cache, and only the
+// solver-work counters (cache hits and misses, theory rounds, validations)
+// count the work the processes actually did.
 type CheckpointOptions struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
@@ -79,7 +82,7 @@ func (o CheckpointOptions) WriteSnapshot(who string, barrier uint64, payload []b
 
 // coreSnapVersion is the schema version of the engine-state payload inside
 // a snapshot container; bump on any encoding change.
-const coreSnapVersion = 3
+const coreSnapVersion = 4
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
@@ -148,8 +151,7 @@ func (ck *checkpointer) write(st *exploreState, phaseStats *Stats) {
 func fingerprintRun(job Job, opts Options) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "job:%x|", JobFingerprint(job))
-	fmt.Fprintf(h, "opts:%v:%v:%v:%v:%v:%v", opts.DisablePathReduction, opts.SplitMode,
-		opts.MaxQueue, opts.MaxStepsPerRun, opts.ModelCountRanking, opts.Queue)
+	fmt.Fprintf(h, "opts:%v:%v:%v", opts.DisablePathReduction, opts.ModelCountRanking, opts.Queue)
 	return h.Sum64()
 }
 
@@ -213,7 +215,7 @@ func componentsString(c synth.Components) string {
 		c.MaxTemplates, c.SuppressDeletion, c.ExtraTemplates)
 }
 
-// encodeSnapshot serializes the full engine state at a barrier. The
+// encodeSnapshot serializes the engine's repair state at a barrier. The
 // payload opens with the shared term table (every *expr.Term the rest of
 // the payload references, encoded once), then the engine state proper.
 func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elapsed time.Duration) []byte {
@@ -252,13 +254,6 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
 	}
 	smt.EncodeSolverStats(m, agg)
-	// Per-solver cross-check sampling cursors, in worker order, so the
-	// resumed run's validation sampling continues the killed run's schedule.
-	m.U64(uint64(2 * len(e.workers)))
-	for _, w := range e.workers {
-		m.U64(w.solver.CrossCheckCursor())
-		m.U64(w.retrySolver.CrossCheckCursor())
-	}
 	cacheNow := e.opts.SMT.Cache.Stats()
 	m.U64(e.baseCacheEvict + (cacheNow.Evictions - e.cacheStart.Evictions))
 
@@ -309,13 +304,6 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 		encodeItem(m, te, it)
 	}
 
-	// Verdict cache, when this run owns it (a caller-shared cache is the
-	// caller's to persist).
-	m.Bool(e.ownCache)
-	if e.ownCache {
-		EncodeCacheExport(m, te, e.opts.SMT.Cache.Export())
-	}
-
 	ck.framed.Reset()
 	ck.framed.Raw(te.Table())
 	ck.framed.Append(m.Bytes())
@@ -324,24 +312,21 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 
 // resumeState is a decoded snapshot, pending application to a fresh engine.
 type resumeState struct {
-	barrier     uint64
-	elapsed     time.Duration
-	phase       int
-	base        Stats
-	partial     Stats
-	hasPartial  bool
-	seq         int
-	counters    [7]int64
-	solverAgg   smt.Stats
-	cursors     []uint64
-	cacheEvict  uint64
-	pool        []patchState
-	seen        []uint64
-	iter        int
-	del         []delMemoState
-	queue       []workItem
-	hasCache    bool
-	cacheExport cache.Export
+	barrier    uint64
+	elapsed    time.Duration
+	phase      int
+	base       Stats
+	partial    Stats
+	hasPartial bool
+	seq        int
+	counters   [7]int64
+	solverAgg  smt.Stats
+	cacheEvict uint64
+	pool       []patchState
+	seen       []uint64
+	iter       int
+	del        []delMemoState
+	queue      []workItem
 }
 
 type patchState struct {
@@ -429,14 +414,6 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 		rs.counters[i] = d.I64()
 	}
 	smt.DecodeSolverStats(d, &rs.solverAgg)
-	nc := d.U64()
-	if err := LenCheck(d, nc, "cross-check cursors"); err != nil {
-		return nil, err
-	}
-	rs.cursors = make([]uint64, nc)
-	for i := range rs.cursors {
-		rs.cursors[i] = d.U64()
-	}
 	rs.cacheEvict = d.U64()
 
 	np := d.U64()
@@ -485,15 +462,6 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 			return nil, err
 		}
 		rs.queue[i] = it
-	}
-
-	rs.hasCache = d.Bool()
-	if rs.hasCache {
-		ex, err := DecodeCacheExport(d, td)
-		if err != nil {
-			return nil, err
-		}
-		rs.cacheExport = ex
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -549,17 +517,6 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 	e.flipsDropped.Store(rs.counters[6])
 	e.baseAgg = rs.solverAgg
 	e.baseCacheEvict = rs.cacheEvict
-	// Restore per-solver cross-check sampling cursors in worker order. A
-	// resumed run with fewer workers restores a prefix; extra workers keep
-	// fresh cursors (worker-count changes only claim fingerprint-level
-	// equivalence, not counter-level — see parallel_test.go).
-	for i, w := range e.workers {
-		if 2*i+1 >= len(rs.cursors) {
-			break
-		}
-		w.solver.SetCrossCheckCursor(rs.cursors[2*i])
-		w.retrySolver.SetCrossCheckCursor(rs.cursors[2*i+1])
-	}
 	if len(rs.del) > 0 {
 		e.delCache = make(map[int]delEntry, len(rs.del))
 		for _, ent := range rs.del {
@@ -622,7 +579,6 @@ func decodeStats(d *journal.Decoder, s *Stats) {
 
 func encodeRegion(m *journal.Encoder, r interval.Region) {
 	m.Int(r.Dim)
-	m.U64(uint64(r.Mode))
 	m.U64(uint64(len(r.Boxes)))
 	for _, b := range r.Boxes {
 		for _, iv := range b {
@@ -634,7 +590,6 @@ func encodeRegion(m *journal.Encoder, r interval.Region) {
 
 func decodeRegion(d *journal.Decoder) (interval.Region, error) {
 	r := interval.Region{Dim: d.Int()}
-	r.Mode = interval.SplitMode(d.U64())
 	nb := d.U64()
 	if err := LenCheck(d, nb, "region boxes"); err != nil {
 		return r, err
@@ -862,44 +817,4 @@ func DecodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHi
 	}
 	h.AtBranch = d.Int()
 	return h, d.Err()
-}
-
-// EncodeCacheExport writes a verdict-cache export to a snapshot, and
-// DecodeCacheExport reads it back. Engine and baseline snapshots both
-// persist the cache they own in this form.
-func EncodeCacheExport(m *journal.Encoder, te *journal.TermEncoder, ex cache.Export) {
-	m.U64(uint64(len(ex.Entries)))
-	for _, e := range ex.Entries {
-		m.U64(te.ID(e.F))
-		m.Str(e.Bounds)
-		m.Bool(e.Value.Sat)
-		EncodeI64Map(m, e.Value.Model)
-	}
-}
-
-// DecodeCacheExport is the inverse of EncodeCacheExport.
-func DecodeCacheExport(d *journal.Decoder, td *journal.TermDecoder) (cache.Export, error) {
-	var ex cache.Export
-	ne := d.U64()
-	if err := LenCheck(d, ne, "cache entries"); err != nil {
-		return ex, err
-	}
-	for i := uint64(0); i < ne; i++ {
-		f, err := td.Term(d.U64())
-		if err != nil {
-			return ex, err
-		}
-		bounds := d.Str()
-		sat := d.Bool()
-		model, err := DecodeI64Map(d)
-		if err != nil {
-			return ex, err
-		}
-		v := cache.Value{Sat: sat}
-		if model != nil {
-			v.Model = expr.Model(model)
-		}
-		ex.Entries = append(ex.Entries, cache.ExportedEntry{F: f, Bounds: bounds, Value: v})
-	}
-	return ex, d.Err()
 }

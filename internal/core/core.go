@@ -94,13 +94,6 @@ type Options struct {
 	// DisablePathReduction turns off the §3.4 pruning (ablation): every
 	// flip is solved without consulting the patch pool first.
 	DisablePathReduction bool
-	// SplitMode selects the parameter-region split (ablation; default is
-	// the paper's 3ⁿ−1 grid).
-	SplitMode interval.SplitMode
-	// MaxQueue caps the exploration frontier (default 512).
-	MaxQueue int
-	// MaxStepsPerRun bounds one concolic execution (default 1 << 18).
-	MaxStepsPerRun int
 	// ModelCountRanking enables the §3.5.3 fine-tuning: ranking evidence
 	// is scaled by the (approximate) proportion of the partition's inputs
 	// whose control flow the patch affects, so patches that fire on most
@@ -122,7 +115,7 @@ type Options struct {
 	// (MaxDuration/Deadline/Cancel) make runs scheduling-dependent.
 	Workers int
 	// Checkpoint configures the durable run journal: with a directory set,
-	// the engine snapshots its full state at deterministic generation
+	// the engine snapshots its repair state at deterministic generation
 	// barriers, and with Resume it continues a killed run to the same
 	// result the uninterrupted run would have produced.
 	Checkpoint CheckpointOptions
@@ -154,15 +147,12 @@ const (
 	QueueFIFO
 )
 
-func (o Options) withDefaults() Options {
-	if o.MaxQueue == 0 {
-		o.MaxQueue = 512
-	}
-	if o.MaxStepsPerRun == 0 {
-		o.MaxStepsPerRun = 1 << 18
-	}
-	return o
-}
+const (
+	// maxQueue caps the exploration frontier.
+	maxQueue = 512
+	// maxStepsPerRun bounds one concolic execution.
+	maxStepsPerRun = 1 << 18
+)
 
 // Result is the outcome of a repair run.
 type Result struct {
@@ -190,7 +180,6 @@ var ErrNoFailingInput = errors.New("core: job has no failing input (generate one
 // or inside a solver query degrades to a skipped flip/query, counted in
 // Stats.ExecPanics / Stats.SolverPanics. None of these abort the run.
 func Repair(job Job, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	job.Budget = job.Budget.withDefaults()
 	if job.Program.HolePos == nil {
 		return nil, ErrNoHole
@@ -202,7 +191,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 		job.Spec = expr.True()
 	}
 	opts.Checkpoint = opts.Checkpoint.WithDefaults()
-	ownCache := opts.SMT.Cache == nil
 
 	// Resume, step 1: load the latest intact snapshot before the budget
 	// token is derived, so the wall-clock budget can be re-based on the
@@ -236,13 +224,11 @@ func Repair(job Job, opts Options) (*Result, error) {
 	// re-poses structurally identical feasibility queries constantly, and
 	// under parallelism the cache also lets workers reuse each other's
 	// answers. A caller-provided cache (e.g. shared across runs) is kept.
-	if ownCache {
+	// A resumed run starts with a cold cache: the cache is memoization of a
+	// deterministic solver, so it changes how much work a query costs,
+	// never its answer.
+	if opts.SMT.Cache == nil {
 		opts.SMT.Cache = cache.New()
-		if rs != nil && rs.hasCache {
-			if err := opts.SMT.Cache.Import(rs.cacheExport); err != nil {
-				opts.Checkpoint.Warnf("checkpoint: verdict-cache import failed, continuing with an empty cache: %v", err)
-			}
-		}
 	}
 	cacheStart := opts.SMT.Cache.Stats()
 
@@ -258,9 +244,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 	}
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
-	for _, p := range pool.Patches {
-		p.Constraint.Mode = opts.SplitMode
-	}
 	eng := &engine{
 		job:         job,
 		opts:        opts,
@@ -269,7 +252,6 @@ func Repair(job Job, opts Options) (*Result, error) {
 		pool:        pool,
 		tok:         tok,
 	}
-	eng.ownCache = ownCache
 	eng.cacheStart = cacheStart
 	eng.workers = eng.newWorkers(opts.Workers)
 	eng.curBounds = eng.inputBounds()
@@ -445,13 +427,11 @@ type engine struct {
 	seq      int
 
 	// Checkpoint/resume state (see checkpoint.go). ck is nil unless
-	// Options.Checkpoint is enabled. ownCache records whether Repair
-	// created the verdict cache (and therefore persists it in snapshots);
-	// cacheStart is the cache's counter baseline at engine construction.
-	// The base* fields carry the killed run's counters on resume, so final
-	// aggregates continue from where the previous process died.
+	// Options.Checkpoint is enabled. cacheStart is the cache's counter
+	// baseline at engine construction. The base* fields carry the killed
+	// run's counters on resume, so final aggregates continue from where the
+	// previous process died.
 	ck             *checkpointer
-	ownCache       bool
 	cacheStart     cache.Stats
 	baseAgg        smt.Stats
 	baseCacheEvict uint64
@@ -530,7 +510,7 @@ type workItem struct {
 func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.Interval, maxIter int, stats *Stats, validation bool, st *exploreState) {
 	e.curBounds = bounds
 	push := func(it workItem) {
-		st.push(it, e.opts.MaxQueue)
+		st.push(it, maxQueue)
 	}
 	if st.seen == nil {
 		st.seen = make(map[uint64]bool) // explored path prefixes in this phase
@@ -698,7 +678,7 @@ func (e *engine) safeExecute(input map[string]int64, pt *patch.Patch, params exp
 	return concolic.Execute(e.job.Program, input, concolic.Options{
 		Patch:       pt.Expr,
 		PatchParams: params,
-		MaxSteps:    e.opts.MaxStepsPerRun,
+		MaxSteps:    maxStepsPerRun,
 		Stop:        e.tok.Expired,
 	}), false
 }
@@ -712,11 +692,11 @@ func less(a, b workItem) bool {
 
 func lessFIFO(a, b workItem) bool { return a.seq < b.seq }
 
-// push appends an item to the frontier. At the maxQueue cap it evicts the
-// worst item in ranked order (less, whatever the pop policy), or drops the
+// push appends an item to the frontier. At the limit it evicts the worst
+// item in ranked order (less, whatever the pop policy), or drops the
 // candidate when it is not strictly better than that worst item.
-func (st *exploreState) push(it workItem, maxQueue int) {
-	if len(st.queue) >= maxQueue {
+func (st *exploreState) push(it workItem, limit int) {
+	if len(st.queue) >= limit {
 		wi := -1
 		for i := range st.queue {
 			if wi < 0 || less(st.queue[wi], st.queue[i]) {
@@ -902,7 +882,6 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 			e.refinements.Add(int64(o.Refinements))
 		}
 		if o.Refined {
-			o.Region.Mode = e.opts.SplitMode
 			p.Constraint = o.Region
 		}
 		p.Score = o.Score
@@ -944,7 +923,6 @@ func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver)
 		if refined.Count() != p.Constraint.Count() {
 			out.Refinements++
 		}
-		refined.Mode = e.opts.SplitMode
 		p.Constraint = refined
 		out.Refined = true
 		out.Region = refined

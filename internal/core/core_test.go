@@ -209,7 +209,7 @@ func TestPickNewInputPathReduction(t *testing.T) {
 	mkEngine := func(disable bool) *engine {
 		e := &engine{
 			job:    job,
-			opts:   Options{DisablePathReduction: disable}.withDefaults(),
+			opts:   Options{DisablePathReduction: disable},
 			solver: smt.NewSolver(smt.Options{}),
 			pool:   &patch.Pool{Patches: []*patch.Patch{collapsed.Clone()}},
 		}

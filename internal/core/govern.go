@@ -15,7 +15,7 @@ import "cpr/internal/govern"
 //
 // The frontier is not a rung action: path reduction (§3.4) keeps it
 // small — at most 22 items (under 5 KB) on every benchmark subject — and
-// MaxQueue caps it regardless.
+// maxQueue caps it regardless.
 
 // governAtBarrier runs at every generation barrier: track the structure
 // peaks, poll the governor, apply the rung's action. With Options.Govern

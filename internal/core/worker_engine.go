@@ -31,7 +31,6 @@ type WorkerEngine struct {
 // split-mode stamping — but runs no exploration itself: no checkpointing,
 // no distributor, and a private verdict cache.
 func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
-	opts = opts.withDefaults()
 	job.Budget = job.Budget.withDefaults()
 	if job.Program == nil || job.Program.HolePos == nil {
 		return nil, ErrNoHole
@@ -52,9 +51,6 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	job.Components.Cancel = nil
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
-	for _, p := range pool.Patches {
-		p.Constraint.Mode = opts.SplitMode
-	}
 	eng := &engine{
 		job:         job,
 		opts:        opts,
@@ -103,7 +99,6 @@ func (we *WorkerEngine) ApplyPool(ps []PatchState) error {
 		p.Score = s.Score
 		p.Deletions = s.Deletions
 		p.Constraint = s.Region
-		p.Constraint.Mode = e.opts.SplitMode
 		kept = append(kept, p)
 	}
 	e.pool.Patches = kept

@@ -227,36 +227,6 @@ func (b Box) SubtractPointGrid(pt []int64) []Box {
 	return out
 }
 
-// SubtractPointStaircase removes pt from the box using the staircase
-// decomposition, producing at most 2n disjoint boxes. Semantically
-// equivalent to SubtractPointGrid but coarser; kept as an ablation of the
-// paper's 3ⁿ−1 split.
-func (b Box) SubtractPointStaircase(pt []int64) []Box {
-	if !b.Contains(pt) {
-		return []Box{b.Clone()}
-	}
-	var out []Box
-	for i := range b {
-		if below := (Interval{b[i].Lo, pt[i] - 1}); !below.IsEmpty() && pt[i] != math.MinInt64 {
-			nb := b.Clone()
-			for j := 0; j < i; j++ {
-				nb[j] = Point(pt[j])
-			}
-			nb[i] = below
-			out = append(out, nb)
-		}
-		if above := (Interval{pt[i] + 1, b[i].Hi}); !above.IsEmpty() && pt[i] != math.MaxInt64 {
-			nb := b.Clone()
-			for j := 0; j < i; j++ {
-				nb[j] = Point(pt[j])
-			}
-			nb[i] = above
-			out = append(out, nb)
-		}
-	}
-	return out
-}
-
 // String renders the box as a product of intervals.
 func (b Box) String() string {
 	if len(b) == 0 {

@@ -95,21 +95,10 @@ func TestSubtractPointGridCountAndDisjoint(t *testing.T) {
 	checkSplit(t, b, pt, pieces)
 }
 
-func TestSubtractPointStaircase(t *testing.T) {
-	b := UniformBox(2, -2, 2)
-	pt := []int64{0, 1}
-	pieces := b.SubtractPointStaircase(pt)
-	if len(pieces) != 4 { // 2n
-		t.Fatalf("staircase split produced %d boxes, want 4", len(pieces))
-	}
-	checkSplit(t, b, pt, pieces)
-}
-
 func TestSubtractPointAtCorner(t *testing.T) {
 	b := UniformBox(2, 0, 3)
 	pt := []int64{0, 0}
 	checkSplit(t, b, pt, b.SubtractPointGrid(pt))
-	checkSplit(t, b, pt, b.SubtractPointStaircase(pt))
 	// 1-dimensional and single-point boxes.
 	one := NewBox(Point(5))
 	if got := one.SubtractPointGrid([]int64{5}); len(got) != 0 {
@@ -221,44 +210,38 @@ func TestRegionToTerm(t *testing.T) {
 }
 
 // Property: repeated subtraction of random points matches a reference set
-// implementation, for both split modes, and Merge preserves the set.
+// implementation, and Merge preserves the set.
 func TestRegionSubtractPointProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		for _, mode := range []SplitMode{SplitGrid, SplitStaircase} {
-			reg := FromBox(UniformBox(2, 0, 5))
-			reg.Mode = mode
-			ref := map[[2]int64]bool{}
-			for x := int64(0); x <= 5; x++ {
-				for y := int64(0); y <= 5; y++ {
-					ref[[2]int64{x, y}] = true
-				}
-			}
-			for i := 0; i < 10; i++ {
-				pt := []int64{int64(rr.Intn(7) - 1), int64(rr.Intn(7) - 1)} // sometimes outside
-				reg = reg.SubtractPoint(pt)
-				delete(ref, [2]int64{pt[0], pt[1]})
-				if i%3 == 0 {
-					reg = reg.Merge()
-				}
-			}
-			if reg.Count() != int64(len(ref)) {
-				return false
-			}
-			ok := true
-			reg.Points(func(pt []int64) bool {
-				if !ref[[2]int64{pt[0], pt[1]}] {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
+		reg := FromBox(UniformBox(2, 0, 5))
+		ref := map[[2]int64]bool{}
+		for x := int64(0); x <= 5; x++ {
+			for y := int64(0); y <= 5; y++ {
+				ref[[2]int64{x, y}] = true
 			}
 		}
-		return true
+		for i := 0; i < 10; i++ {
+			pt := []int64{int64(rr.Intn(7) - 1), int64(rr.Intn(7) - 1)} // sometimes outside
+			reg = reg.SubtractPoint(pt)
+			delete(ref, [2]int64{pt[0], pt[1]})
+			if i%3 == 0 {
+				reg = reg.Merge()
+			}
+		}
+		if reg.Count() != int64(len(ref)) {
+			return false
+		}
+		ok := true
+		reg.Points(func(pt []int64) bool {
+			if !ref[[2]int64{pt[0], pt[1]}] {
+				ok = false
+				return false
+			}
+			return true
+		})
+		return ok
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: r}
 	if err := quick.Check(f, cfg); err != nil {

@@ -9,23 +9,11 @@ import (
 	"cpr/internal/expr"
 )
 
-// SplitMode selects the point-subtraction decomposition used by a Region.
-type SplitMode uint8
-
-// Split modes.
-const (
-	// SplitGrid is the paper's decomposition into at most 3ⁿ−1 boxes.
-	SplitGrid SplitMode = iota
-	// SplitStaircase is the coarser 2n-box decomposition (ablation).
-	SplitStaircase
-)
-
 // Region is a finite union of pairwise-disjoint boxes of a common
 // dimension. The zero value is the empty region of dimension 0.
 type Region struct {
 	Dim   int
 	Boxes []Box
-	Mode  SplitMode
 }
 
 // FromBox returns the region consisting of the single box b.
@@ -45,7 +33,7 @@ func (r Region) Clone() Region {
 	for i, b := range r.Boxes {
 		boxes[i] = b.Clone()
 	}
-	return Region{Dim: r.Dim, Boxes: boxes, Mode: r.Mode}
+	return Region{Dim: r.Dim, Boxes: boxes}
 }
 
 // IsEmpty reports whether the region contains no points.
@@ -76,25 +64,19 @@ func (r Region) Count() int64 {
 }
 
 // SubtractPoint removes a single point from the region, splitting the box
-// containing it according to the region's split mode. It is a no-op when
-// the point lies outside the region.
+// containing it with the paper's grid split (SubtractPointGrid). It is a
+// no-op when the point lies outside the region.
 func (r Region) SubtractPoint(pt []int64) Region {
 	if len(pt) != r.Dim {
 		panic(fmt.Sprintf("interval: Region.SubtractPoint: dimension mismatch %d vs %d", len(pt), r.Dim))
 	}
-	out := Region{Dim: r.Dim, Mode: r.Mode}
+	out := Region{Dim: r.Dim}
 	for _, b := range r.Boxes {
 		if !b.Contains(pt) {
 			out.Boxes = append(out.Boxes, b)
 			continue
 		}
-		var pieces []Box
-		if r.Mode == SplitStaircase {
-			pieces = b.SubtractPointStaircase(pt)
-		} else {
-			pieces = b.SubtractPointGrid(pt)
-		}
-		out.Boxes = append(out.Boxes, pieces...)
+		out.Boxes = append(out.Boxes, b.SubtractPointGrid(pt)...)
 	}
 	return out
 }
@@ -104,7 +86,7 @@ func (r Region) Intersect(o Region) Region {
 	if r.Dim != o.Dim {
 		panic("interval: Region.Intersect: dimension mismatch")
 	}
-	out := Region{Dim: r.Dim, Mode: r.Mode}
+	out := Region{Dim: r.Dim}
 	for _, a := range r.Boxes {
 		for _, b := range o.Boxes {
 			if c := a.Intersect(b); c != nil {
@@ -141,7 +123,7 @@ func (r Region) Merge() Region {
 		}
 	}
 	sortBoxes(boxes)
-	return Region{Dim: r.Dim, Boxes: boxes, Mode: r.Mode}
+	return Region{Dim: r.Dim, Boxes: boxes}
 }
 
 // tryMerge merges two boxes if they agree on all dimensions but one, where

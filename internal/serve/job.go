@@ -21,7 +21,7 @@ import (
 // is either a benchmark subject (Subject set to "Project/BugID") or an
 // inline program (Program + Spec + Failing), mirroring the cpr CLI's two
 // modes. All budgets are deterministic iteration budgets, so a job
-// interrupted by a drain or crash resumes to the bit-identical result; an
+// interrupted by a drain or crash resumes to the same repair; an
 // optional wall-clock TimeoutMS adds the anytime cutoff on top (at the
 // cost of that determinism, exactly as with the CLI's -timeout).
 type JobSpec struct {

@@ -120,11 +120,15 @@ func fullFingerprint(t *testing.T, r *Result) string {
 	// The wall-time breakdown measures this machine's clock, not run
 	// state; zero it before the bit-identical comparison. The structure
 	// peaks likewise measure the process's observation window — a
-	// resumed run only sees post-resume peaks (same as core's
-	// dropWallTimes).
+	// resumed run only sees post-resume peaks. Snapshots do not carry the
+	// verdict cache, so a resumed job re-solves what the drained or killed
+	// process had cached: CacheHits, CacheMisses, TheoryRounds and
+	// Validations count that work as it was done (same as core's
+	// resumedStats). Everything else compares exactly.
 	c := *r
 	c.Stats.SatTime, c.Stats.LIATime, c.Stats.ValidateTime = 0, 0, 0
 	c.Stats.FrontierPeak, c.Stats.SeenPeak = 0, 0
+	c.Stats.CacheHits, c.Stats.CacheMisses, c.Stats.TheoryRounds, c.Stats.Validations = 0, 0, 0, 0
 	b, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)

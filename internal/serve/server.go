@@ -19,8 +19,9 @@
 //     periodic checkpoint — and leaves interrupted jobs non-terminal in the
 //     journal.
 //     A restarted daemon (Config.Resume) replays the journal and resumes
-//     them bit-identically, the same guarantee a SIGKILL gets from the
-//     periodic checkpoints.
+//     them to the same repair (ranked pool and exploration stats; the
+//     solver-work counters restart with a cold verdict cache), the same
+//     guarantee a SIGKILL gets from the periodic checkpoints.
 package serve
 
 import (
@@ -566,7 +567,7 @@ func (s *Server) retryBacklogLocked() int {
 // keep interrupted and queued jobs non-terminal in the journal, and
 // release the runners. After Drain returns, a new process started on the
 // same state directory with Config.Resume finishes every outstanding job
-// with results bit-identical to an uninterrupted run.
+// with the repair an uninterrupted run produces.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.stopRunners {

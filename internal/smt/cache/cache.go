@@ -61,7 +61,10 @@ func (v Value) clone() Value {
 // Key identifies an exact cache entry: the interned formula and the
 // canonical rendering of its bounds map. Solvers obtain it from KeyOf
 // before a Store so the entry can later be withdrawn by InvalidateKey
-// without re-rendering the bounds map. The zero Key matches nothing.
+// without re-rendering the bounds map. The zero Key matches nothing. A key
+// holds an interned term pointer, so it means nothing outside the process
+// that made it; the cache is never persisted (checkpoints leave it out and
+// a resumed run starts cold).
 type Key struct {
 	f      *expr.Term
 	bounds string
@@ -161,13 +164,6 @@ func (c *Cache) Store(f *expr.Term, bounds map[string]interval.Interval, def int
 	v = v.clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Evictions += c.insertLocked(k, v)
-}
-
-// insertLocked records v under k as the most recently used entry and
-// evicts past the entry cap, returning how many entries it evicted.
-// Caller holds c.mu and owns v's model.
-func (c *Cache) insertLocked(k Key, v Value) (evicted uint64) {
 	if el, ok := c.entries[k]; ok {
 		// Concurrent workers race to fill the same slot; the solver is
 		// deterministic, so the values agree and either may win — except
@@ -177,14 +173,13 @@ func (c *Cache) insertLocked(k Key, v Value) (evicted uint64) {
 			el.Value.(*entry).value = v
 		}
 		c.lru.MoveToFront(el)
-		return 0
+		return
 	}
 	c.entries[k] = c.lru.PushFront(&entry{key: k, value: v})
 	for len(c.entries) > c.max {
 		c.evictOldestLocked()
-		evicted++
+		c.stats.Evictions++
 	}
-	return evicted
 }
 
 // evictOldestLocked removes the LRU entry. Caller holds c.mu and

@@ -68,31 +68,44 @@ func TestConcurrentInvalidateWriters(t *testing.T) {
 	}
 }
 
-// TestImportDoesNotResurrectInvalidatedCore: an Export taken after
-// Invalidate does not carry the withdrawn entry, so a snapshot written
-// after an epoch withdrew a verdict cannot bring it back on import.
+// TestImportDoesNotResurrectInvalidatedCore: Invalidate withdraws an unsat
+// verdict from both the entry map and the LRU list, so no later lookup,
+// eviction or unrelated store can bring the withdrawn verdict back.
+// Snapshots no longer carry the cache, so this is the only place a
+// withdrawn verdict could linger.
 func TestImportDoesNotResurrectInvalidatedCore(t *testing.T) {
 	b := map[string]interval.Interval{"x": interval.New(0, 10)}
 	f := expr.And(expr.Gt(x(), expr.Int(5)), expr.Lt(x(), expr.Int(3)))
 
-	src := New()
-	src.Store(f, b, def, Value{Sat: false})
-	src.Invalidate(f, b, def)
-	if _, ok := src.LookupVerdict(f, b, def); ok {
+	c := New()
+	c.Store(f, b, def, Value{Sat: false})
+	c.Invalidate(f, b, def)
+	if _, ok := c.LookupVerdict(f, b, def); ok {
 		t.Fatal("invalidated unsat entry still answers")
 	}
 
-	clean := src.Export()
-	for _, e := range clean.Entries {
-		if (Key{f: e.F, bounds: e.Bounds}) == (Key{f: f, bounds: BoundsKey(b, def)}) {
-			t.Fatal("export still carries the invalidated entry")
+	withdrawn := KeyOf(f, b, def)
+	c.mu.Lock()
+	_, inMap := c.entries[withdrawn]
+	inList := false
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		if e.Value.(*entry).key == withdrawn {
+			inList = true
 		}
 	}
-	dst := New()
-	if err := dst.Import(clean); err != nil {
-		t.Fatal(err)
+	c.mu.Unlock()
+	if inMap || inList {
+		t.Fatalf("withdrawn entry still held: map=%v list=%v", inMap, inList)
 	}
-	if _, ok := dst.LookupVerdict(f, b, def); ok {
-		t.Fatal("import resurrected the withdrawn entry")
+
+	for i := 0; i < 4; i++ {
+		c.Store(expr.Ge(x(), expr.Int(int64(i))), b, def, Value{Sat: true, Model: expr.Model{"x": 9}})
+	}
+	c.Shrink(2)
+	if _, ok := c.LookupVerdict(f, b, def); ok {
+		t.Fatal("stores and a shrink resurrected the withdrawn entry")
+	}
+	if _, ok := c.Lookup(f, b, def); ok {
+		t.Fatal("a full lookup answers the withdrawn entry")
 	}
 }

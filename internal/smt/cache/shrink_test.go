@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cpr/internal/expr"
-	"cpr/internal/interval"
 )
 
 // fill stores n distinct sat entries (distinct formulas over x).
@@ -54,42 +53,6 @@ func TestShrinkToZeroEmptiesEverything(t *testing.T) {
 	var nilCache *Cache
 	if nilCache.Shrink(0) != 0 {
 		t.Fatal("nil Shrink did something")
-	}
-}
-
-// TestApproxBytesCountsImport: imported entries count toward the cache's
-// size exactly as stored ones do. The size is now the entry count (Len),
-// the unit Shrink takes, so after a resume the governor sees the restored
-// cache, invalidation removes imported entries, and Shrink(0) empties it.
-func TestApproxBytesCountsImport(t *testing.T) {
-	src := New()
-	fill(src, 40)
-	b := map[string]interval.Interval{"x": interval.New(0, 10)}
-	for i := 0; i < 10; i++ {
-		src.Store(expr.Lt(x(), expr.Int(int64(-i))), b, def, Value{Sat: false})
-	}
-	ex := src.Export()
-	if len(ex.Entries) != 50 {
-		t.Fatalf("exported %d entries, want 50", len(ex.Entries))
-	}
-	dst := New()
-	if err := dst.Import(ex); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dst.Len(), src.Len(); got != want || dst.lru.Len() != want {
-		t.Fatalf("Len = %d (list %d) after Import, source holds %d", got, dst.lru.Len(), want)
-	}
-	for _, e := range ex.Entries {
-		dst.InvalidateKey(Key{f: e.F, bounds: e.Bounds})
-	}
-	if dst.Len() != 0 || dst.lru.Len() != 0 {
-		t.Fatalf("invalidating every imported entry left len=%d list=%d", dst.Len(), dst.lru.Len())
-	}
-	if err := dst.Import(ex); err != nil {
-		t.Fatal(err)
-	}
-	if evicted := dst.Shrink(0); evicted != 50 || dst.Len() != 0 || dst.lru.Len() != 0 {
-		t.Fatalf("Shrink(0) after Import evicted %d, left len=%d list=%d", evicted, dst.Len(), dst.lru.Len())
 	}
 }
 

@@ -171,6 +171,10 @@ func (c *Context) syncClauseStats() {
 func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, error) {
 	defer c.syncClauseStats()
 
+	f, ok := pinBools(f, bounds)
+	if !ok {
+		return Unsat, nil
+	}
 	conjs := f.Args
 	if f.Op != expr.OpAnd {
 		conjs = []*expr.Term{f}

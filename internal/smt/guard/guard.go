@@ -204,16 +204,6 @@ func (g *Guard) ValidateModel(f *expr.Term, bounds map[string]interval.Interval,
 // cross-check divergence).
 func (g *Guard) NoteCrossCheck() { g.validations.Add(1) }
 
-// CrossCheckCursor returns the unsat sampling counter behind
-// ShouldCrossCheck. Checkpoints persist it so a resumed run continues the
-// sampling schedule where the killed run stopped — otherwise the restarted
-// counter re-fires the always-sampled first cross-check and the run's
-// validation stats drift off the uninterrupted run's by one.
-func (g *Guard) CrossCheckCursor() uint64 { return g.unsatSeen.Load() }
-
-// SetCrossCheckCursor restores a cursor captured by CrossCheckCursor.
-func (g *Guard) SetCrossCheckCursor(n uint64) { g.unsatSeen.Store(n) }
-
 // NoteFailure records a validation failure detected by a cross-check.
 func (g *Guard) NoteFailure() { g.failures.Add(1) }
 

@@ -359,16 +359,6 @@ func (s *Solver) Stats() Stats {
 	}
 }
 
-// CrossCheckCursor exposes the guard's unsat cross-check sampling position
-// for checkpointing; SetCrossCheckCursor restores it on resume, so the
-// resumed run's validation accounting continues the killed run's sampling
-// schedule instead of restarting it. Verdicts are unaffected either way —
-// cross-checks only detect lies, they never change an answer.
-func (s *Solver) CrossCheckCursor() uint64 { return s.guard.CrossCheckCursor() }
-
-// SetCrossCheckCursor restores a cursor captured by CrossCheckCursor.
-func (s *Solver) SetCrossCheckCursor(n uint64) { s.guard.SetCrossCheckCursor(n) }
-
 // ErrBudget is returned when a resource limit is exceeded. Budget errors
 // produced by Check are *BudgetError values wrapping this sentinel, so
 // errors.Is(err, ErrBudget) keeps working while the error text carries the
@@ -700,6 +690,10 @@ func (s *Solver) incrementalCtx() *Context {
 }
 
 func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
+	f, ok := pinBools(f, bounds)
+	if !ok {
+		return Result{Status: Unsat}, nil
+	}
 	f = expr.Simplify(f)
 
 	// Purify div/rem/ite, then re-simplify so new atoms are canonical.
@@ -855,6 +849,41 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		}
 	}
 	return Result{Status: Unknown}, budgetErr("theory-rounds", s.opts.MaxTheoryRounds, nil)
+}
+
+// pinBools substitutes every Bool variable of f whose bound admits one
+// truth value by that constant. Both tiers need it: the SAT tier encodes a
+// Bool variable as a bare literal and the LIA tier only sees Int
+// variables, so neither would honour the bound on its own (the engine pins
+// every input during validation phases, bool inputs included). ok is false
+// when a bound admits neither 0 nor 1, which makes f unsat.
+func pinBools(f *expr.Term, bounds map[string]interval.Interval) (g *expr.Term, ok bool) {
+	narrow := false
+	for _, iv := range bounds {
+		if iv.Lo > 0 || iv.Hi < 1 {
+			narrow = true
+			break
+		}
+	}
+	if !narrow {
+		return f, true
+	}
+	var sub map[string]*expr.Term
+	for _, v := range expr.Vars(f) {
+		iv, bounded := bounds[v.Name]
+		if v.Sort != expr.SortBool || !bounded || (iv.Lo <= 0 && iv.Hi >= 1) {
+			continue
+		}
+		lo, hi := max(iv.Lo, 0), min(iv.Hi, 1)
+		if lo > hi {
+			return nil, false
+		}
+		if sub == nil {
+			sub = make(map[string]*expr.Term)
+		}
+		sub[v.Name] = expr.Bool(lo == 1)
+	}
+	return expr.Subst(f, sub), true
 }
 
 // fillModel ensures every bounded variable has a value.

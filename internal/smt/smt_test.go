@@ -76,6 +76,33 @@ func TestBoundsRespected(t *testing.T) {
 	}
 }
 
+// TestBoolBounds: a bound on a Bool variable restricts it as a bound on an
+// Int variable does, on the scratch path (Check) and on the incremental
+// context (Decide). The repair engine pins every input during validation
+// phases, bool inputs included.
+func TestBoolBounds(t *testing.T) {
+	p, b := expr.BoolVar("p"), expr.BoolVar("b")
+	f := expr.And(expr.Not(p), expr.Eq(p, b))
+	one := map[string]interval.Interval{"b": interval.Point(1)}
+	if res := mustCheck(t, newTestSolver(), f, one); res.Status != Unsat {
+		t.Fatalf("Check with b in [1,1]: %v, want unsat", res.Status)
+	}
+	for _, inc := range []bool{false, true} {
+		st, err := NewSolver(Options{Incremental: inc}).Decide(f, one)
+		if err != nil || st != Unsat {
+			t.Fatalf("Decide (incremental=%v) with b in [1,1]: %v (%v), want unsat", inc, st, err)
+		}
+	}
+	zero := map[string]interval.Interval{"b": interval.Point(0)}
+	res := mustCheck(t, newTestSolver(), f, zero)
+	if res.Status != Sat || res.Model["b"] != 0 || res.Model["p"] != 0 {
+		t.Fatalf("Check with b in [0,0]: %v %v, want sat with b = 0", res.Status, res.Model)
+	}
+	if res := mustCheck(t, newTestSolver(), p, map[string]interval.Interval{"p": interval.New(2, 5)}); res.Status != Unsat {
+		t.Fatalf("Check with p in [2,5]: %v, want unsat", res.Status)
+	}
+}
+
 func TestModelCoversBoundsVars(t *testing.T) {
 	s := newTestSolver()
 	x := expr.IntVar("x")
