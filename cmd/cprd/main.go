@@ -84,6 +84,17 @@ func main() {
 		fmt.Println(buildinfo.String("cprd"))
 		return
 	}
+	// Each of these is a count or a bound: serve.Config would read a
+	// negative one as "never run a job" or "refuse every submit".
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"runners", *runners}, {"queue-max", *queueMax}, {"tenant-max", *tenantOut}, {"tenant-running", *tenantRun}, {"burst", *burst}} {
+		if f.v < 0 {
+			log.Printf("-%s must not be negative, got %d", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	warnf := func(format string, args ...any) { log.Printf(format, args...) }
 	if *state == "" {
 		log.Fatal("-state is required")

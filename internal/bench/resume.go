@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,11 +21,14 @@ const rowRecordKind = 1
 
 // rowRecord is the durable form of one finished SubjectResult. The Subject
 // pointer is re-bound by ID on resume; errors round-trip as strings.
+// Fingerprint is rowFingerprint at the time the row was run: a row
+// replays only into a run with the same one.
 type rowRecord struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Err    string `json:"error,omitempty"`
-	NA     bool   `json:"na,omitempty"`
+	ID          string `json:"id"`
+	Fingerprint uint64 `json:"fingerprint,omitempty"`
+	Status      string `json:"status"`
+	Err         string `json:"error,omitempty"`
+	NA          bool   `json:"na,omitempty"`
 
 	CPR       core.Stats    `json:"cpr"`
 	Wall      time.Duration `json:"wall_ns"`
@@ -36,9 +40,10 @@ type rowRecord struct {
 	CEGISCorrect   bool        `json:"cegis_correct"`
 }
 
-func toRowRecord(s *Subject, r SubjectResult) rowRecord {
+func toRowRecord(s *Subject, r SubjectResult, fp uint64) rowRecord {
 	rec := rowRecord{
 		ID:             s.ID(),
+		Fingerprint:    fp,
 		Status:         r.Status,
 		NA:             r.NA,
 		CPR:            r.CPR,
@@ -74,12 +79,31 @@ func (rec rowRecord) toResult(s *Subject) SubjectResult {
 	return r
 }
 
+// rowFingerprint hashes what decides a subject's row: the subject's job
+// (program, spec, inputs, iteration budgets, components) with the
+// engine's trajectory options, the per-subject wall-clock cap, and the
+// CEGIS baseline's iteration split. Worker count and solver internals are
+// left out: they change how fast a row is computed, not what it holds.
+func rowFingerprint(s *Subject, opts RunOptions) uint64 {
+	h := fnv.New64a()
+	if job, err := s.Job(opts.Budget); err != nil {
+		fmt.Fprintf(h, "job error:%v|", err)
+	} else {
+		fmt.Fprintf(h, "run:%x|", core.RunFingerprint(job, opts.Core))
+	}
+	fmt.Fprintf(h, "timeout:%d|cegis:%d:%d", opts.SubjectTimeout,
+		opts.CEGIS.ExplorationIterations, opts.CEGIS.RefinementIterations)
+	return h.Sum64()
+}
+
 // suiteJournal makes one table run resumable: every finished subject row
-// is appended to a per-suite record log, and the in-flight subject runs
-// with an engine checkpoint directory of its own. A killed suite resumes
-// by replaying the completed rows and continuing the interrupted subject
-// from its engine snapshot. All methods are nil-safe; a nil journal (no
-// checkpoint directory configured) makes every operation a no-op.
+// is appended to a per-suite record log, and the in-flight subject's CPR
+// run writes engine snapshots to a directory of its own. A killed suite
+// resumes by replaying the completed rows, continuing the interrupted
+// subject's CPR run from its engine snapshot and re-running its CEGIS
+// baseline from the start (the baseline takes milliseconds and keeps no
+// snapshots). All methods are nil-safe; a nil journal (no checkpoint
+// directory configured) makes every operation a no-op.
 type suiteJournal struct {
 	opts RunOptions
 	log  *journal.LogWriter
@@ -136,7 +160,10 @@ func warnBench(opts RunOptions, format string, args ...any) {
 	}
 }
 
-// lookup returns a previously completed row for the subject, if any.
+// lookup returns a previously completed row for the subject, if any. A
+// row journaled under a different fingerprint (other budgets or options,
+// or a journal that predates fingerprints) is warned about and not
+// replayed: the subject runs again.
 func (sj *suiteJournal) lookup(s *Subject) (SubjectResult, bool) {
 	if sj == nil {
 		return SubjectResult{}, false
@@ -145,27 +172,27 @@ func (sj *suiteJournal) lookup(s *Subject) (SubjectResult, bool) {
 	if !ok {
 		return SubjectResult{}, false
 	}
+	if rec.Fingerprint != rowFingerprint(s, sj.opts) {
+		warnBench(sj.opts, "bench checkpoint: journaled row for %s was run under other budgets or options, re-running it", s.ID())
+		return SubjectResult{}, false
+	}
 	return rec.toResult(s), true
 }
 
-// subjectOpts derives the per-subject engine options: the subject gets its
-// own snapshot directories under <dir>/subjects/ (separate ones for the
-// CPR engine and the CEGIS baseline — both write snap-*.ckpt files),
-// resumed only when the suite itself is resuming (a fresh suite must not
-// adopt stale snapshots).
+// subjectOpts derives the per-subject engine options: the subject's CPR
+// run gets its own snapshot directory under <dir>/subjects/, resumed only
+// when the suite itself is resuming (a fresh suite must not adopt stale
+// snapshots).
 func (sj *suiteJournal) subjectOpts(s *Subject, opts RunOptions) RunOptions {
 	if sj == nil {
 		return opts
 	}
-	ck := core.CheckpointOptions{
+	opts.Core.Checkpoint = core.CheckpointOptions{
+		Dir:      filepath.Join(sj.subjectDir(s), "cpr"),
 		Interval: opts.Checkpoint.Interval,
 		Resume:   opts.Checkpoint.Resume,
 		Warn:     opts.Checkpoint.Warn,
 	}
-	opts.Core.Checkpoint = ck
-	opts.Core.Checkpoint.Dir = filepath.Join(sj.subjectDir(s), "cpr")
-	opts.CEGIS.Checkpoint = ck
-	opts.CEGIS.Checkpoint.Dir = filepath.Join(sj.subjectDir(s), "cegis")
 	return opts
 }
 
@@ -180,7 +207,7 @@ func (sj *suiteJournal) record(s *Subject, r SubjectResult) {
 		return
 	}
 	if sj.log != nil {
-		payload, err := json.Marshal(toRowRecord(s, r))
+		payload, err := json.Marshal(toRowRecord(s, r, rowFingerprint(s, sj.opts)))
 		if err == nil {
 			err = sj.log.Append(rowRecordKind, payload)
 		}

@@ -12,12 +12,12 @@ package cegis
 
 import (
 	"errors"
-	"time"
 
 	"cpr/internal/cancel"
 	"cpr/internal/concolic"
 	"cpr/internal/core"
 	"cpr/internal/expr"
+	"cpr/internal/faultinject"
 	"cpr/internal/interval"
 	"cpr/internal/lang"
 	"cpr/internal/lang/interp"
@@ -43,11 +43,6 @@ type Options struct {
 	// Cancel, when non-nil, winds the baseline down cooperatively; it is
 	// combined with the job's MaxDuration/Deadline like core.Repair.
 	Cancel *cancel.Token
-	// Checkpoint configures crash-safe snapshots, exactly as in
-	// core.Options: with a directory set, the baseline snapshots its loop
-	// state at phase-iteration barriers, and with Resume it continues a
-	// killed run to the result the uninterrupted run would have produced.
-	Checkpoint core.CheckpointOptions
 }
 
 // Stats mirrors the CEGIS columns of Table 1.
@@ -70,8 +65,7 @@ type Stats struct {
 	// panic); ExecPanics counts recovered subject-execution panics.
 	SolverUnknowns int `json:"solver_unknowns,omitempty"`
 	ExecPanics     int `json:"exec_panics,omitempty"`
-	// The baseline solver's counters, including those of a killed run
-	// this one resumed.
+	// The baseline solver's counters.
 	smt.Stats
 }
 
@@ -143,24 +137,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	if opts.RefinementIterations == 0 {
 		opts.RefinementIterations = budget.MaxIterations - opts.ExplorationIterations
 	}
-	co := opts.Checkpoint.WithDefaults()
-
-	// Resume, step 1: load the latest intact snapshot before the budget
-	// token is derived, so the wall-clock budget can be re-based on the
-	// time the killed run already spent (mirrors core.Repair).
-	var rs *resumeState
-	var fp uint64
-	if co.Dir != "" {
-		fp = fingerprintRun(job, opts)
-		if co.Resume {
-			rs = loadResume(co, fp)
-		}
-	}
-	var spent time.Duration
-	if rs != nil {
-		spent = rs.elapsed
-	}
-	tok := cancel.WithBudget(opts.Cancel, budget.MaxDuration, spent)
+	tok := cancel.WithBudget(opts.Cancel, budget.MaxDuration, 0)
 	if !budget.Deadline.IsZero() {
 		tok = cancel.WithDeadline(tok, budget.Deadline)
 	}
@@ -170,8 +147,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 		// Counterexample checks re-solve the same verification constraint
 		// under successively blocked parameter vectors; the verdict cache
 		// answers the repeats (and shares hits with a caller-provided
-		// cache, e.g. cpr-bench running CPR and CEGIS on one subject). Like
-		// core.Repair, a resumed run starts with a cold cache.
+		// cache, e.g. cpr-bench running CPR and CEGIS on one subject).
 		opts.SMT.Cache = cache.New()
 	}
 
@@ -180,66 +156,34 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	pool := synth.BuildPool(templates, job.Components)
 	stats := Stats{PInit: pool.CountConcrete()}
 
-	var ck *checkpointer
-	if co.Dir != "" {
-		ck = &checkpointer{opts: co, fp: fp, solver: solver, stats: &stats, start: time.Now()}
-	}
-	var baseSolver smt.Stats
-	ex := &exploreState{}
-	if rs != nil {
-		stats = rs.stats
-		baseSolver = rs.solverAgg
-		ex = rs.exState()
-		if ck != nil {
-			ck.baseSolver = baseSolver
-			ck.barrier = rs.barrier
-			ck.elapsedBase = rs.elapsed
-		}
-	}
-
 	bounds := inputBounds(job)
-	if ck != nil {
-		ck.phase = 0
-		ck.ex = ex
-	}
-	if rs == nil || rs.phase == 0 {
-		explorePaths(job, solver, bounds, opts, &stats, ck, ex)
-	}
-	obs := ex.obs
+	obs := explorePaths(job, solver, bounds, opts, &stats)
 
 	// Phase 2: counterexample-guided refinement, one template at a time,
 	// in pool order (the paper notes this tends to reach a trivial
-	// functionality-deleting patch first — Finding 2).
-	ref := &refineState{remaining: make([]int64, len(pool.Patches))}
+	// functionality-deleting patch first — Finding 2). remaining is the
+	// per-template feasible-count ledger; rounds is shared by all
+	// templates.
+	remaining := make([]int64, len(pool.Patches))
 	for i, p := range pool.Patches {
-		ref.remaining[i] = p.CountConcrete()
+		remaining[i] = p.CountConcrete()
 	}
-	if rs != nil && rs.phase == 1 {
-		// Template synthesis is deterministic under a matching fingerprint,
-		// so the snapshot's index-based cursor addresses the same pool.
-		ref = &refineState{}
-		*ref = rs.ref
-	}
-	if ck != nil {
-		ck.phase = 1
-		ck.ref = ref
-	}
-	for ; ref.idx < len(pool.Patches); ref.idx++ {
-		p := pool.Patches[ref.idx]
+	rounds := 0
+	for idx, p := range pool.Patches {
 		if tok.Expired() {
 			break
 		}
-		for ref.rounds < opts.RefinementIterations {
+		var blocked []*expr.Term // constraints on A are per-template
+		for rounds < opts.RefinementIterations {
 			if tok.Expired() {
 				break
 			}
-			// Refinement barrier: candidate proposal has not started, the
-			// previous round's counterexample (if any) is blocked — the
-			// state a resumed run re-enters this loop with.
-			ck.atBarrier()
-			ref.rounds++
+			// A crash-test barrier, as in core's explore loop; the baseline
+			// keeps no snapshots, so a killed run starts it again.
+			faultinject.CrashPoint()
+			rounds++
 			stats.Candidates++
-			cand, ok, err := solver.GetModel(expr.And(append([]*expr.Term{p.ConstraintTerm()}, ref.blocked...)...), p.ParamBounds())
+			cand, ok, err := solver.GetModel(expr.And(append([]*expr.Term{p.ConstraintTerm()}, blocked...)...), p.ParamBounds())
 			if err != nil {
 				// Degraded candidate proposal (budget/deadline/panic): this
 				// template is inconclusive; move to the next one.
@@ -247,7 +191,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 				break
 			}
 			if !ok {
-				ref.remaining[ref.idx] = 0
+				remaining[idx] = 0
 				break // template exhausted; next one
 			}
 			params := expr.Model{}
@@ -260,24 +204,23 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 				continue // inconclusive verification round
 			}
 			if cex == nil {
-				ref.remaining[ref.idx] = countFeasible(p, ref.blocked)
-				stats.PFinal = sumExcept(ref.remaining, -1)
+				remaining[idx] = countFeasible(p, blocked)
+				stats.PFinal = sumExcept(remaining, -1)
 				stats.TimedOut = tok.Expired()
-				stats.Stats = baseSolver.Add(solver.Stats())
+				stats.Stats = solver.Stats()
 				return &Result{Patch: p, Params: params, Stats: stats}, nil
 			}
 			stats.Counterexamples++
-			ref.blocked = append(ref.blocked, cex)
-			ref.remaining[ref.idx] = countFeasible(p, ref.blocked)
+			blocked = append(blocked, cex)
+			remaining[idx] = countFeasible(p, blocked)
 		}
-		ref.blocked = nil // constraints on A are per-template
-		if ref.rounds >= opts.RefinementIterations {
+		if rounds >= opts.RefinementIterations {
 			break
 		}
 	}
-	stats.PFinal = sumExcept(ref.remaining, -1)
+	stats.PFinal = sumExcept(remaining, -1)
 	stats.TimedOut = tok.Expired()
-	stats.Stats = baseSolver.Add(solver.Stats())
+	stats.Stats = solver.Stats()
 	return &Result{Stats: stats}, nil
 }
 
@@ -342,27 +285,30 @@ func inputBounds(job core.Job) map[string]interval.Interval {
 
 // explorePaths is phase 1: plain generational search (no patch-pool
 // pruning — that is CPR's contribution) with the hole driven by constant
-// guards, so both hole directions are reachable. Loop state lives in st
-// so checkpoints can snapshot it and a resumed run can continue it;
-// witnessed paths accumulate in st.obs.
-func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.Interval, opts Options, stats *Stats, ck *checkpointer, st *exploreState) {
-	if st.seen == nil {
-		st.seen = make(map[uint64]bool)
-		for _, fi := range job.FailingInputs {
-			st.queue = append(st.queue, exploreItem{input: fi, guard: expr.False(), bound: 0})
-			st.queue = append(st.queue, exploreItem{input: fi, guard: expr.True(), bound: 0})
-		}
+// guards, so both hole directions are reachable. It returns the witnessed
+// paths in observation order.
+func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.Interval, opts Options, stats *Stats) []pathObs {
+	// exploreItem is one queued (input, hole-direction) pair.
+	type exploreItem struct {
+		input map[string]int64
+		guard *expr.Term
+		bound int
 	}
-	for ; st.iter < opts.ExplorationIterations && len(st.queue) > 0; st.iter++ {
+	var queue []exploreItem
+	var obs []pathObs
+	seen := make(map[uint64]bool)
+	for _, fi := range job.FailingInputs {
+		queue = append(queue, exploreItem{input: fi, guard: expr.False(), bound: 0})
+		queue = append(queue, exploreItem{input: fi, guard: expr.True(), bound: 0})
+	}
+	for iter := 0; iter < opts.ExplorationIterations && len(queue) > 0; iter++ {
 		if opts.Cancel.Expired() {
 			stats.TimedOut = true
-			return
+			return obs
 		}
-		// Exploration barrier: the previous iteration's fan-out is fully
-		// queued, so st is exactly the state a resumed run restarts from.
-		ck.atBarrier()
-		it := st.queue[0]
-		st.queue = st.queue[1:]
+		faultinject.CrashPoint() // a crash-test barrier, as in phase 2
+		it := queue[0]
+		queue = queue[1:]
 		exec, panicked := safeExecute(job.Program, it.input, concolic.Options{
 			Patch:    it.guard,
 			MaxSteps: maxStepsPerRun,
@@ -376,7 +322,7 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 			continue
 		}
 		stats.PathsExplored++
-		st.obs = append(st.obs, pathObs{
+		obs = append(obs, pathObs{
 			phi:      exec.PathConstraint(),
 			holeHits: exec.HoleHits,
 			bugHits:  exec.BugHits,
@@ -384,10 +330,10 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 		})
 		for _, flip := range concolic.Flips(exec, it.bound) {
 			key := concolic.PathKey(append(append([]*expr.Term{}, flip.Prefix...), flip.Negated))
-			if st.seen[key] {
+			if seen[key] {
 				continue
 			}
-			st.seen[key] = true
+			seen[key] = true
 			model, ok, err := solver.GetModel(flip.Constraint(), bounds)
 			if err != nil {
 				stats.SolverUnknowns++
@@ -411,9 +357,10 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 					}
 				}
 			}
-			st.queue = append(st.queue, exploreItem{input: in, guard: guard, bound: flip.Depth + 1})
+			queue = append(queue, exploreItem{input: in, guard: guard, bound: flip.Depth + 1})
 		}
 	}
+	return obs
 }
 
 // safeExecute recovers panics at the concolic-execution boundary so a

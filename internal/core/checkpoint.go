@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"cpr/internal/concolic"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
@@ -51,38 +50,24 @@ const keepSnapshots = 2
 
 func (o CheckpointOptions) enabled() bool { return o.Dir != "" }
 
-// WithDefaults fills in the default Interval. The engine and the CEGIS
-// baseline both resolve their CheckpointOptions through it.
-func (o CheckpointOptions) WithDefaults() CheckpointOptions {
+// withDefaults fills in the default Interval.
+func (o CheckpointOptions) withDefaults() CheckpointOptions {
 	if o.Interval <= 0 {
 		o.Interval = 8
 	}
 	return o
 }
 
-// Warnf formats a diagnostic for Warn; it is dropped when Warn is nil.
-func (o CheckpointOptions) Warnf(format string, args ...any) {
+// warnf formats a diagnostic for Warn; it is dropped when Warn is nil.
+func (o CheckpointOptions) warnf(format string, args ...any) {
 	if o.Warn != nil {
 		o.Warn(fmt.Sprintf(format, args...))
 	}
 }
 
-// WriteSnapshot commits payload as the snapshot for barrier in Dir and
-// prunes Dir to the newest keepSnapshots snapshots. A failure is only a
-// warning, prefixed with who: the run goes on without that checkpoint.
-func (o CheckpointOptions) WriteSnapshot(who string, barrier uint64, payload []byte) {
-	if err := journal.WriteSnapshot(o.Dir, barrier, payload); err != nil {
-		o.Warnf("%s: write at barrier %d failed: %v", who, barrier, err)
-		return
-	}
-	if err := journal.Prune(o.Dir, keepSnapshots); err != nil {
-		o.Warnf("%s: prune failed: %v", who, err)
-	}
-}
-
 // coreSnapVersion is the schema version of the engine-state payload inside
 // a snapshot container; bump on any encoding change.
-const coreSnapVersion = 4
+const coreSnapVersion = 5
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
@@ -110,11 +95,9 @@ type checkpointer struct {
 	// since this process's Repair began.
 	start       time.Time
 	elapsedBase time.Duration
-	// body/framed are scratch buffers reused across snapshot writes, so
-	// steady-state encoding does not regrow two payload-sized buffers at
-	// every checkpoint.
-	body   journal.Encoder
-	framed journal.Encoder
+	// buf is reused across snapshot writes, so steady-state encoding does
+	// not regrow a payload-sized buffer at every checkpoint.
+	buf journal.Encoder
 }
 
 // atBarrier is called at the top of every explore-loop iteration (after
@@ -138,29 +121,38 @@ func (e *engine) atBarrier(st *exploreState, phaseStats *Stats) {
 	e.governAtBarrier(st)
 }
 
+// write commits the snapshot for the current barrier and prunes Dir to
+// the newest keepSnapshots snapshots. A failure is only a warning: the run
+// goes on without that checkpoint.
 func (ck *checkpointer) write(st *exploreState, phaseStats *Stats) {
 	elapsed := ck.elapsedBase + time.Since(ck.start)
-	ck.opts.WriteSnapshot("checkpoint", ck.barrier, ck.encodeSnapshot(st, phaseStats, elapsed))
+	if err := journal.WriteSnapshot(ck.opts.Dir, ck.barrier, ck.encodeSnapshot(st, phaseStats, elapsed)); err != nil {
+		ck.opts.warnf("checkpoint: write at barrier %d failed: %v", ck.barrier, err)
+		return
+	}
+	if err := journal.Prune(ck.opts.Dir, keepSnapshots); err != nil {
+		ck.opts.warnf("checkpoint: prune failed: %v", err)
+	}
 }
 
-// fingerprintRun hashes everything that determines the run's trajectory:
+// RunFingerprint hashes everything that determines a run's trajectory:
 // the program, spec, inputs, synthesis components, iteration budgets, and
 // the engine options that alter exploration. Wall-clock budgets, worker
 // count, and solver-internals options are excluded — changing those
-// between crash and resume is legal and does not change the result.
-func fingerprintRun(job Job, opts Options) uint64 {
+// between crash and resume is legal and does not change the result. A
+// snapshot is resumed only into a run with the same fingerprint;
+// cpr-bench's suite journal (internal/bench) hashes it into each row's.
+func RunFingerprint(job Job, opts Options) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "job:%x|", JobFingerprint(job))
+	fmt.Fprintf(h, "job:%x|", jobFingerprint(job))
 	fmt.Fprintf(h, "opts:%v:%v:%v", opts.DisablePathReduction, opts.ModelCountRanking, opts.Queue)
 	return h.Sum64()
 }
 
-// JobFingerprint hashes the trajectory-determining parts of a job (the
+// jobFingerprint hashes the trajectory-determining parts of a job (the
 // program, spec, inputs, bounds, iteration budgets, and synthesis
-// components). Engines combine it with a hash of their own options to
-// recognize whether a snapshot belongs to the run being started; the
-// CEGIS baseline (internal/cegis) shares this job half.
-func JobFingerprint(job Job) uint64 {
+// components).
+func jobFingerprint(job Job) uint64 {
 	h := fnv.New64a()
 	w := func(s string) {
 		h.Write([]byte(s))
@@ -215,14 +207,13 @@ func componentsString(c synth.Components) string {
 		c.MaxTemplates, c.SuppressDeletion, c.ExtraTemplates)
 }
 
-// encodeSnapshot serializes the engine's repair state at a barrier. The
-// payload opens with the shared term table (every *expr.Term the rest of
-// the payload references, encoded once), then the engine state proper.
+// encodeSnapshot serializes the engine's repair state at a barrier. It
+// holds plain data only: counters, regions, hashes and the frontier's
+// concrete (input, patch) pairs — no term.
 func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elapsed time.Duration) []byte {
 	e := ck.eng
-	te := journal.NewTermEncoder()
-	ck.body.Reset()
-	m := &ck.body
+	ck.buf.Reset()
+	m := &ck.buf
 
 	m.U64(coreSnapVersion)
 	m.U64(ck.fp)
@@ -243,7 +234,6 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	m.I64(e.solverUnknowns.Load())
 	m.I64(e.solverPanics.Load())
 	m.I64(e.execPanics.Load())
-	m.I64(e.flipsRequeued.Load())
 	m.I64(e.flipsDropped.Load())
 
 	// Solver-stats aggregate at the barrier: prior-life baseline plus every
@@ -251,7 +241,7 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	// per-worker reads are a consistent cut.
 	agg := e.baseAgg
 	for _, w := range e.workers {
-		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
+		agg = agg.Add(w.Stats())
 	}
 	smt.EncodeSolverStats(m, agg)
 	cacheNow := e.opts.SMT.Cache.Stats()
@@ -301,17 +291,14 @@ func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elap
 	// in-memory state literally identical).
 	m.U64(uint64(len(st.queue)))
 	for _, it := range st.queue {
-		encodeItem(m, te, it)
+		encodeItem(m, it)
 	}
-
-	ck.framed.Reset()
-	ck.framed.Raw(te.Table())
-	ck.framed.Append(m.Bytes())
-	return ck.framed.Bytes()
+	return m.Bytes()
 }
 
 // resumeState is a decoded snapshot, pending application to a fresh engine.
 type resumeState struct {
+	fp         uint64
 	barrier    uint64
 	elapsed    time.Duration
 	phase      int
@@ -319,7 +306,7 @@ type resumeState struct {
 	partial    Stats
 	hasPartial bool
 	seq        int
-	counters   [7]int64
+	counters   [6]int64
 	solverAgg  smt.Stats
 	cacheEvict uint64
 	pool       []patchState
@@ -359,46 +346,44 @@ func loadResume(opts Options, fp uint64) *resumeState {
 	snap, err := journal.LoadLatest(co.Dir)
 	if err != nil {
 		if !errors.Is(err, journal.ErrNoSnapshot) || co.Warn != nil {
-			co.Warnf("checkpoint: resume unavailable, starting fresh: %v", err)
+			co.warnf("checkpoint: resume unavailable, starting fresh: %v", err)
 		}
 		return nil
 	}
 	rs, err := decodeSnapshot(snap.Payload)
 	if err != nil {
-		co.Warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
+		co.warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
 		return nil
 	}
 	if rs.barrier != snap.Barrier {
-		co.Warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
+		co.warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
 		return nil
 	}
-	if fp != 0 && decodedFP(snap.Payload) != fp {
-		co.Warnf("checkpoint: snapshot belongs to a different job or configuration, starting fresh")
+	if rs.fp != fp {
+		co.warnf("checkpoint: snapshot belongs to a different job or configuration, starting fresh")
 		return nil
 	}
 	return rs
 }
 
-// decodedFP re-reads just the fingerprint from a payload that decodeSnapshot
-// already validated.
-func decodedFP(payload []byte) uint64 {
-	d := journal.NewDecoder(payload)
-	d.Raw() // term table
-	d.U64() // version
-	return d.U64()
-}
-
 func decodeSnapshot(payload []byte) (*resumeState, error) {
 	d := journal.NewDecoder(payload)
-	td, err := journal.DecodeTermTable(journal.NewDecoder(d.Raw()))
-	if err != nil {
-		return nil, err
+	v := d.U64()
+	if v != coreSnapVersion {
+		// Before version 5 a payload opened with a length-prefixed term
+		// table (1 byte long, or at least 6, so its length is never 5) and
+		// the version followed it: report that version.
+		old := journal.NewDecoder(payload)
+		old.Raw()
+		if ov := old.U64(); old.Err() == nil && ov < coreSnapVersion {
+			v = ov
+		}
 	}
-	if v := d.U64(); d.Err() == nil && v != coreSnapVersion {
+	if d.Err() == nil && v != coreSnapVersion {
 		return nil, fmt.Errorf("%w: engine snapshot version %d, want %d", journal.ErrVersion, v, coreSnapVersion)
 	}
 	rs := &resumeState{}
-	d.U64() // fingerprint, checked by the caller against the live job
+	rs.fp = d.U64()
 	rs.barrier = d.U64()
 	rs.elapsed = d.Dur()
 	rs.phase = d.Int()
@@ -417,7 +402,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	rs.cacheEvict = d.U64()
 
 	np := d.U64()
-	if err := LenCheck(d, np, "pool"); err != nil {
+	if err := lenCheck(d, np, "pool"); err != nil {
 		return nil, err
 	}
 	rs.pool = make([]patchState, np)
@@ -433,7 +418,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	}
 
 	ns := d.U64()
-	if err := LenCheck(d, ns, "seen set"); err != nil {
+	if err := lenCheck(d, ns, "seen set"); err != nil {
 		return nil, err
 	}
 	rs.seen = make([]uint64, ns)
@@ -443,7 +428,7 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	rs.iter = d.Int()
 
 	nd := d.U64()
-	if err := LenCheck(d, nd, "deletion memo"); err != nil {
+	if err := lenCheck(d, nd, "deletion memo"); err != nil {
 		return nil, err
 	}
 	rs.del = make([]delMemoState, nd)
@@ -452,12 +437,12 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	}
 
 	nq := d.U64()
-	if err := LenCheck(d, nq, "queue"); err != nil {
+	if err := lenCheck(d, nq, "queue"); err != nil {
 		return nil, err
 	}
 	rs.queue = make([]workItem, nq)
 	for i := range rs.queue {
-		it, err := decodeItem(d, td)
+		it, err := decodeItem(d)
 		if err != nil {
 			return nil, err
 		}
@@ -469,9 +454,9 @@ func decodeSnapshot(payload []byte) (*resumeState, error) {
 	return rs, nil
 }
 
-// LenCheck rejects counts that cannot fit in the remaining payload — a
+// lenCheck rejects counts that cannot fit in the remaining payload — a
 // corrupt length must not drive a huge allocation.
-func LenCheck(d *journal.Decoder, n uint64, what string) error {
+func lenCheck(d *journal.Decoder, n uint64, what string) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -496,7 +481,7 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 		if !ok {
 			// Unreachable when the fingerprint matched (synthesis is
 			// deterministic); degrade by dropping rather than corrupting.
-			ck.opts.Warnf("checkpoint: snapshot patch #%d not in re-synthesized pool, dropped", ps.id)
+			ck.opts.warnf("checkpoint: snapshot patch #%d not in re-synthesized pool, dropped", ps.id)
 			continue
 		}
 		p.Score = ps.score
@@ -513,8 +498,7 @@ func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
 	e.solverUnknowns.Store(rs.counters[2])
 	e.solverPanics.Store(rs.counters[3])
 	e.execPanics.Store(rs.counters[4])
-	e.flipsRequeued.Store(rs.counters[5])
-	e.flipsDropped.Store(rs.counters[6])
+	e.flipsDropped.Store(rs.counters[5])
 	e.baseAgg = rs.solverAgg
 	e.baseCacheEvict = rs.cacheEvict
 	if len(rs.del) > 0 {
@@ -549,7 +533,6 @@ func encodeStats(m *journal.Encoder, s *Stats) {
 	m.Int(s.SolverUnknowns)
 	m.Int(s.SolverPanics)
 	m.Int(s.ExecPanics)
-	m.Int(s.FlipsRequeued)
 	m.Int(s.FlipsDropped)
 	m.Int(s.Workers)
 	m.U64(s.CacheEvictions)
@@ -571,7 +554,6 @@ func decodeStats(d *journal.Decoder, s *Stats) {
 	s.SolverUnknowns = d.Int()
 	s.SolverPanics = d.Int()
 	s.ExecPanics = d.Int()
-	s.FlipsRequeued = d.Int()
 	s.FlipsDropped = d.Int()
 	s.Workers = d.Int()
 	s.CacheEvictions = d.U64()
@@ -591,7 +573,7 @@ func encodeRegion(m *journal.Encoder, r interval.Region) {
 func decodeRegion(d *journal.Decoder) (interval.Region, error) {
 	r := interval.Region{Dim: d.Int()}
 	nb := d.U64()
-	if err := LenCheck(d, nb, "region boxes"); err != nil {
+	if err := lenCheck(d, nb, "region boxes"); err != nil {
 		return r, err
 	}
 	if r.Dim < 0 || r.Dim > 1<<16 {
@@ -608,9 +590,9 @@ func decodeRegion(d *journal.Decoder) (interval.Region, error) {
 	return r, d.Err()
 }
 
-// EncodeI64Map writes a string→int64 map with a nil flag (nil and empty
+// encodeI64Map writes a string→int64 map with a nil flag (nil and empty
 // maps restore distinctly) in sorted key order.
-func EncodeI64Map(m *journal.Encoder, mp map[string]int64) {
+func encodeI64Map(m *journal.Encoder, mp map[string]int64) {
 	m.Bool(mp != nil)
 	if mp == nil {
 		return
@@ -627,13 +609,12 @@ func EncodeI64Map(m *journal.Encoder, mp map[string]int64) {
 	}
 }
 
-// DecodeI64Map is the inverse of EncodeI64Map.
-func DecodeI64Map(d *journal.Decoder) (map[string]int64, error) {
+func decodeI64Map(d *journal.Decoder) (map[string]int64, error) {
 	if !d.Bool() {
 		return nil, d.Err()
 	}
 	n := d.U64()
-	if err := LenCheck(d, n, "map"); err != nil {
+	if err := lenCheck(d, n, "map"); err != nil {
 		return nil, err
 	}
 	mp := make(map[string]int64, n)
@@ -644,30 +625,25 @@ func DecodeI64Map(d *journal.Decoder) (map[string]int64, error) {
 	return mp, d.Err()
 }
 
-func encodeItem(m *journal.Encoder, te *journal.TermEncoder, it workItem) {
-	EncodeI64Map(m, it.input)
+func encodeItem(m *journal.Encoder, it workItem) {
+	encodeI64Map(m, it.input)
 	m.Int(it.patchID)
-	EncodeI64Map(m, it.params)
+	encodeI64Map(m, it.params)
 	m.Int(it.score)
 	m.Int(it.bound)
 	m.Int(it.seq)
 	m.Bool(it.seed)
-	m.Bool(it.retry)
-	m.Bool(it.flip != nil)
-	if it.flip != nil {
-		encodeFlip(m, te, it.flip)
-	}
 }
 
-func decodeItem(d *journal.Decoder, td *journal.TermDecoder) (workItem, error) {
+func decodeItem(d *journal.Decoder) (workItem, error) {
 	var it workItem
-	input, err := DecodeI64Map(d)
+	input, err := decodeI64Map(d)
 	if err != nil {
 		return it, err
 	}
 	it.input = input
 	it.patchID = d.Int()
-	params, err := DecodeI64Map(d)
+	params, err := decodeI64Map(d)
 	if err != nil {
 		return it, err
 	}
@@ -678,143 +654,5 @@ func decodeItem(d *journal.Decoder, td *journal.TermDecoder) (workItem, error) {
 	it.bound = d.Int()
 	it.seq = d.Int()
 	it.seed = d.Bool()
-	it.retry = d.Bool()
-	if d.Bool() {
-		f, err := decodeFlip(d, td)
-		if err != nil {
-			return it, err
-		}
-		it.flip = f
-	}
 	return it, d.Err()
-}
-
-func encodeFlip(m *journal.Encoder, te *journal.TermEncoder, f *concolic.Flip) {
-	m.U64(uint64(len(f.Prefix)))
-	for _, t := range f.Prefix {
-		m.U64(te.ID(t))
-	}
-	m.U64(te.ID(f.Negated))
-	m.Int(f.Depth)
-	m.Bool(f.OnPatch)
-	m.Bool(f.PinFlip)
-	m.Bool(f.ParentHitPatch)
-	m.Bool(f.ParentHitBug)
-	m.U64(uint64(len(f.HoleHits)))
-	for _, h := range f.HoleHits {
-		EncodeHoleHit(m, te, h)
-	}
-}
-
-func decodeFlip(d *journal.Decoder, td *journal.TermDecoder) (*concolic.Flip, error) {
-	f := &concolic.Flip{}
-	np := d.U64()
-	if err := LenCheck(d, np, "flip prefix"); err != nil {
-		return nil, err
-	}
-	if np > 0 {
-		f.Prefix = make([]*expr.Term, np)
-		for i := range f.Prefix {
-			t, err := td.Term(d.U64())
-			if err != nil {
-				return nil, err
-			}
-			f.Prefix[i] = t
-		}
-	}
-	neg, err := td.Term(d.U64())
-	if err != nil {
-		return nil, err
-	}
-	f.Negated = neg
-	f.Depth = d.Int()
-	f.OnPatch = d.Bool()
-	f.PinFlip = d.Bool()
-	f.ParentHitPatch = d.Bool()
-	f.ParentHitBug = d.Bool()
-	nh := d.U64()
-	if err := LenCheck(d, nh, "flip hole hits"); err != nil {
-		return nil, err
-	}
-	if nh > 0 {
-		f.HoleHits = make([]concolic.HoleHit, nh)
-		for i := range f.HoleHits {
-			h, err := DecodeHoleHit(d, td)
-			if err != nil {
-				return nil, err
-			}
-			f.HoleHits[i] = h
-		}
-	}
-	return f, d.Err()
-}
-
-// EncodeTermMap writes a name→term map in sorted key order, each term by
-// its table ID; an empty map decodes as nil.
-func EncodeTermMap(m *journal.Encoder, te *journal.TermEncoder, mp map[string]*expr.Term) {
-	names := make([]string, 0, len(mp))
-	for n := range mp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	m.U64(uint64(len(names)))
-	for _, n := range names {
-		m.Str(n)
-		m.U64(te.ID(mp[n]))
-	}
-}
-
-// DecodeTermMap is the inverse of EncodeTermMap.
-func DecodeTermMap(d *journal.Decoder, td *journal.TermDecoder) (map[string]*expr.Term, error) {
-	n := d.U64()
-	if err := LenCheck(d, n, "term map"); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, d.Err()
-	}
-	mp := make(map[string]*expr.Term, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.Str()
-		t, err := td.Term(d.U64())
-		if err != nil {
-			return nil, err
-		}
-		mp[name] = t
-	}
-	return mp, d.Err()
-}
-
-// EncodeHoleHit writes one patch-location hit: the hole output, its
-// symbolic snapshot, the concrete values and the branch index. Engine
-// frontier items and baseline path observations both carry hole hits.
-func EncodeHoleHit(m *journal.Encoder, te *journal.TermEncoder, h concolic.HoleHit) {
-	m.U64(te.ID(h.Out))
-	EncodeTermMap(m, te, h.Snapshot)
-	EncodeI64Map(m, h.Concrete)
-	m.Int(h.AtBranch)
-}
-
-// DecodeHoleHit is the inverse of EncodeHoleHit.
-func DecodeHoleHit(d *journal.Decoder, td *journal.TermDecoder) (concolic.HoleHit, error) {
-	var h concolic.HoleHit
-	out, err := td.Term(d.U64())
-	if err != nil {
-		return h, err
-	}
-	h.Out = out
-	snap, err := DecodeTermMap(d, td)
-	if err != nil {
-		return h, err
-	}
-	h.Snapshot = snap
-	conc, err := DecodeI64Map(d)
-	if err != nil {
-		return h, err
-	}
-	if conc != nil {
-		h.Concrete = expr.Model(conc)
-	}
-	h.AtBranch = d.Int()
-	return h, d.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -181,7 +182,9 @@ func TestCheckpointOffIsNoOp(t *testing.T) {
 // TestResumeFreshStartFallbacks: every way a snapshot can be unusable —
 // missing, zero-byte, bit-flipped, wrong engine-payload version, or from a
 // different job — must degrade to a warned fresh start that still produces
-// the uninterrupted result, never an error or a partial load.
+// the uninterrupted result, never an error or a partial load. A snapshot
+// from before payload version 5 is rejected with a warning that names its
+// version.
 func TestResumeFreshStartFallbacks(t *testing.T) {
 	job := divZeroJob()
 	base, err := Repair(job, Options{Workers: 1})
@@ -190,7 +193,9 @@ func TestResumeFreshStartFallbacks(t *testing.T) {
 	}
 	want := fingerprint(base)
 
-	corrupt := func(t *testing.T, name string, breakDir func(t *testing.T, dir string)) {
+	// corrupt breaks a checkpoint directory and resumes from it; the
+	// warnings must include wantWarn, if given.
+	corrupt := func(t *testing.T, name string, breakDir func(t *testing.T, dir string), wantWarn ...string) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			breakDir(t, dir)
@@ -201,6 +206,11 @@ func TestResumeFreshStartFallbacks(t *testing.T) {
 			}
 			if len(warns) == 0 {
 				t.Errorf("%s snapshot produced no warning", name)
+			}
+			for _, w := range wantWarn {
+				if !strings.Contains(strings.Join(warns, "\n"), w) {
+					t.Errorf("%s snapshot: warnings %q do not say %q", name, warns, w)
+				}
 			}
 			if dropWallTimes(res.Stats) != dropWallTimes(base.Stats) || fingerprint(res) != want {
 				t.Fatalf("fresh-start run diverged from baseline:\n%+v\nvs\n%+v", res.Stats, base.Stats)
@@ -253,12 +263,8 @@ func TestResumeFreshStartFallbacks(t *testing.T) {
 	})
 	corrupt(t, "payload-version", func(t *testing.T, dir string) {
 		// A well-formed container whose engine payload claims a future
-		// schema version (the term table is valid and empty, so decoding
-		// reaches the version check).
-		var table journal.Encoder
-		table.U64(0)
+		// schema version.
 		var m journal.Encoder
-		m.Raw(table.Bytes())
 		m.U64(999) // engine snapshot version from the future
 		m.U64(0)   // fingerprint
 		m.U64(1 << 30)
@@ -266,6 +272,18 @@ func TestResumeFreshStartFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	corrupt(t, "pre-v5-payload", func(t *testing.T, dir string) {
+		// The layout before version 5: a term table (empty in practice:
+		// a node count of 0) ahead of the version.
+		var m journal.Encoder
+		m.Raw([]byte{0})
+		m.U64(4)
+		m.U64(RunFingerprint(divZeroJob(), Options{}))
+		m.U64(8) // barrier
+		if err := journal.WriteSnapshot(dir, 8, m.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}, "engine snapshot version 4, want 5")
 	corrupt(t, "different-job", func(t *testing.T, dir string) {
 		other := divZeroJob()
 		other.FailingInputs = []map[string]int64{{"x": 9, "y": 0}}

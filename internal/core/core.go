@@ -175,10 +175,12 @@ var ErrNoFailingInput = errors.New("core: job has no failing input (generate one
 // Repair is an anytime algorithm with a failure discipline: on wall-clock
 // expiry (Budget.MaxDuration / Budget.Deadline / Options.Cancel) it
 // returns the pool reduced so far with Stats.TimedOut set; solver budget
-// exhaustion degrades to skipped flips (re-queued once at a reduced
-// budget, then dropped, both counted); and a panic in subject execution
-// or inside a solver query degrades to a skipped flip/query, counted in
-// Stats.ExecPanics / Stats.SolverPanics. None of these abort the run.
+// exhaustion degrades to skipped flips (dropped, and counted in
+// Stats.FlipsDropped and Stats.PathsSkipped); and a panic in subject
+// execution or inside a solver query degrades to a skipped flip/query,
+// counted in Stats.ExecPanics / Stats.SolverPanics. None of these abort
+// the run. With Options.Checkpoint set, a killed run resumes from its
+// latest snapshot to the repair the uninterrupted run would have produced.
 func Repair(job Job, opts Options) (*Result, error) {
 	job.Budget = job.Budget.withDefaults()
 	if job.Program.HolePos == nil {
@@ -190,7 +192,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	if job.Spec == nil {
 		job.Spec = expr.True()
 	}
-	opts.Checkpoint = opts.Checkpoint.WithDefaults()
+	opts.Checkpoint = opts.Checkpoint.withDefaults()
 
 	// Resume, step 1: load the latest intact snapshot before the budget
 	// token is derived, so the wall-clock budget can be re-based on the
@@ -199,7 +201,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	var rs *resumeState
 	var fp uint64
 	if opts.Checkpoint.enabled() {
-		fp = fingerprintRun(job, opts)
+		fp = RunFingerprint(job, opts)
 		if opts.Checkpoint.Resume {
 			rs = loadResume(opts, fp)
 		}
@@ -245,12 +247,11 @@ func Repair(job Job, opts Options) (*Result, error) {
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
 	eng := &engine{
-		job:         job,
-		opts:        opts,
-		solver:      smt.NewSolver(opts.SMT),
-		retrySolver: smt.NewSolver(reducedSMT(opts.SMT)),
-		pool:        pool,
-		tok:         tok,
+		job:    job,
+		opts:   opts,
+		solver: smt.NewSolver(opts.SMT),
+		pool:   pool,
+		tok:    tok,
 	}
 	eng.cacheStart = cacheStart
 	eng.workers = eng.newWorkers(opts.Workers)
@@ -348,12 +349,11 @@ func Repair(job Job, opts Options) (*Result, error) {
 	stats.SolverUnknowns = int(eng.solverUnknowns.Load())
 	stats.SolverPanics = int(eng.solverPanics.Load())
 	stats.ExecPanics = int(eng.execPanics.Load())
-	stats.FlipsRequeued = int(eng.flipsRequeued.Load())
 	stats.FlipsDropped = int(eng.flipsDropped.Load())
 	stats.Workers = len(eng.workers)
 	agg := eng.baseAgg
 	for _, w := range eng.workers {
-		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
+		agg = agg.Add(w.Stats())
 	}
 	if eng.dist != nil {
 		// The replicas' solvers did the distributed batches' work; their
@@ -367,44 +367,19 @@ func Repair(job Job, opts Options) (*Result, error) {
 	return &Result{Pool: pool, Ranked: pool.Ranked(), Stats: *stats}, nil
 }
 
-// reducedSMT derives the retry solver's options: the same solver family
-// with every budget quartered (and a floor), used for the single re-queue
-// of flips whose feasibility query came back Unknown.
-func reducedSMT(o smt.Options) smt.Options {
-	reduce := func(v, def, floor uint64) uint64 {
-		if v == 0 {
-			v = def
-		}
-		v /= 4
-		if v < floor {
-			v = floor
-		}
-		return v
-	}
-	o.MaxConflicts = reduce(o.MaxConflicts, 8000, 64)
-	o.MaxTheoryRounds = int(reduce(uint64(o.MaxTheoryRounds), 10000, 16))
-	o.LIA.MaxSteps = int(reduce(uint64(o.LIA.MaxSteps), 200000, 256))
-	if o.MaxQueryDuration > 0 {
-		o.MaxQueryDuration /= 4
-	}
-	return o
-}
-
 // engine carries the mutable repair state. The coordinator (the explore
 // loop) owns the queue, the pool's membership, and seq; fanOut tasks may
 // only touch their own patch/result slot, the atomic counters, and their
-// workerCtx's solvers.
+// worker's solver.
 type engine struct {
 	job    Job
 	opts   Options
 	solver *smt.Solver
 	pool   *patch.Pool
 	tok    *cancel.Token
-	// retrySolver re-solves Unknown flips once at a reduced budget.
-	retrySolver *smt.Solver
-	// workers hold the per-worker solvers; workers[0] aliases
-	// solver/retrySolver. See parallel.go.
-	workers []*workerCtx
+	// workers hold the per-worker solvers; workers[0] is solver. See
+	// parallel.go.
+	workers []*smt.Solver
 	// dist, when non-nil, runs flip scans and pool reductions outside the
 	// worker pool (see dist.go); a failed batch falls back to the workers.
 	dist Distributor
@@ -419,7 +394,6 @@ type engine struct {
 	solverUnknowns atomic.Int64
 	solverPanics   atomic.Int64
 	execPanics     atomic.Int64
-	flipsRequeued  atomic.Int64
 	flipsDropped   atomic.Int64
 
 	delMu    sync.Mutex
@@ -485,8 +459,6 @@ func (e *engine) pinnedBounds(input map[string]int64) map[string]interval.Interv
 }
 
 // workItem is a queued (input, patch) pair (the t, ρ of PickNewInput).
-// A retry item instead carries a flip whose feasibility query came back
-// Unknown; it is re-solved once at the reduced retry budget when popped.
 type workItem struct {
 	input   map[string]int64
 	patchID int
@@ -495,8 +467,6 @@ type workItem struct {
 	bound   int // generational-search bound for children
 	seq     int
 	seed    bool
-	flip    *concolic.Flip
-	retry   bool
 }
 
 // explore runs the repair loop over the given input bounds: Algorithm 1's
@@ -560,23 +530,6 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		item := st.queue[best]
 		st.queue = append(st.queue[:best], st.queue[best+1:]...)
 
-		if item.retry {
-			// Second (and last) attempt at a flip whose feasibility query
-			// came back Unknown, at the reduced retry budget.
-			child, ok, unknown := e.pickNewInput(*item.flip, bounds, e.retrySolver)
-			if unknown || !ok {
-				if unknown {
-					e.flipsDropped.Add(1)
-				}
-				stats.PathsSkipped++
-				continue
-			}
-			e.seq++
-			child.seq = e.seq
-			push(child)
-			continue
-		}
-
 		// The pool may have changed since the item was pushed: re-resolve
 		// the patch choice.
 		pt, params, ok := e.resolvePatch(item)
@@ -629,22 +582,20 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		}
 		verdicts := make([]flipVerdict, len(fresh))
 		if !e.distributeFlips(fresh, bounds, verdicts) {
-			e.fanOut(len(fresh), func(w *workerCtx, i int) {
-				child, ok, unknown := e.pickNewInput(fresh[i], bounds, w.solver)
+			e.fanOut(len(fresh), func(w *smt.Solver, i int) {
+				child, ok, unknown := e.pickNewInput(fresh[i], bounds, w)
 				verdicts[i] = flipVerdict{child: child, ok: ok, unknown: unknown}
 			})
 		}
 		for i, v := range verdicts {
-			if v.unknown {
-				// Solver budget/deadline/panic on this flip: re-queue it
-				// once (deprioritized) for the reduced-budget retry pass.
-				f := fresh[i]
-				e.flipsRequeued.Add(1)
-				e.seq++
-				push(workItem{flip: &f, retry: true, score: f.Score() - 1000, bound: f.Depth + 1, seq: e.seq})
-				continue
-			}
 			if !v.ok {
+				// Infeasible for every pool patch, or undecided: a solver
+				// budget, deadline or panic on this flip drops it, counted.
+				// The solver is deterministic, so re-posing the same query
+				// could not answer it.
+				if v.unknown {
+					e.flipsDropped.Add(1)
+				}
 				stats.PathsSkipped++
 				continue
 			}
@@ -746,8 +697,8 @@ func (e *engine) resolvePatch(item workItem) (*patch.Patch, expr.Model, bool) {
 // queued if some pool patch admits the flipped path; the satisfying model
 // provides both the new input t and the patch ρ (with parameter values).
 // The third result reports a degraded (Unknown) solver answer, which the
-// caller turns into a re-queue or a counted drop — distinct from a clean
-// unsat, which proves the flip infeasible.
+// caller counts as a dropped flip — distinct from a clean unsat, which
+// proves the flip infeasible.
 func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Interval, solver *smt.Solver) (workItem, bool, bool) {
 	solver.BeginEpoch() // scope cache-write journaling to this flip
 	cons := flip.Constraint()
@@ -855,8 +806,8 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	patches := e.pool.Patches
 	outs := make([]ReduceOutcome, len(patches))
 	if !e.distributeReduce(rc, outs) {
-		e.fanOut(len(patches), func(w *workerCtx, i int) {
-			outs[i] = e.reduceOne(rc, patches[i], w.solver)
+		e.fanOut(len(patches), func(w *smt.Solver, i int) {
+			outs[i] = e.reduceOne(rc, patches[i], w)
 		})
 	}
 	// Commit in pool order: patches aliases the pool's backing array and

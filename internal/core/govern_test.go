@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cpr/internal/cancel"
-	"cpr/internal/concolic"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
@@ -250,54 +249,30 @@ func TestFrontierCapEviction(t *testing.T) {
 }
 
 // TestWorkItemCodecRoundTrip round-trips frontier items through the item
-// codec every checkpoint carries them in, and compares every field: plain
-// (input, patch) items, a seed, and a retry item whose flip has a prefix
-// and hole-hit snapshots.
+// codec every checkpoint carries them in, and compares every field:
+// plain (input, patch) items, a seed, and an item without parameters
+// (nil and empty maps restore distinctly).
 func TestWorkItemCodecRoundTrip(t *testing.T) {
-	x, y, out := expr.IntVar("x"), expr.IntVar("y"), expr.IntVar("__hole_out0")
-	flip := &concolic.Flip{
-		Prefix:  []*expr.Term{expr.Gt(x, expr.Int(0)), expr.Ne(out, expr.Int(0))},
-		Negated: expr.Eq(y, expr.Int(0)),
-		Depth:   2,
-		OnPatch: true,
-		HoleHits: []concolic.HoleHit{{
-			Out:      out,
-			Snapshot: map[string]*expr.Term{"x": x, "y": expr.Add(y, expr.Int(1))},
-			Concrete: expr.Model{"x": 7, "y": -1},
-			AtBranch: 1,
-		}},
-		PinFlip:        true,
-		ParentHitPatch: true,
-		ParentHitBug:   true,
-	}
 	items := []workItem{
 		{input: map[string]int64{"x": 7, "y": 0}, patchID: 3, params: expr.Model{"a": 2, "b": -5}, score: 1 << 20, seq: 1, seed: true},
 		{input: map[string]int64{"x": -3, "y": 9}, patchID: 11, params: expr.Model{"a": 0}, score: 350, bound: 4, seq: 17},
-		{flip: flip, retry: true, score: flip.Score() - 1000, bound: flip.Depth + 1, seq: 42},
+		{input: map[string]int64{}, patchID: 5, score: -2, bound: 1, seq: 42},
 	}
-	te := journal.NewTermEncoder()
-	var body, framed journal.Encoder
+	var m journal.Encoder
 	for _, it := range items {
-		encodeItem(&body, te, it)
+		encodeItem(&m, it)
 	}
-	framed.Raw(te.Table())
-	framed.Append(body.Bytes())
-
-	d := journal.NewDecoder(framed.Bytes())
-	td, err := journal.DecodeTermTable(journal.NewDecoder(d.Raw()))
-	if err != nil {
-		t.Fatalf("term table: %v", err)
-	}
+	d := journal.NewDecoder(m.Bytes())
 	for i, want := range items {
-		got, err := decodeItem(d, td)
+		got, err := decodeItem(d)
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("item %d did not round-trip:\n got %+v\nwant %+v", i, got, want)
 		}
-		if want.flip != nil && (got.flip.Negated != want.flip.Negated || got.flip.HoleHits[0].Snapshot["y"] != want.flip.HoleHits[0].Snapshot["y"]) {
-			t.Fatalf("item %d: decoded terms are not the interned originals", i)
-		}
+	}
+	if n := len(d.Rest()); n != 0 {
+		t.Fatalf("%d bytes left after the last item", n)
 	}
 }

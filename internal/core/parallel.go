@@ -8,29 +8,20 @@ import (
 	"cpr/internal/smt"
 )
 
-// workerCtx is the per-worker slice of engine state: its own solvers, so
-// parallel tasks never contend on solver internals. workers[0] aliases the
-// engine's own solvers — with Workers=1 the engine runs every query on
-// exactly the solver instances the sequential engine would.
-type workerCtx struct {
-	solver      *smt.Solver
-	retrySolver *smt.Solver
-}
-
-// newWorkers builds the worker pool. The first worker wraps the engine's
-// existing solvers; the rest get fresh solvers with identical options
-// (sharing opts.SMT.Cache, so work one worker does is a hit for all).
-func (e *engine) newWorkers(n int) []*workerCtx {
+// newWorkers builds the worker pool: one solver per worker, so parallel
+// tasks never contend on solver internals. The first worker is the
+// engine's own solver — with Workers=1 the engine runs every query on
+// exactly the solver instance the sequential engine would; the rest get
+// fresh solvers with identical options (sharing opts.SMT.Cache, so work
+// one worker does is a hit for all).
+func (e *engine) newWorkers(n int) []*smt.Solver {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
-	ws := make([]*workerCtx, n)
-	ws[0] = &workerCtx{solver: e.solver, retrySolver: e.retrySolver}
+	ws := make([]*smt.Solver, n)
+	ws[0] = e.solver
 	for i := 1; i < n; i++ {
-		ws[i] = &workerCtx{
-			solver:      smt.NewSolver(e.opts.SMT),
-			retrySolver: smt.NewSolver(reducedSMT(e.opts.SMT)),
-		}
+		ws[i] = smt.NewSolver(e.opts.SMT)
 	}
 	return ws
 }
@@ -50,7 +41,7 @@ func (e *engine) newWorkers(n int) []*workerCtx {
 // captured per index and the lowest-index one is re-raised on the caller
 // after the batch drains, mirroring where the sequential loop would have
 // thrown.
-func (e *engine) fanOut(n int, fn func(w *workerCtx, i int)) {
+func (e *engine) fanOut(n int, fn func(w *smt.Solver, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -95,7 +86,7 @@ func (e *engine) fanOut(n int, fn func(w *workerCtx, i int)) {
 	}
 }
 
-func runTask(w *workerCtx, i int, fn func(w *workerCtx, i int), panics []any, panicked *atomic.Bool) {
+func runTask(w *smt.Solver, i int, fn func(w *smt.Solver, i int), panics []any, panicked *atomic.Bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = r

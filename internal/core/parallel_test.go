@@ -141,12 +141,11 @@ func TestFanOutPanicPropagates(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		e := &engine{opts: Options{SMT: smt.Options{}}}
 		e.solver = smt.NewSolver(e.opts.SMT)
-		e.retrySolver = smt.NewSolver(e.opts.SMT)
 		e.workers = e.newWorkers(n)
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
-			e.fanOut(8, func(w *workerCtx, i int) {
+			e.fanOut(8, func(w *smt.Solver, i int) {
 				if i == 2 || i == 5 {
 					panic(fmt.Sprintf("task %d", i))
 				}
@@ -159,20 +158,19 @@ func TestFanOutPanicPropagates(t *testing.T) {
 }
 
 // TestNewWorkersFirstAliasesEngine: worker 0 must run on the engine's own
-// solvers so Workers=1 replays the sequential call sequence exactly.
+// solver so Workers=1 replays the sequential call sequence exactly.
 func TestNewWorkersFirstAliasesEngine(t *testing.T) {
 	e := &engine{opts: Options{SMT: smt.Options{}}}
 	e.solver = smt.NewSolver(e.opts.SMT)
-	e.retrySolver = smt.NewSolver(e.opts.SMT)
 	ws := e.newWorkers(3)
 	if len(ws) != 3 {
 		t.Fatalf("len(workers) = %d, want 3", len(ws))
 	}
-	if ws[0].solver != e.solver || ws[0].retrySolver != e.retrySolver {
-		t.Fatal("workers[0] does not alias the engine's solvers")
+	if ws[0] != e.solver {
+		t.Fatal("workers[0] does not alias the engine's solver")
 	}
 	for i := 1; i < 3; i++ {
-		if ws[i].solver == e.solver || ws[i].solver == nil {
+		if ws[i] == e.solver || ws[i] == nil {
 			t.Fatalf("worker %d solver not fresh", i)
 		}
 	}

@@ -44,18 +44,15 @@ type Stats struct {
 	// Unknown (budget or deadline exhausted; the path or patch is skipped)
 	// or as a panic recovered at the query boundary. They are engine
 	// counters, restored on resume. The embedded Unknowns and Panics are
-	// the solvers' own per-query counts, summed over every solver, retry
-	// solvers included.
+	// the solvers' own per-query counts, summed over every solver.
 	SolverUnknowns int `json:"solver_unknowns,omitempty"`
 	SolverPanics   int `json:"solver_panics,omitempty"`
 	// ExecPanics counts subject executions that panicked and were
 	// recovered at the engine boundary (degraded to "flip skipped").
 	ExecPanics int `json:"exec_panics,omitempty"`
-	// FlipsRequeued counts flips whose feasibility query came back
-	// Unknown and that were re-queued once at a reduced solver budget;
-	// FlipsDropped counts those still Unknown on the retry (dropped).
-	FlipsRequeued int `json:"flips_requeued,omitempty"`
-	FlipsDropped  int `json:"flips_dropped,omitempty"`
+	// FlipsDropped counts flips whose feasibility query came back Unknown
+	// and that were dropped; each is also counted in PathsSkipped.
+	FlipsDropped int `json:"flips_dropped,omitempty"`
 	// Workers is the resolved size of the exploration worker pool.
 	Workers int `json:"workers"`
 	// CacheEvictions counts the verdict cache's LRU evictions; it comes
@@ -65,8 +62,7 @@ type Stats struct {
 	// and it is in no snapshot.
 	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
 	CacheSubsumed  uint64 `json:"cache_subsumed,omitempty"`
-	// The solver counters, summed across every worker's solvers (retry
-	// solvers included).
+	// The solver counters, summed across every worker's solver.
 	smt.Stats
 	MemStats
 }
@@ -114,7 +110,6 @@ func (a Stats) Add(b Stats) Stats {
 	a.SolverUnknowns += b.SolverUnknowns
 	a.SolverPanics += b.SolverPanics
 	a.ExecPanics += b.ExecPanics
-	a.FlipsRequeued += b.FlipsRequeued
 	a.FlipsDropped += b.FlipsDropped
 	a.CacheEvictions += b.CacheEvictions
 	a.CacheSubsumed += b.CacheSubsumed
@@ -167,9 +162,9 @@ func (s Stats) SummaryLines() []string {
 			float64(s.EncodeCacheHits)/float64(enc)*100, s.EncodeCacheHits, enc,
 			s.ClausesLearned, s.ClausesKept, s.ClausesDeleted)
 	}
-	if s.SolverUnknowns+s.SolverPanics+s.ExecPanics+s.FlipsRequeued+s.FlipsDropped > 0 {
-		line("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips requeued %d / dropped %d",
-			s.SolverUnknowns, s.SolverPanics, s.ExecPanics, s.FlipsRequeued, s.FlipsDropped)
+	if s.SolverUnknowns+s.SolverPanics+s.ExecPanics+s.FlipsDropped > 0 {
+		line("degraded: solver unknowns %d, solver panics %d, exec panics %d, flips dropped %d",
+			s.SolverUnknowns, s.SolverPanics, s.ExecPanics, s.FlipsDropped)
 	}
 	if s.Validations+s.ValidationFailures+s.Quarantines+s.FallbackSolves+s.RebuildRetries+s.BreakerTrips > 0 {
 		line("self-heal: %d validations (%d failed), %d quarantines, %d fallback solves, %d rebuilds, %d breaker trips",

@@ -52,12 +52,11 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
 	eng := &engine{
-		job:         job,
-		opts:        opts,
-		solver:      smt.NewSolver(opts.SMT),
-		retrySolver: smt.NewSolver(reducedSMT(opts.SMT)),
-		pool:        pool,
-		tok:         nil,
+		job:    job,
+		opts:   opts,
+		solver: smt.NewSolver(opts.SMT),
+		pool:   pool,
+		tok:    nil,
 	}
 	eng.workers = eng.newWorkers(1)
 	eng.curBounds = eng.inputBounds()
@@ -66,11 +65,7 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 
 // SolverStats aggregates the replica's solver counters.
 func (we *WorkerEngine) SolverStats() smt.Stats {
-	var agg smt.Stats
-	for _, w := range we.eng.workers {
-		agg = agg.Add(w.solver.Stats()).Add(w.retrySolver.Stats())
-	}
-	return agg
+	return we.eng.solver.Stats()
 }
 
 // SetBounds installs the batch's input bounds (the engine's curBounds:

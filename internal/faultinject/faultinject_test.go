@@ -129,8 +129,8 @@ func TestRepairUnderSolverTimeout(t *testing.T) {
 	if res.Stats.SolverUnknowns == 0 {
 		t.Errorf("degradation invisible: %+v", res.Stats)
 	}
-	if res.Stats.FlipsRequeued == 0 {
-		t.Errorf("no unknown flip was re-queued: %+v", res.Stats)
+	if res.Stats.FlipsDropped == 0 {
+		t.Errorf("no unknown flip was dropped: %+v", res.Stats)
 	}
 }
 
@@ -202,22 +202,25 @@ func TestRepairFaultsPlusDeadline(t *testing.T) {
 	}
 }
 
-// TestDroppedFlipsAreCounted: with every solver query failing, retries
-// fail too and every flip loss must be counted, not silent.
+// TestDroppedFlipsAreCounted: with every solver query failing, no flip's
+// feasibility can be decided, so every flip is dropped, and each drop must
+// be counted exactly once in FlipsDropped and once in PathsSkipped.
+// Nothing else skips a path in this run: every reduction query fails too,
+// so the pool never changes and every queued item's patch resolves.
 func TestDroppedFlipsAreCounted(t *testing.T) {
 	res := runFaulted(t, &faultinject.Plan{SolverEvery: 1, SolverKind: faultinject.SolverTimeout})
 	if res.Pool.Size() == 0 {
 		t.Fatal("pool lost")
 	}
 	st := res.Stats
-	if st.SolverUnknowns == 0 {
+	if st.SolverUnknowns == 0 || st.FlipsDropped == 0 {
 		t.Fatalf("no degradation recorded: %+v", st)
 	}
-	if st.FlipsRequeued == 0 || st.FlipsDropped == 0 {
-		t.Errorf("requeue/drop accounting missing: requeued=%d dropped=%d", st.FlipsRequeued, st.FlipsDropped)
+	if st.PathsSkipped != st.FlipsDropped {
+		t.Errorf("paths skipped %d, flips dropped %d: every dropped flip is one skipped path", st.PathsSkipped, st.FlipsDropped)
 	}
-	if st.FlipsDropped > st.FlipsRequeued {
-		t.Errorf("dropped %d > requeued %d", st.FlipsDropped, st.FlipsRequeued)
+	if st.InputsGenerated != 0 {
+		t.Errorf("%d inputs generated from flips no query could decide", st.InputsGenerated)
 	}
 }
 

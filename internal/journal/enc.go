@@ -1,12 +1,11 @@
 // Package journal is the durability layer of the repair system: a
 // CRC-framed append-only record log, atomically-committed versioned
-// snapshot files, and a compact binary codec for the engine state that
-// goes into them (including hash-consed terms, encoded as node tables
-// that decode back to pointer-identical terms).
+// snapshot files, and a compact binary codec for the plain data that goes
+// into them.
 //
-// The package knows nothing about repair semantics — internal/core and
-// internal/cegis define what a snapshot contains; journal defines how it
-// is framed, committed, validated, and recovered. The contract for every
+// The package knows nothing about repair semantics — internal/core
+// defines what a snapshot contains; journal defines how it is framed,
+// committed, validated, and recovered. The contract for every
 // artifact written here is crash-safety under SIGKILL: a reader either
 // sees a fully committed, checksummed artifact or rejects it with a clear
 // error, never a silent partial load.
@@ -79,10 +78,6 @@ func (e *Encoder) Raw(b []byte) {
 	e.U64(uint64(len(b)))
 	e.buf = append(e.buf, b...)
 }
-
-// Append appends bytes verbatim, with no length prefix — for framing an
-// already-encoded payload after a header.
-func (e *Encoder) Append(b []byte) { e.buf = append(e.buf, b...) }
 
 // Decoder reads a payload produced by Encoder. The first malformed value
 // sets a sticky error; subsequent reads return zero values, so decode

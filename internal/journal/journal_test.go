@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"cpr/internal/expr"
 )
 
 func TestEncoderDecoderRoundTrip(t *testing.T) {
@@ -395,98 +393,4 @@ func TestWriteFileAtomicReplacesExisting(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want just the target", len(entries))
 	}
-}
-
-func TestTermCodecPointerIdentity(t *testing.T) {
-	x, y := expr.IntVar("x"), expr.IntVar("y")
-	terms := []*expr.Term{
-		nil,
-		expr.Int(-7),
-		expr.True(),
-		expr.And(expr.Lt(x, expr.Int(10)), expr.Ge(expr.Add(x, y), expr.Int(0))),
-		expr.Ite(expr.Eq(x, y), expr.Mul(x, expr.Int(3)), expr.Neg(y)),
-		expr.Or(expr.Not(expr.Le(x, y)), expr.Ne(y, expr.Int(2))),
-	}
-	te := NewTermEncoder()
-	ids := make([]uint64, len(terms))
-	for i, tm := range terms {
-		ids[i] = te.ID(tm)
-	}
-	// Re-encoding returns the same ids (shared-node stability).
-	for i, tm := range terms {
-		if te.ID(tm) != ids[i] {
-			t.Fatalf("term %d: id changed on re-encode", i)
-		}
-	}
-
-	var payload Encoder
-	payload.Raw(te.Table())
-	d := NewDecoder(payload.Bytes())
-	td, err := DecodeTermTable(NewDecoder(d.Raw()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tm := range terms {
-		got, err := td.Term(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tm {
-			t.Fatalf("term %d: decoded %v is not pointer-identical to original %v", i, got, tm)
-		}
-	}
-}
-
-func TestTermCodecRejectsCorruption(t *testing.T) {
-	te := NewTermEncoder()
-	te.ID(expr.Add(expr.IntVar("a"), expr.Int(1)))
-	table := te.Table()
-
-	t.Run("truncated", func(t *testing.T) {
-		if _, err := DecodeTermTable(NewDecoder(table[:len(table)-2])); err == nil {
-			t.Fatal("decoded a truncated term table")
-		}
-	})
-	t.Run("invalid op", func(t *testing.T) {
-		var e Encoder
-		e.U64(1)   // one node
-		e.U64(200) // invalid op
-		e.U64(0)
-		e.I64(0)
-		e.Str("")
-		e.U64(0)
-		if _, err := DecodeTermTable(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("forward arg reference", func(t *testing.T) {
-		var e Encoder
-		e.U64(2)
-		// Node 1: a NOT whose argument claims id 1 (itself).
-		e.U64(uint64(expr.OpNot))
-		e.U64(uint64(expr.SortBool))
-		e.I64(0)
-		e.Str("")
-		e.U64(1)
-		e.U64(1)
-		if _, err := DecodeTermTable(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("absurd node count", func(t *testing.T) {
-		var e Encoder
-		e.U64(1 << 40)
-		if _, err := DecodeTermTable(NewDecoder(e.Bytes())); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("dangling reference", func(t *testing.T) {
-		td, err := DecodeTermTable(NewDecoder(table))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := td.Term(99); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
 }

@@ -26,7 +26,7 @@ import (
 const (
 	snapMagic = "CPRSNAP" // 7 bytes + 1 version byte
 	// SnapVersion is the snapshot container version; the payload carries
-	// its own schema version on top (core/cegis own that).
+	// its own schema version on top (internal/core owns that).
 	SnapVersion = 1
 
 	snapPrefix = "snap-"
