@@ -182,15 +182,19 @@ func (sj *suiteJournal) lookup(s *Subject) (SubjectResult, bool) {
 // subjectOpts derives the per-subject engine options: the subject's CPR
 // run gets its own snapshot directory under <dir>/subjects/, resumed only
 // when the suite itself is resuming (a fresh suite must not adopt stale
-// snapshots).
+// snapshots) and the directory exists. A killed suite leaves one for the
+// subject it was running at most; the subjects it never reached simply
+// start, without a "resume unavailable" warning each.
 func (sj *suiteJournal) subjectOpts(s *Subject, opts RunOptions) RunOptions {
 	if sj == nil {
 		return opts
 	}
+	dir := filepath.Join(sj.subjectDir(s), "cpr")
+	_, err := os.Stat(dir)
 	opts.Core.Checkpoint = core.CheckpointOptions{
-		Dir:      filepath.Join(sj.subjectDir(s), "cpr"),
+		Dir:      dir,
 		Interval: opts.Checkpoint.Interval,
-		Resume:   opts.Checkpoint.Resume,
+		Resume:   opts.Checkpoint.Resume && err == nil,
 		Warn:     opts.Checkpoint.Warn,
 	}
 	return opts

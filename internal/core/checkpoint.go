@@ -1,15 +1,14 @@
 package core
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync/atomic"
 	"time"
 
-	"cpr/internal/expr"
 	"cpr/internal/faultinject"
-	"cpr/internal/interval"
 	"cpr/internal/journal"
 	"cpr/internal/lang"
 	"cpr/internal/patch"
@@ -66,16 +65,50 @@ func (o CheckpointOptions) warnf(format string, args ...any) {
 }
 
 // coreSnapVersion is the schema version of the engine-state payload inside
-// a snapshot container; bump on any encoding change.
-const coreSnapVersion = 5
+// a snapshot container; bump on any change to snapshot's fields. Payloads
+// are JSON from version 6 on; earlier ones were varint-encoded binary.
+const coreSnapVersion = 6
 
 // exploreState is one explore phase's resumable loop state: the frontier,
 // the explored-prefix set, and the iteration cursor. A zero value starts
 // the phase fresh (explore seeds it); a restored value continues it.
 type exploreState struct {
-	queue []workItem
-	seen  map[uint64]bool
-	iter  int
+	Queue []workItem      `json:"queue"`
+	Seen  map[uint64]bool `json:"seen"`
+	Iter  int             `json:"iter"`
+}
+
+// snapshot is the engine's repair state at a generation barrier: the
+// payload of one checkpoint, committed as a JSON document. It holds plain
+// data only — counters, regions, hashes and the frontier's concrete
+// (input, patch) pairs, no term. encoding/json sorts map keys, so one
+// state always encodes to the same bytes.
+type snapshot struct {
+	Version     int           `json:"version"`
+	Fingerprint uint64        `json:"fingerprint"`
+	Barrier     uint64        `json:"barrier"`
+	Elapsed     time.Duration `json:"elapsed_ns"`
+	// Phase is the explore phase in progress (checkpointer.phase).
+	// Partial is that validation phase's stats so far; it is nil in the
+	// main phase, whose stats are Stats. Their solver and memory parts
+	// are zero at every barrier: Repair fills them after the explore loop.
+	Phase   int    `json:"phase"`
+	Stats   Stats  `json:"stats"`
+	Partial *Stats `json:"partial,omitempty"`
+	Seq     int    `json:"seq"`
+	// Counters are the engine's atomic counters, in engine.counters order.
+	Counters [6]int64 `json:"counters"`
+	// Solver is the prior lives' and the workers' solver aggregate, with
+	// its wall times zeroed: those are measurements, not run state.
+	Solver         smt.Stats `json:"solver"`
+	CacheEvictions uint64    `json:"cache_evictions"`
+	// Pool holds each surviving patch's identity, ranking evidence and
+	// parameter region, in pool order. Templates are not carried:
+	// synthesis is deterministic, so resume re-derives them and syncPool
+	// intersects by ID.
+	Pool    []PatchState     `json:"pool"`
+	Explore exploreState     `json:"explore"`
+	DelMemo map[int]delEntry `json:"deletion_memo"`
 }
 
 // checkpointer drives periodic snapshot writes for one Repair call.
@@ -95,9 +128,6 @@ type checkpointer struct {
 	// since this process's Repair began.
 	start       time.Time
 	elapsedBase time.Duration
-	// buf is reused across snapshot writes, so steady-state encoding does
-	// not regrow a payload-sized buffer at every checkpoint.
-	buf journal.Encoder
 }
 
 // atBarrier is called at the top of every explore-loop iteration (after
@@ -125,8 +155,11 @@ func (e *engine) atBarrier(st *exploreState, phaseStats *Stats) {
 // the newest keepSnapshots snapshots. A failure is only a warning: the run
 // goes on without that checkpoint.
 func (ck *checkpointer) write(st *exploreState, phaseStats *Stats) {
-	elapsed := ck.elapsedBase + time.Since(ck.start)
-	if err := journal.WriteSnapshot(ck.opts.Dir, ck.barrier, ck.encodeSnapshot(st, phaseStats, elapsed)); err != nil {
+	payload, err := ck.encode(st, phaseStats)
+	if err == nil {
+		err = journal.WriteSnapshot(ck.opts.Dir, ck.barrier, payload)
+	}
+	if err != nil {
 		ck.opts.warnf("checkpoint: write at barrier %d failed: %v", ck.barrier, err)
 		return
 	}
@@ -207,452 +240,157 @@ func componentsString(c synth.Components) string {
 		c.MaxTemplates, c.SuppressDeletion, c.ExtraTemplates)
 }
 
-// encodeSnapshot serializes the engine's repair state at a barrier. It
-// holds plain data only: counters, regions, hashes and the frontier's
-// concrete (input, patch) pairs — no term.
-func (ck *checkpointer) encodeSnapshot(st *exploreState, phaseStats *Stats, elapsed time.Duration) []byte {
+// encode serializes the engine's repair state at a barrier. No fan-out
+// task is in flight at a barrier, so the per-worker solver counters and
+// the deletion memo read here are a consistent cut.
+func (ck *checkpointer) encode(st *exploreState, phaseStats *Stats) ([]byte, error) {
 	e := ck.eng
-	ck.buf.Reset()
-	m := &ck.buf
-
-	m.U64(coreSnapVersion)
-	m.U64(ck.fp)
-	m.U64(ck.barrier)
-	m.Dur(elapsed)
-	m.Int(ck.phase)
-
-	encodeStats(m, ck.runStats)
-	hasPartial := phaseStats != ck.runStats
-	m.Bool(hasPartial)
-	if hasPartial {
-		encodeStats(m, phaseStats)
+	s := snapshot{
+		Version:        coreSnapVersion,
+		Fingerprint:    ck.fp,
+		Barrier:        ck.barrier,
+		Elapsed:        ck.elapsedBase + time.Since(ck.start),
+		Phase:          ck.phase,
+		Stats:          *ck.runStats,
+		Seq:            e.seq,
+		Solver:         e.baseAgg,
+		CacheEvictions: e.baseCacheEvict + (e.opts.SMT.Cache.Stats().Evictions - e.cacheStart.Evictions),
+		Pool:           e.poolState(),
+		Explore:        *st,
 	}
-
-	m.Int(e.seq)
-	m.I64(e.refinements.Load())
-	m.I64(e.removals.Load())
-	m.I64(e.solverUnknowns.Load())
-	m.I64(e.solverPanics.Load())
-	m.I64(e.execPanics.Load())
-	m.I64(e.flipsDropped.Load())
-
-	// Solver-stats aggregate at the barrier: prior-life baseline plus every
-	// worker's counters so far. At a barrier no task is in flight, so the
-	// per-worker reads are a consistent cut.
-	agg := e.baseAgg
+	if phaseStats != ck.runStats {
+		s.Partial = phaseStats
+	}
+	for i, c := range e.counters() {
+		s.Counters[i] = c.Load()
+	}
 	for _, w := range e.workers {
-		agg = agg.Add(w.Stats())
+		s.Solver = s.Solver.Add(w.Stats())
 	}
-	smt.EncodeSolverStats(m, agg)
-	cacheNow := e.opts.SMT.Cache.Stats()
-	m.U64(e.baseCacheEvict + (cacheNow.Evictions - e.cacheStart.Evictions))
-
-	// Patch pool: identity, ranking evidence, and parameter region per
-	// surviving patch. Templates are not serialized — synthesis is
-	// deterministic, so resume re-derives them and intersects by ID.
-	m.U64(uint64(len(e.pool.Patches)))
-	for _, p := range e.pool.Patches {
-		m.Int(p.ID)
-		m.F64(p.Score)
-		m.Int(p.Deletions)
-		encodeRegion(m, p.Constraint)
-	}
-
-	// Explored path prefixes, sorted for a canonical encoding.
-	keys := make([]uint64, 0, len(st.seen))
-	for k := range st.seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	m.U64(uint64(len(keys)))
-	for _, k := range keys {
-		m.U64(k)
-	}
-	m.Int(st.iter)
-
-	// Deletion-likeness memo.
+	s.Solver.SatTime, s.Solver.LIATime, s.Solver.ValidateTime = 0, 0, 0
 	e.delMu.Lock()
-	ids := make([]int, 0, len(e.delCache))
-	for id := range e.delCache {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	m.U64(uint64(len(ids)))
-	for _, id := range ids {
-		ent := e.delCache[id]
-		m.Int(id)
-		m.I64(ent.count)
-		m.Bool(ent.val)
-	}
-	e.delMu.Unlock()
-
-	// The frontier, in queue order (order is immaterial to correctness —
-	// popping is by score/seq — but preserving it keeps the resumed run's
-	// in-memory state literally identical).
-	m.U64(uint64(len(st.queue)))
-	for _, it := range st.queue {
-		encodeItem(m, it)
-	}
-	return m.Bytes()
+	defer e.delMu.Unlock()
+	s.DelMemo = e.delCache
+	return json.Marshal(&s)
 }
 
-// resumeState is a decoded snapshot, pending application to a fresh engine.
-type resumeState struct {
-	fp         uint64
-	barrier    uint64
-	elapsed    time.Duration
-	phase      int
-	base       Stats
-	partial    Stats
-	hasPartial bool
-	seq        int
-	counters   [6]int64
-	solverAgg  smt.Stats
-	cacheEvict uint64
-	pool       []patchState
-	seen       []uint64
-	iter       int
-	del        []delMemoState
-	queue      []workItem
-}
-
-type patchState struct {
-	id        int
-	score     float64
-	deletions int
-	region    interval.Region
-}
-
-type delMemoState struct {
-	id    int
-	count int64
-	val   bool
-}
-
-// st returns the explore-loop state the snapshot was taken at.
-func (rs *resumeState) st() *exploreState {
-	seen := make(map[uint64]bool, len(rs.seen))
-	for _, k := range rs.seen {
-		seen[k] = true
-	}
-	return &exploreState{queue: rs.queue, seen: seen, iter: rs.iter}
+// counters lists the engine's atomic counters in snapshot order.
+func (e *engine) counters() [6]*atomic.Int64 {
+	return [6]*atomic.Int64{&e.refinements, &e.removals, &e.solverUnknowns, &e.solverPanics, &e.execPanics, &e.flipsDropped}
 }
 
 // loadResume finds and decodes the latest usable snapshot, or returns nil
 // (with a warning) when the run must start fresh: no snapshot, corrupt or
-// version-mismatched artifacts, or a snapshot from a different job.
-func loadResume(opts Options, fp uint64) *resumeState {
+// version-mismatched artifacts, a snapshot from a different job, or one
+// holding a state no run of this job can be in.
+func loadResume(job Job, opts Options, fp uint64) *snapshot {
 	co := opts.Checkpoint
 	snap, err := journal.LoadLatest(co.Dir)
 	if err != nil {
-		if !errors.Is(err, journal.ErrNoSnapshot) || co.Warn != nil {
-			co.warnf("checkpoint: resume unavailable, starting fresh: %v", err)
-		}
+		co.warnf("checkpoint: resume unavailable, starting fresh: %v", err)
 		return nil
 	}
-	rs, err := decodeSnapshot(snap.Payload)
+	s, err := decodeSnapshot(snap.Payload)
 	if err != nil {
 		co.warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
 		return nil
 	}
-	if rs.barrier != snap.Barrier {
-		co.warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", rs.barrier, snap.Barrier)
+	if s.Barrier != snap.Barrier {
+		co.warnf("checkpoint: snapshot barrier mismatch (%d in payload, %d in container), starting fresh", s.Barrier, snap.Barrier)
 		return nil
 	}
-	if rs.fp != fp {
+	if s.Fingerprint != fp {
 		co.warnf("checkpoint: snapshot belongs to a different job or configuration, starting fresh")
 		return nil
 	}
-	return rs
+	if err := s.validate(len(job.FailingInputs)); err != nil {
+		co.warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", snap.Barrier, err)
+		return nil
+	}
+	return s
 }
 
-func decodeSnapshot(payload []byte) (*resumeState, error) {
-	d := journal.NewDecoder(payload)
-	v := d.U64()
-	if v != coreSnapVersion {
-		// Before version 5 a payload opened with a length-prefixed term
-		// table (1 byte long, or at least 6, so its length is never 5) and
-		// the version followed it: report that version.
-		old := journal.NewDecoder(payload)
-		old.Raw()
-		if ov := old.U64(); old.Err() == nil && ov < coreSnapVersion {
-			v = ov
-		}
+func decodeSnapshot(payload []byte) (*snapshot, error) {
+	if len(payload) > 0 && payload[0] != '{' {
+		return nil, fmt.Errorf("%w: binary engine snapshot predates version %d", journal.ErrVersion, coreSnapVersion)
 	}
-	if d.Err() == nil && v != coreSnapVersion {
-		return nil, fmt.Errorf("%w: engine snapshot version %d, want %d", journal.ErrVersion, v, coreSnapVersion)
+	var s snapshot
+	if err := json.Unmarshal(payload, &s); err != nil {
+		return nil, fmt.Errorf("%w: engine snapshot: %v", journal.ErrCorrupt, err)
 	}
-	rs := &resumeState{}
-	rs.fp = d.U64()
-	rs.barrier = d.U64()
-	rs.elapsed = d.Dur()
-	rs.phase = d.Int()
-
-	decodeStats(d, &rs.base)
-	rs.hasPartial = d.Bool()
-	if rs.hasPartial {
-		decodeStats(d, &rs.partial)
+	if s.Version != coreSnapVersion {
+		return nil, fmt.Errorf("%w: engine snapshot version %d, want %d", journal.ErrVersion, s.Version, coreSnapVersion)
 	}
-
-	rs.seq = d.Int()
-	for i := range rs.counters {
-		rs.counters[i] = d.I64()
-	}
-	smt.DecodeSolverStats(d, &rs.solverAgg)
-	rs.cacheEvict = d.U64()
-
-	np := d.U64()
-	if err := lenCheck(d, np, "pool"); err != nil {
-		return nil, err
-	}
-	rs.pool = make([]patchState, np)
-	for i := range rs.pool {
-		rs.pool[i].id = d.Int()
-		rs.pool[i].score = d.F64()
-		rs.pool[i].deletions = d.Int()
-		r, err := decodeRegion(d)
-		if err != nil {
-			return nil, err
-		}
-		rs.pool[i].region = r
-	}
-
-	ns := d.U64()
-	if err := lenCheck(d, ns, "seen set"); err != nil {
-		return nil, err
-	}
-	rs.seen = make([]uint64, ns)
-	for i := range rs.seen {
-		rs.seen[i] = d.U64()
-	}
-	rs.iter = d.Int()
-
-	nd := d.U64()
-	if err := lenCheck(d, nd, "deletion memo"); err != nil {
-		return nil, err
-	}
-	rs.del = make([]delMemoState, nd)
-	for i := range rs.del {
-		rs.del[i] = delMemoState{id: d.Int(), count: d.I64(), val: d.Bool()}
-	}
-
-	nq := d.U64()
-	if err := lenCheck(d, nq, "queue"); err != nil {
-		return nil, err
-	}
-	rs.queue = make([]workItem, nq)
-	for i := range rs.queue {
-		it, err := decodeItem(d)
-		if err != nil {
-			return nil, err
-		}
-		rs.queue[i] = it
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return rs, nil
+	return &s, nil
 }
 
-// lenCheck rejects counts that cannot fit in the remaining payload — a
-// corrupt length must not drive a huge allocation.
-func lenCheck(d *journal.Decoder, n uint64, what string) error {
-	if err := d.Err(); err != nil {
-		return err
+// validate rejects what no run of a job with numInputs failing inputs can
+// reach and the resumed engine would index with: a phase past the last
+// one, a negative iteration cursor or generational bound, or a region box
+// whose width is not the region's dimension. syncPool checks each region's
+// dimension against its re-synthesized patch.
+func (s *snapshot) validate(numInputs int) error {
+	if s.Phase < 0 || s.Phase > numInputs {
+		return fmt.Errorf("%w: phase %d outside [0, %d]", journal.ErrCorrupt, s.Phase, numInputs)
 	}
-	if n > uint64(len(d.Rest())) {
-		return fmt.Errorf("%w: %s count %d exceeds remaining payload", journal.ErrCorrupt, what, n)
+	if s.Explore.Iter < 0 {
+		return fmt.Errorf("%w: negative iteration cursor %d", journal.ErrCorrupt, s.Explore.Iter)
+	}
+	for _, it := range s.Explore.Queue {
+		if it.Bound < 0 {
+			return fmt.Errorf("%w: frontier item %d has negative bound %d", journal.ErrCorrupt, it.Seq, it.Bound)
+		}
+	}
+	for _, ps := range s.Pool {
+		for _, b := range ps.Region.Boxes {
+			if len(b) != ps.Region.Dim {
+				return fmt.Errorf("%w: patch #%d has a %d-wide box in a %d-dimensional region", journal.ErrCorrupt, ps.ID, len(b), ps.Region.Dim)
+			}
+		}
 	}
 	return nil
 }
 
-// apply restores the snapshot into a freshly constructed engine whose pool
-// was just re-synthesized. The pool intersect keeps the snapshot's patches
-// in snapshot order (a subsequence of synthesis order, since removal is
-// order-preserving) with their refined regions and ranking evidence.
-func (rs *resumeState) apply(e *engine, stats *Stats, ck *checkpointer) {
-	byID := make(map[int]*patch.Patch, len(e.pool.Patches))
-	for _, p := range e.pool.Patches {
-		byID[p.ID] = p
+// syncPool brings a freshly synthesized pool to the state ps records,
+// with the order-preserving intersect that resume and replica batches
+// share: ps must list a subsequence of the pool (pools only shrink, in
+// synthesis order) with regions of each patch's dimension. Otherwise
+// syncPool fails and leaves the pool untouched.
+func syncPool(pool *patch.Pool, ps []PatchState) error {
+	at := make(map[int]int, len(pool.Patches))
+	for i, p := range pool.Patches {
+		at[p.ID] = i
 	}
-	kept := make([]*patch.Patch, 0, len(rs.pool))
-	for _, ps := range rs.pool {
-		p, ok := byID[ps.id]
-		if !ok {
-			// Unreachable when the fingerprint matched (synthesis is
-			// deterministic); degrade by dropping rather than corrupting.
-			ck.opts.warnf("checkpoint: snapshot patch #%d not in re-synthesized pool, dropped", ps.id)
-			continue
+	kept := make([]*patch.Patch, len(ps))
+	next := 0
+	for i, s := range ps {
+		j, ok := at[s.ID]
+		if !ok || j < next {
+			return fmt.Errorf("patch #%d is missing from the synthesized pool or out of its order", s.ID)
 		}
-		p.Score = ps.score
-		p.Deletions = ps.deletions
-		p.Constraint = ps.region
-		kept = append(kept, p)
-	}
-	e.pool.Patches = kept
-
-	*stats = rs.base
-	e.seq = rs.seq
-	e.refinements.Store(rs.counters[0])
-	e.removals.Store(rs.counters[1])
-	e.solverUnknowns.Store(rs.counters[2])
-	e.solverPanics.Store(rs.counters[3])
-	e.execPanics.Store(rs.counters[4])
-	e.flipsDropped.Store(rs.counters[5])
-	e.baseAgg = rs.solverAgg
-	e.baseCacheEvict = rs.cacheEvict
-	if len(rs.del) > 0 {
-		e.delCache = make(map[int]delEntry, len(rs.del))
-		for _, ent := range rs.del {
-			e.delCache[ent.id] = delEntry{count: ent.count, val: ent.val}
+		if p := pool.Patches[j]; s.Region.Dim != len(p.Params) {
+			return fmt.Errorf("patch #%d has %d parameters, its region %d dimensions", s.ID, len(p.Params), s.Region.Dim)
 		}
+		kept[i], next = pool.Patches[j], j+1
 	}
-	ck.barrier = rs.barrier
-	ck.elapsedBase = rs.elapsed
+	for i, s := range ps {
+		kept[i].Score, kept[i].Deletions, kept[i].Constraint = s.Score, s.Deletions, s.Region
+	}
+	pool.Patches = kept
+	return nil
 }
 
-// --- field-level codecs ---
-
-// encodeStats writes the engine's own Stats fields. The embedded solver
-// counters are left out: Repair fills them from the solver aggregate after
-// the explore loop, so they are zero at every barrier, and the snapshot
-// carries that aggregate separately. MemStats is never persisted.
-func encodeStats(m *journal.Encoder, s *Stats) {
-	m.I64(s.PInit)
-	m.I64(s.PFinal)
-	m.Int(s.PoolInit)
-	m.Int(s.PoolFinal)
-	m.Int(s.PathsExplored)
-	m.Int(s.PathsSkipped)
-	m.Int(s.InputsGenerated)
-	m.Int(s.PatchLocHits)
-	m.Int(s.BugLocHits)
-	m.Int(s.Refinements)
-	m.Int(s.Removals)
-	m.Bool(s.TimedOut)
-	m.Int(s.SolverUnknowns)
-	m.Int(s.SolverPanics)
-	m.Int(s.ExecPanics)
-	m.Int(s.FlipsDropped)
-	m.Int(s.Workers)
-	m.U64(s.CacheEvictions)
-}
-
-func decodeStats(d *journal.Decoder, s *Stats) {
-	s.PInit = d.I64()
-	s.PFinal = d.I64()
-	s.PoolInit = d.Int()
-	s.PoolFinal = d.Int()
-	s.PathsExplored = d.Int()
-	s.PathsSkipped = d.Int()
-	s.InputsGenerated = d.Int()
-	s.PatchLocHits = d.Int()
-	s.BugLocHits = d.Int()
-	s.Refinements = d.Int()
-	s.Removals = d.Int()
-	s.TimedOut = d.Bool()
-	s.SolverUnknowns = d.Int()
-	s.SolverPanics = d.Int()
-	s.ExecPanics = d.Int()
-	s.FlipsDropped = d.Int()
-	s.Workers = d.Int()
-	s.CacheEvictions = d.U64()
-}
-
-func encodeRegion(m *journal.Encoder, r interval.Region) {
-	m.Int(r.Dim)
-	m.U64(uint64(len(r.Boxes)))
-	for _, b := range r.Boxes {
-		for _, iv := range b {
-			m.I64(iv.Lo)
-			m.I64(iv.Hi)
-		}
+// apply restores the rest of the snapshot into a freshly constructed
+// engine whose pool syncPool has already restored.
+func (s *snapshot) apply(e *engine, stats *Stats, ck *checkpointer) {
+	*stats = s.Stats
+	e.seq = s.Seq
+	for i, c := range e.counters() {
+		c.Store(s.Counters[i])
 	}
-}
-
-func decodeRegion(d *journal.Decoder) (interval.Region, error) {
-	r := interval.Region{Dim: d.Int()}
-	nb := d.U64()
-	if err := lenCheck(d, nb, "region boxes"); err != nil {
-		return r, err
-	}
-	if r.Dim < 0 || r.Dim > 1<<16 {
-		return r, fmt.Errorf("%w: region dimension %d", journal.ErrCorrupt, r.Dim)
-	}
-	r.Boxes = make([]interval.Box, nb)
-	for i := range r.Boxes {
-		b := make(interval.Box, r.Dim)
-		for j := range b {
-			b[j] = interval.Interval{Lo: d.I64(), Hi: d.I64()}
-		}
-		r.Boxes[i] = b
-	}
-	return r, d.Err()
-}
-
-// encodeI64Map writes a string→int64 map with a nil flag (nil and empty
-// maps restore distinctly) in sorted key order.
-func encodeI64Map(m *journal.Encoder, mp map[string]int64) {
-	m.Bool(mp != nil)
-	if mp == nil {
-		return
-	}
-	names := make([]string, 0, len(mp))
-	for n := range mp {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	m.U64(uint64(len(names)))
-	for _, n := range names {
-		m.Str(n)
-		m.I64(mp[n])
-	}
-}
-
-func decodeI64Map(d *journal.Decoder) (map[string]int64, error) {
-	if !d.Bool() {
-		return nil, d.Err()
-	}
-	n := d.U64()
-	if err := lenCheck(d, n, "map"); err != nil {
-		return nil, err
-	}
-	mp := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.Str()
-		mp[name] = d.I64()
-	}
-	return mp, d.Err()
-}
-
-func encodeItem(m *journal.Encoder, it workItem) {
-	encodeI64Map(m, it.input)
-	m.Int(it.patchID)
-	encodeI64Map(m, it.params)
-	m.Int(it.score)
-	m.Int(it.bound)
-	m.Int(it.seq)
-	m.Bool(it.seed)
-}
-
-func decodeItem(d *journal.Decoder) (workItem, error) {
-	var it workItem
-	input, err := decodeI64Map(d)
-	if err != nil {
-		return it, err
-	}
-	it.input = input
-	it.patchID = d.Int()
-	params, err := decodeI64Map(d)
-	if err != nil {
-		return it, err
-	}
-	if params != nil {
-		it.params = expr.Model(params)
-	}
-	it.score = d.Int()
-	it.bound = d.Int()
-	it.seq = d.Int()
-	it.seed = d.Bool()
-	return it, d.Err()
+	e.baseAgg = s.Solver
+	e.baseCacheEvict = s.CacheEvictions
+	e.delCache = s.DelMemo
+	ck.barrier = s.Barrier
+	ck.elapsedBase = s.Elapsed
 }

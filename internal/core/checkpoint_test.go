@@ -1,16 +1,22 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 
 	"cpr/internal/faultinject"
+	"cpr/internal/interval"
 	"cpr/internal/journal"
+	"cpr/internal/patch"
+	"cpr/internal/smt/cache"
 )
 
 // crashSentinel is the panic value the in-process crash injector throws;
@@ -20,7 +26,7 @@ type crashSentinel struct{}
 // runToCrash runs Repair with checkpointing and an in-process crash
 // injected at the nth generation barrier; it reports whether the crash
 // fired (false means the run completed before reaching barrier n).
-func runToCrash(t *testing.T, job Job, opts Options, crashAt int) (crashed bool) {
+func runToCrash(t testing.TB, job Job, opts Options, crashAt int) (crashed bool) {
 	t.Helper()
 	plan := &faultinject.Plan{
 		CrashAt: crashAt,
@@ -179,12 +185,30 @@ func TestCheckpointOffIsNoOp(t *testing.T) {
 	}
 }
 
+// roundTripSnapshot runs a bare engine's state through the checkpoint
+// codec: encode it as at a barrier, then decode the payload.
+func roundTripSnapshot(t *testing.T, eng *engine, run Stats, st exploreState) *snapshot {
+	t.Helper()
+	eng.pool = &patch.Pool{}
+	eng.opts.SMT.Cache = cache.New()
+	ck := &checkpointer{eng: eng, runStats: &run}
+	payload, err := ck.encode(&st, &run)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	s, err := decodeSnapshot(payload)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return s
+}
+
 // TestResumeFreshStartFallbacks: every way a snapshot can be unusable —
-// missing, zero-byte, bit-flipped, wrong engine-payload version, or from a
-// different job — must degrade to a warned fresh start that still produces
-// the uninterrupted result, never an error or a partial load. A snapshot
-// from before payload version 5 is rejected with a warning that names its
-// version.
+// missing, zero-byte, bit-flipped, wrong engine-payload version, from a
+// different job, or holding a state no run of the job can be in — must
+// degrade to a warned fresh start that still produces the uninterrupted
+// result, never an error, a panic or a partial load. A binary snapshot
+// from before payload version 6 is rejected with a warning saying so.
 func TestResumeFreshStartFallbacks(t *testing.T) {
 	job := divZeroJob()
 	base, err := Repair(job, Options{Workers: 1})
@@ -264,26 +288,66 @@ func TestResumeFreshStartFallbacks(t *testing.T) {
 	corrupt(t, "payload-version", func(t *testing.T, dir string) {
 		// A well-formed container whose engine payload claims a future
 		// schema version.
-		var m journal.Encoder
-		m.U64(999) // engine snapshot version from the future
-		m.U64(0)   // fingerprint
-		m.U64(1 << 30)
-		if err := journal.WriteSnapshot(dir, 1<<30, m.Bytes()); err != nil {
+		payload, err := json.Marshal(snapshot{Version: 999, Barrier: 1 << 30})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	corrupt(t, "pre-v5-payload", func(t *testing.T, dir string) {
-		// The layout before version 5: a term table (empty in practice:
-		// a node count of 0) ahead of the version.
-		var m journal.Encoder
-		m.Raw([]byte{0})
-		m.U64(4)
-		m.U64(RunFingerprint(divZeroJob(), Options{}))
-		m.U64(8) // barrier
-		if err := journal.WriteSnapshot(dir, 8, m.Bytes()); err != nil {
+		if err := journal.WriteSnapshot(dir, 1<<30, payload); err != nil {
 			t.Fatal(err)
 		}
-	}, "engine snapshot version 4, want 5")
+	}, "engine snapshot version 999, want 6")
+	corrupt(t, "pre-v6-payload", func(t *testing.T, dir string) {
+		// The varint layout of version 5: version, fingerprint, barrier, ...
+		payload := binary.AppendUvarint(nil, 5)
+		payload = binary.AppendUvarint(payload, RunFingerprint(divZeroJob(), Options{}))
+		payload = binary.AppendUvarint(payload, 8)
+		if err := journal.WriteSnapshot(dir, 8, payload); err != nil {
+			t.Fatal(err)
+		}
+	}, "binary engine snapshot predates version 6")
+
+	// rewrite commits the seed run's newest snapshot, edited, to dir: a
+	// CRC-valid container with the job's fingerprint and the current
+	// version, whose state no run of the job can be in.
+	rewrite := func(edit func(t *testing.T, s *snapshot)) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			snap, err := journal.LoadLatest(seedDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := decodeSnapshot(snap.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(t, s)
+			payload, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := journal.WriteSnapshot(dir, s.Barrier, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	corrupt(t, "negative-phase", rewrite(func(t *testing.T, s *snapshot) { s.Phase = -1 }), "phase -1 outside [0, 1]")
+	corrupt(t, "box-width", rewrite(func(t *testing.T, s *snapshot) {
+		for _, ps := range s.Pool {
+			if len(ps.Region.Boxes) > 0 {
+				ps.Region.Boxes[0] = append(ps.Region.Boxes[0], interval.New(0, 1))
+				return
+			}
+		}
+		t.Fatal("seed snapshot has no region box to widen")
+	}), "-wide box in a ")
+	corrupt(t, "region-dim", rewrite(func(t *testing.T, s *snapshot) {
+		s.Pool[0].Region = interval.EmptyRegion(s.Pool[0].Region.Dim + 1)
+	}), "its region")
+	corrupt(t, "negative-bound", rewrite(func(t *testing.T, s *snapshot) {
+		if len(s.Explore.Queue) == 0 {
+			t.Fatal("seed snapshot has an empty frontier")
+		}
+		s.Explore.Queue[0].Bound = -1
+	}), "negative bound")
 	corrupt(t, "different-job", func(t *testing.T, dir string) {
 		other := divZeroJob()
 		other.FailingInputs = []map[string]int64{{"x": 9, "y": 0}}
@@ -329,6 +393,46 @@ func TestResumePrefersIntactOlderSnapshot(t *testing.T) {
 	if dropWallTimes(res.Stats) != dropWallTimes(base.Stats) || fingerprint(res) != fingerprint(base) {
 		t.Fatalf("fallback resume diverged from baseline:\n%+v\nvs\n%+v", res.Stats, base.Stats)
 	}
+}
+
+// FuzzResumeSnapshot feeds arbitrary engine payloads to a resume. Each
+// input is committed in a CRC-valid container and, when it is a JSON
+// object, stamped with the current version, the job's fingerprint and the
+// container's barrier, so mutations get past the checksum and identity
+// checks to validation and apply. Whatever the payload holds, Repair
+// must return without an error or a panic: a snapshot the engine cannot
+// use is a warned fresh start.
+func FuzzResumeSnapshot(f *testing.F) {
+	seedDir := f.TempDir()
+	if !runToCrash(f, divZeroJob(), ckptOptions(seedDir, 1, 2, false, nil), 5) {
+		f.Fatal("seed crash never fired")
+	}
+	snap, err := journal.LoadLatest(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Payload)
+	fp := strconv.FormatUint(RunFingerprint(divZeroJob(), Options{}), 10)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var doc map[string]json.RawMessage
+		if json.Unmarshal(payload, &doc) == nil && doc != nil {
+			doc["version"] = json.RawMessage(strconv.Itoa(coreSnapVersion))
+			doc["fingerprint"] = json.RawMessage(fp)
+			doc["barrier"] = json.RawMessage("8")
+			var err error
+			if payload, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if err := journal.WriteSnapshot(dir, 8, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Repair(divZeroJob(), ckptOptions(dir, 1, 2, true, nil)); err != nil {
+			t.Fatalf("Repair: %v", err)
+		}
+	})
 }
 
 // --- real-process SIGKILL harness ---

@@ -198,17 +198,17 @@ func Repair(job Job, opts Options) (*Result, error) {
 	// token is derived, so the wall-clock budget can be re-based on the
 	// time the killed run already spent. Any load failure degrades to a
 	// fresh start with a warning.
-	var rs *resumeState
+	var rs *snapshot
 	var fp uint64
 	if opts.Checkpoint.enabled() {
 		fp = RunFingerprint(job, opts)
 		if opts.Checkpoint.Resume {
-			rs = loadResume(opts, fp)
+			rs = loadResume(job, opts, fp)
 		}
 	}
 	var spent time.Duration
 	if rs != nil {
-		spent = rs.elapsed
+		spent = rs.Elapsed
 	}
 	tok := cancel.WithBudget(opts.Cancel, job.Budget.MaxDuration, spent)
 	if !job.Budget.Deadline.IsZero() {
@@ -246,6 +246,16 @@ func Repair(job Job, opts Options) (*Result, error) {
 	}
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
+	if rs != nil {
+		// Resume, step 2: restore pool membership, refined regions and
+		// ranking evidence. A snapshot that does not fit the re-synthesized
+		// pool is rejected like any other: the run starts over fresh.
+		if err := syncPool(pool, rs.Pool); err != nil {
+			opts.Checkpoint.warnf("checkpoint: snapshot at barrier %d rejected, starting fresh: %v", rs.Barrier, err)
+			opts.Checkpoint.Resume = false
+			return Repair(job, opts)
+		}
+	}
 	eng := &engine{
 		job:    job,
 		opts:   opts,
@@ -274,21 +284,18 @@ func Repair(job Job, opts Options) (*Result, error) {
 		eng.ck = ck
 	}
 
-	// Resume, step 2: restore the killed run's engine state — pool
-	// membership with refined regions and ranking evidence, stats,
-	// counters, deletion memo, and barrier/elapsed accounting.
+	// Resume, step 3: restore the rest of the killed run's engine state —
+	// stats, counters, deletion memo, barrier/elapsed accounting, and the
+	// interrupted phase's loop state.
 	numVal := len(job.FailingInputs)
 	startPhase := 0
 	var resumeSt *exploreState
 	var resumePartial *Stats
 	if rs != nil {
 		rs.apply(eng, stats, ck)
-		startPhase = rs.phase
-		resumeSt = rs.st()
-		if rs.hasPartial {
-			p := rs.partial
-			resumePartial = &p
-		}
+		startPhase = rs.Phase
+		resumeSt = &rs.Explore
+		resumePartial = rs.Partial
 	}
 
 	// Phase 1b: validate the pool against each failing input by
@@ -430,9 +437,11 @@ func (e *engine) noteSolverErr(err error) bool {
 	return true
 }
 
+// delEntry memoizes isDeletionLike for one patch: the verdict Val holds
+// while the patch's region still counts Count concrete patches.
 type delEntry struct {
-	count int64
-	val   bool
+	Count int64 `json:"count"`
+	Val   bool  `json:"deletion_like"`
 }
 
 func (e *engine) inputBounds() map[string]interval.Interval {
@@ -459,14 +468,16 @@ func (e *engine) pinnedBounds(input map[string]int64) map[string]interval.Interv
 }
 
 // workItem is a queued (input, patch) pair (the t, ρ of PickNewInput).
+// Snapshots carry it as is; its maps have no omitempty, so a nil map and
+// an empty one restore distinctly.
 type workItem struct {
-	input   map[string]int64
-	patchID int
-	params  expr.Model
-	score   int
-	bound   int // generational-search bound for children
-	seq     int
-	seed    bool
+	Input   map[string]int64 `json:"input"`
+	PatchID int              `json:"patch"`
+	Params  expr.Model       `json:"params"`
+	Score   int              `json:"score"`
+	Bound   int              `json:"bound"` // generational-search bound for children
+	Seq     int              `json:"seq"`
+	Seed    bool             `json:"seed,omitempty"`
 }
 
 // explore runs the repair loop over the given input bounds: Algorithm 1's
@@ -482,8 +493,8 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 	push := func(it workItem) {
 		st.push(it, maxQueue)
 	}
-	if st.seen == nil {
-		st.seen = make(map[uint64]bool) // explored path prefixes in this phase
+	if st.Seen == nil {
+		st.Seen = make(map[uint64]bool) // explored path prefixes in this phase
 		for _, s := range seeds {
 			ranked := e.pool.Ranked()
 			if len(ranked) == 0 {
@@ -495,7 +506,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 				continue
 			}
 			e.seq++
-			push(workItem{input: s, patchID: p.ID, params: params, score: 1 << 20, bound: 0, seq: e.seq, seed: true})
+			push(workItem{Input: s, PatchID: p.ID, Params: params, Score: 1 << 20, Bound: 0, Seq: e.seq, Seed: true})
 		}
 	}
 
@@ -503,7 +514,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 	if e.opts.Queue == QueueFIFO {
 		cmp = lessFIFO
 	}
-	for ; st.iter < maxIter && len(st.queue) > 0 && e.pool.Size() > 0; st.iter++ {
+	for ; st.Iter < maxIter && len(st.Queue) > 0 && e.pool.Size() > 0; st.Iter++ {
 		if e.tok.Expired() {
 			// Anytime: keep the pool reduced so far. Deliberately NO snapshot
 			// is written here: the cancellation raced the generation that just
@@ -522,13 +533,13 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		e.atBarrier(st, stats)
 		// Pop the best item under the queue policy.
 		best := 0
-		for i := 1; i < len(st.queue); i++ {
-			if cmp(st.queue[i], st.queue[best]) {
+		for i := 1; i < len(st.Queue); i++ {
+			if cmp(st.Queue[i], st.Queue[best]) {
 				best = i
 			}
 		}
-		item := st.queue[best]
-		st.queue = append(st.queue[:best], st.queue[best+1:]...)
+		item := st.Queue[best]
+		st.Queue = append(st.Queue[:best], st.Queue[best+1:]...)
 
 		// The pool may have changed since the item was pushed: re-resolve
 		// the patch choice.
@@ -537,7 +548,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 			stats.PathsSkipped++
 			continue
 		}
-		exec, panicked := e.safeExecute(item.input, pt, params)
+		exec, panicked := e.safeExecute(item.Input, pt, params)
 		if panicked {
 			// Subject (or patch evaluation) crashed the interpreter itself:
 			// degrade to "path skipped" rather than aborting the run.
@@ -550,7 +561,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 			continue
 		}
 		stats.PathsExplored++
-		if !item.seed {
+		if !item.Seed {
 			stats.InputsGenerated++
 			if exec.HitPatch() {
 				stats.PatchLocHits++
@@ -571,12 +582,12 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		// the next iteration pops from is the same for any worker count.
 		var fresh []concolic.Flip
 		var keys []uint64
-		for _, flip := range concolic.Flips(exec, item.bound) {
+		for _, flip := range concolic.Flips(exec, item.Bound) {
 			key := concolic.PathKey(append(append([]*expr.Term{}, flip.Prefix...), flip.Negated))
-			if st.seen[key] {
+			if st.Seen[key] {
 				continue
 			}
-			st.seen[key] = true
+			st.Seen[key] = true
 			fresh = append(fresh, flip)
 			keys = append(keys, key)
 		}
@@ -600,9 +611,9 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 				continue
 			}
 			child := v.child
-			child.score += faultinject.RankDelta(keys[i])
+			child.Score += faultinject.RankDelta(keys[i])
 			e.seq++
-			child.seq = e.seq
+			child.Seq = e.seq
 			push(child)
 		}
 	}
@@ -635,45 +646,45 @@ func (e *engine) safeExecute(input map[string]int64, pt *patch.Patch, params exp
 }
 
 func less(a, b workItem) bool {
-	if a.score != b.score {
-		return a.score > b.score
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return a.seq < b.seq
+	return a.Seq < b.Seq
 }
 
-func lessFIFO(a, b workItem) bool { return a.seq < b.seq }
+func lessFIFO(a, b workItem) bool { return a.Seq < b.Seq }
 
 // push appends an item to the frontier. At the limit it evicts the worst
 // item in ranked order (less, whatever the pop policy), or drops the
 // candidate when it is not strictly better than that worst item.
 func (st *exploreState) push(it workItem, limit int) {
-	if len(st.queue) >= limit {
+	if len(st.Queue) >= limit {
 		wi := -1
-		for i := range st.queue {
-			if wi < 0 || less(st.queue[wi], st.queue[i]) {
+		for i := range st.Queue {
+			if wi < 0 || less(st.Queue[wi], st.Queue[i]) {
 				wi = i
 			}
 		}
-		if wi < 0 || !less(it, st.queue[wi]) {
+		if wi < 0 || !less(it, st.Queue[wi]) {
 			return
 		}
-		st.queue = append(st.queue[:wi], st.queue[wi+1:]...)
+		st.Queue = append(st.Queue[:wi], st.Queue[wi+1:]...)
 	}
-	st.queue = append(st.queue, it)
+	st.Queue = append(st.Queue, it)
 }
 
 // resolvePatch returns the patch and parameters to execute a work item
 // with, re-validating against the current pool.
 func (e *engine) resolvePatch(item workItem) (*patch.Patch, expr.Model, bool) {
 	for _, p := range e.pool.Patches {
-		if p.ID != item.patchID {
+		if p.ID != item.PatchID {
 			continue
 		}
 		if len(p.Params) == 0 {
 			return p, expr.Model{}, true
 		}
-		if p.Constraint.Contains(p.ParamPoint(item.params)) {
-			return p, item.params, true
+		if p.Constraint.Contains(p.ParamPoint(item.Params)) {
+			return p, item.Params, true
 		}
 		if m, ok := p.AnyParams(); ok {
 			return p, m, true
@@ -714,11 +725,11 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 			params[name] = model[name]
 		}
 		return workItem{
-			input:   in,
-			patchID: p.ID,
-			params:  params,
-			score:   flip.Score(),
-			bound:   flip.Depth + 1,
+			Input:   in,
+			PatchID: p.ID,
+			Params:  params,
+			Score:   flip.Score(),
+			Bound:   flip.Depth + 1,
 		}
 	}
 
@@ -744,9 +755,9 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 		}
 		it := buildItem(model, p)
 		for k, v := range params {
-			it.params[k] = v
+			it.Params[k] = v
 		}
-		it.patchID = p.ID
+		it.PatchID = p.ID
 		return it, true, false
 	}
 
@@ -985,8 +996,8 @@ func (e *engine) isDeletionLike(p *patch.Patch, solver *smt.Solver) bool {
 	}
 	ent, ok := e.delCache[p.ID]
 	e.delMu.Unlock()
-	if ok && ent.count == cnt {
-		return ent.val
+	if ok && ent.Count == cnt {
+		return ent.Val
 	}
 	b := e.boundsWithParams(e.curBounds, p)
 	t := expr.And(p.ConstraintTerm(), expr.Not(p.Expr))
@@ -999,7 +1010,7 @@ func (e *engine) isDeletionLike(p *patch.Patch, solver *smt.Solver) bool {
 		val = !tautology || !contradiction
 	}
 	e.delMu.Lock()
-	e.delCache[p.ID] = delEntry{count: cnt, val: val}
+	e.delCache[p.ID] = delEntry{Count: cnt, Val: val}
 	e.delMu.Unlock()
 	return val
 }

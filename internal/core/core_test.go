@@ -235,8 +235,8 @@ func TestPickNewInputPathReduction(t *testing.T) {
 	if !ok {
 		t.Fatal("ablation should admit the input-feasible path")
 	}
-	if item.input["y"] != 0 || item.input["x"] == 0 {
-		t.Fatalf("ablation model should satisfy the path: %v", item.input)
+	if item.Input["y"] != 0 || item.Input["x"] == 0 {
+		t.Fatalf("ablation model should satisfy the path: %v", item.Input)
 	}
 	// A flip every patch admits is kept either way.
 	flip.Negated = expr.Ne(y, expr.Int(0))

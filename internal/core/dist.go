@@ -39,10 +39,10 @@ type DistCounters struct{}
 // date. Batches carry the whole pool's state (pools are small — tens of
 // templates after validation).
 type PatchState struct {
-	ID        int
-	Score     float64
-	Deletions int
-	Region    interval.Region
+	ID        int             `json:"id"`
+	Score     float64         `json:"score"`
+	Deletions int             `json:"deletions"`
+	Region    interval.Region `json:"region"`
 }
 
 // FlipBatch is one generation's path-reduction scan (§3.4): every fresh
@@ -133,11 +133,11 @@ func (e *engine) distributeFlips(fresh []concolic.Flip, bounds map[string]interv
 		v := flipVerdict{ok: o.OK, unknown: o.Unknown}
 		if o.OK {
 			v.child = workItem{
-				input:   o.Input,
-				patchID: o.PatchID,
-				params:  o.Params,
-				score:   o.Score,
-				bound:   o.Bound,
+				Input:   o.Input,
+				PatchID: o.PatchID,
+				Params:  o.Params,
+				Score:   o.Score,
+				Bound:   o.Bound,
 			}
 		}
 		verdicts[i] = v

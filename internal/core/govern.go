@@ -21,8 +21,8 @@ import "cpr/internal/govern"
 // peaks, poll the governor, apply the rung's action. With Options.Govern
 // nil it only tracks the peaks (they are reported regardless).
 func (e *engine) governAtBarrier(st *exploreState) {
-	e.mem.FrontierPeak = max(e.mem.FrontierPeak, len(st.queue))
-	e.mem.SeenPeak = max(e.mem.SeenPeak, len(st.seen))
+	e.mem.FrontierPeak = max(e.mem.FrontierPeak, len(st.Queue))
+	e.mem.SeenPeak = max(e.mem.SeenPeak, len(st.Seen))
 	g := e.opts.Govern
 	if g == nil {
 		return

@@ -11,7 +11,6 @@ import (
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
-	"cpr/internal/journal"
 )
 
 // governedOpts builds the option set the governor differential tests run
@@ -171,31 +170,31 @@ func TestFrontierCapEviction(t *testing.T) {
 			// refPush is the engine's original push: sort, drop the worst,
 			// reject non-improving candidates at the cap.
 			refPush := func(q *exploreState, it workItem) {
-				if len(q.queue) >= maxQueue {
-					sort.SliceStable(q.queue, func(i, j int) bool { return less(q.queue[i], q.queue[j]) })
-					if !less(it, q.queue[len(q.queue)-1]) {
+				if len(q.Queue) >= maxQueue {
+					sort.SliceStable(q.Queue, func(i, j int) bool { return less(q.Queue[i], q.Queue[j]) })
+					if !less(it, q.Queue[len(q.Queue)-1]) {
 						return
 					}
-					q.queue = q.queue[:len(q.queue)-1]
+					q.Queue = q.Queue[:len(q.Queue)-1]
 				}
-				q.queue = append(q.queue, it)
+				q.Queue = append(q.Queue, it)
 			}
 			cmp := less
 			if policy == QueueFIFO {
 				cmp = lessFIFO
 			}
 			pop := func(q *exploreState) (workItem, bool) {
-				if len(q.queue) == 0 {
+				if len(q.Queue) == 0 {
 					return workItem{}, false
 				}
 				best := 0
-				for i := 1; i < len(q.queue); i++ {
-					if cmp(q.queue[i], q.queue[best]) {
+				for i := 1; i < len(q.Queue); i++ {
+					if cmp(q.Queue[i], q.Queue[best]) {
 						best = i
 					}
 				}
-				it := q.queue[best]
-				q.queue = append(q.queue[:best], q.queue[best+1:]...)
+				it := q.Queue[best]
+				q.Queue = append(q.Queue[:best], q.Queue[best+1:]...)
 				return it, true
 			}
 
@@ -205,11 +204,11 @@ func TestFrontierCapEviction(t *testing.T) {
 				if rng.Intn(8) < 6 {
 					seq++
 					it := workItem{
-						score: rng.Intn(12), // narrow range: plenty of seq tiebreaks
-						seq:   seq,
-						input: map[string]int64{"x": int64(seq)},
+						Score: rng.Intn(12), // narrow range: plenty of seq tiebreaks
+						Seq:   seq,
+						Input: map[string]int64{"x": int64(seq)},
 					}
-					if len(st.queue) == maxQueue {
+					if len(st.Queue) == maxQueue {
 						atCap++
 					}
 					st.push(it, maxQueue)
@@ -217,14 +216,14 @@ func TestFrontierCapEviction(t *testing.T) {
 				} else {
 					got, gok := pop(st)
 					want, wok := pop(rst)
-					if gok != wok || got.seq != want.seq || got.score != want.score {
+					if gok != wok || got.Seq != want.Seq || got.Score != want.Score {
 						t.Fatalf("round %d: pop diverged: got=(%d,%d,%v) ref=(%d,%d,%v)",
-							round, got.score, got.seq, gok, want.score, want.seq, wok)
+							round, got.Score, got.Seq, gok, want.Score, want.Seq, wok)
 					}
 				}
-				if len(st.queue) != len(rst.queue) || len(st.queue) > maxQueue {
+				if len(st.Queue) != len(rst.Queue) || len(st.Queue) > maxQueue {
 					t.Fatalf("round %d: frontier holds %d items, reference %d, cap %d",
-						round, len(st.queue), len(rst.queue), maxQueue)
+						round, len(st.Queue), len(rst.Queue), maxQueue)
 				}
 			}
 			if atCap == 0 {
@@ -240,39 +239,27 @@ func TestFrontierCapEviction(t *testing.T) {
 				if !gok {
 					break
 				}
-				if got.seq != want.seq || got.score != want.score || got.input["x"] != int64(got.seq) {
-					t.Fatalf("drain diverged: got=(%d,%d) ref=(%d,%d)", got.score, got.seq, want.score, want.seq)
+				if got.Seq != want.Seq || got.Score != want.Score || got.Input["x"] != int64(got.Seq) {
+					t.Fatalf("drain diverged: got=(%d,%d) ref=(%d,%d)", got.Score, got.Seq, want.Score, want.Seq)
 				}
 			}
 		})
 	}
 }
 
-// TestWorkItemCodecRoundTrip round-trips frontier items through the item
-// codec every checkpoint carries them in, and compares every field:
-// plain (input, patch) items, a seed, and an item without parameters
-// (nil and empty maps restore distinctly).
+// TestWorkItemCodecRoundTrip round-trips frontier items through the JSON
+// snapshot codec every checkpoint carries them in, and compares every
+// field: plain (input, patch) items, a seed, and an item without
+// parameters (nil and empty maps restore distinctly).
 func TestWorkItemCodecRoundTrip(t *testing.T) {
 	items := []workItem{
-		{input: map[string]int64{"x": 7, "y": 0}, patchID: 3, params: expr.Model{"a": 2, "b": -5}, score: 1 << 20, seq: 1, seed: true},
-		{input: map[string]int64{"x": -3, "y": 9}, patchID: 11, params: expr.Model{"a": 0}, score: 350, bound: 4, seq: 17},
-		{input: map[string]int64{}, patchID: 5, score: -2, bound: 1, seq: 42},
+		{Input: map[string]int64{"x": 7, "y": 0}, PatchID: 3, Params: expr.Model{"a": 2, "b": -5}, Score: 1 << 20, Seq: 1, Seed: true},
+		{Input: map[string]int64{"x": -3, "y": 9}, PatchID: 11, Params: expr.Model{"a": 0}, Score: 350, Bound: 4, Seq: 17},
+		{Input: map[string]int64{}, PatchID: 5, Score: -2, Bound: 1, Seq: 42},
 	}
-	var m journal.Encoder
-	for _, it := range items {
-		encodeItem(&m, it)
-	}
-	d := journal.NewDecoder(m.Bytes())
-	for i, want := range items {
-		got, err := decodeItem(d)
-		if err != nil {
-			t.Fatalf("item %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("item %d did not round-trip:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	if n := len(d.Rest()); n != 0 {
-		t.Fatalf("%d bytes left after the last item", n)
+	st := exploreState{Queue: items, Seen: map[uint64]bool{1<<64 - 1: true, 7: true}, Iter: 9}
+	got := roundTripSnapshot(t, &engine{}, Stats{}, st).Explore
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("frontier did not round-trip:\n got %+v\nwant %+v", got, st)
 	}
 }

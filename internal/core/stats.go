@@ -58,8 +58,7 @@ type Stats struct {
 	// CacheEvictions counts the verdict cache's LRU evictions; it comes
 	// from the cache, not the solvers. CacheSubsumed is always zero: the
 	// cache is exact memoization and answers nothing by subsumption. It
-	// stays declared only because the benchmark harness still reads it,
-	// and it is in no snapshot.
+	// stays declared only because the benchmark harness still reads it.
 	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
 	CacheSubsumed  uint64 `json:"cache_subsumed,omitempty"`
 	// The solver counters, summed across every worker's solver.
@@ -68,10 +67,10 @@ type Stats struct {
 }
 
 // MemStats are the memory-governor counters (all zero without
-// Options.Govern) and the structure-size peaks. Like Workers and the
-// wall-time fields, none of them enter snapshot codecs or stats-equality
-// fingerprints: they describe memory scheduling, not the repair
-// trajectory.
+// Options.Govern) and the structure-size peaks. The engine keeps them
+// apart until Repair returns, so they are zero in every snapshot, and
+// like the wall-time fields they enter no stats-equality fingerprint:
+// they describe memory scheduling, not the repair trajectory.
 type MemStats struct {
 	// Barrier polls classified at each rung, and the verdict-cache shrinks
 	// they caused (the evicted entries count in CacheEvictions).

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cpr/internal/journal"
 	"cpr/internal/smt"
 )
 
@@ -113,22 +112,20 @@ func TestStatsDeclaredOnce(t *testing.T) {
 	diffLeaves(t, b.Add(b), want, nil)
 }
 
-// TestSolverStatsCodecRoundTrip round-trips a fully populated smt.Stats
-// through the snapshot codec engine and baseline snapshots share. Every
-// counter must survive; the wall-time fields are not run state and are
-// not encoded.
+// TestSolverStatsCodecRoundTrip round-trips fully populated stats through
+// the JSON snapshot codec: every counter of the run's Stats and of the
+// solver aggregate must survive, and the aggregate's wall-time fields,
+// which are not run state, must come back zero.
 func TestSolverStatsCodecRoundTrip(t *testing.T) {
-	var want smt.Stats
-	fillLeaves(t, &want)
-	var m journal.Encoder
-	smt.EncodeSolverStats(&m, want)
-	d := journal.NewDecoder(m.Bytes())
-	var got smt.Stats
-	smt.DecodeSolverStats(d, &got)
-	if err := d.Err(); err != nil || len(d.Rest()) != 0 {
-		t.Fatalf("decode: err %v, %d bytes left over", err, len(d.Rest()))
+	var run Stats
+	fillLeaves(t, &run)
+	var agg smt.Stats
+	fillLeaves(t, &agg)
+	s := roundTripSnapshot(t, &engine{baseAgg: agg}, run, exploreState{})
+	diffLeaves(t, s.Stats, run, nil)
+	isWallTime := func(l statsLeaf) bool { return l.field.Type == reflect.TypeOf(time.Duration(0)) }
+	diffLeaves(t, s.Solver, agg, isWallTime)
+	if s.Solver.SatTime != 0 || s.Solver.LIATime != 0 || s.Solver.ValidateTime != 0 {
+		t.Errorf("snapshot carries solver wall times: %v %v %v", s.Solver.SatTime, s.Solver.LIATime, s.Solver.ValidateTime)
 	}
-	diffLeaves(t, got, want, func(l statsLeaf) bool {
-		return l.field.Type == reflect.TypeOf(time.Duration(0))
-	})
 }

@@ -6,7 +6,6 @@ import (
 	"cpr/internal/concolic"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
-	"cpr/internal/patch"
 	"cpr/internal/smt"
 	"cpr/internal/smt/cache"
 	"cpr/internal/synth"
@@ -74,29 +73,13 @@ func (we *WorkerEngine) SetBounds(b map[string]interval.Interval) {
 	we.eng.curBounds = b
 }
 
-// ApplyPool re-syncs the replica pool to the engine's batch-start state:
-// the same order-preserving intersect a checkpoint resume uses. The
-// listed IDs must be a subsequence of the replica's current pool
-// (pools only shrink, in synthesis order); an unknown ID means the
-// replica is not a replica of this run and the chunk must not run.
+// ApplyPool re-syncs the replica pool to the engine's batch-start state
+// with syncPool, the intersect a checkpoint resume uses. An error means
+// the replica is not a replica of this run and the chunk must not run.
 func (we *WorkerEngine) ApplyPool(ps []PatchState) error {
-	e := we.eng
-	byID := make(map[int]*patch.Patch, len(e.pool.Patches))
-	for _, p := range e.pool.Patches {
-		byID[p.ID] = p
+	if err := syncPool(we.eng.pool, ps); err != nil {
+		return fmt.Errorf("core: pool sync: %w", err)
 	}
-	kept := make([]*patch.Patch, 0, len(ps))
-	for _, s := range ps {
-		p, ok := byID[s.ID]
-		if !ok {
-			return fmt.Errorf("core: pool sync: patch #%d not in replica pool", s.ID)
-		}
-		p.Score = s.Score
-		p.Deletions = s.Deletions
-		p.Constraint = s.Region
-		kept = append(kept, p)
-	}
-	e.pool.Patches = kept
 	return nil
 }
 
@@ -116,11 +99,11 @@ func (we *WorkerEngine) RunFlips(flips []concolic.Flip) []FlipOutcome {
 			Panics:   e.solverPanics.Load() - p0,
 		}
 		if ok {
-			o.Input = child.input
-			o.PatchID = child.patchID
-			o.Params = child.params
-			o.Score = child.score
-			o.Bound = child.bound
+			o.Input = child.Input
+			o.PatchID = child.PatchID
+			o.Params = child.Params
+			o.Score = child.Score
+			o.Bound = child.Bound
 		}
 		outs[i] = o
 	}

@@ -5,78 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
-
-func TestEncoderDecoderRoundTrip(t *testing.T) {
-	var e Encoder
-	e.U64(0)
-	e.U64(1 << 62)
-	e.I64(-12345)
-	e.Int(42)
-	e.Bool(true)
-	e.Bool(false)
-	e.F64(3.5)
-	e.Dur(7 * time.Second)
-	e.Str("hello")
-	e.Str("")
-	e.Raw([]byte{1, 2, 3})
-
-	d := NewDecoder(e.Bytes())
-	if got := d.U64(); got != 0 {
-		t.Errorf("U64 = %d, want 0", got)
-	}
-	if got := d.U64(); got != 1<<62 {
-		t.Errorf("U64 = %d, want %d", got, uint64(1)<<62)
-	}
-	if got := d.I64(); got != -12345 {
-		t.Errorf("I64 = %d, want -12345", got)
-	}
-	if got := d.Int(); got != 42 {
-		t.Errorf("Int = %d, want 42", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if got := d.F64(); got != 3.5 {
-		t.Errorf("F64 = %v, want 3.5", got)
-	}
-	if got := d.Dur(); got != 7*time.Second {
-		t.Errorf("Dur = %v, want 7s", got)
-	}
-	if got := d.Str(); got != "hello" {
-		t.Errorf("Str = %q, want hello", got)
-	}
-	if got := d.Str(); got != "" {
-		t.Errorf("Str = %q, want empty", got)
-	}
-	if got := d.Raw(); string(got) != "\x01\x02\x03" {
-		t.Errorf("Raw = %v", got)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("Err = %v", err)
-	}
-	if len(d.Rest()) != 0 {
-		t.Errorf("Rest = %d bytes, want 0", len(d.Rest()))
-	}
-}
-
-func TestDecoderTruncation(t *testing.T) {
-	var e Encoder
-	e.Str("a long enough string")
-	buf := e.Bytes()
-	for cut := 0; cut < len(buf); cut++ {
-		d := NewDecoder(buf[:cut])
-		d.Str()
-		if !errors.Is(d.Err(), ErrTruncated) {
-			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, d.Err())
-		}
-		// Sticky: further reads stay failed and return zeros.
-		if d.U64() != 0 || !errors.Is(d.Err(), ErrTruncated) {
-			t.Fatalf("cut at %d: decoder error not sticky", cut)
-		}
-	}
-}
 
 func TestLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")

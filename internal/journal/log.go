@@ -1,3 +1,14 @@
+// Package journal is the durability layer of the repair system: a
+// CRC-framed append-only record log and atomically-committed versioned
+// snapshot files. Payloads are opaque bytes here; every writer in the
+// repository puts a JSON document in them.
+//
+// The package knows nothing about repair semantics — internal/core
+// defines what a snapshot contains; journal defines how it is framed,
+// committed, validated, and recovered. The contract for every
+// artifact written here is crash-safety under SIGKILL: a reader either
+// sees a fully committed, checksummed artifact or rejects it with a clear
+// error, never a silent partial load.
 package journal
 
 import (
@@ -23,8 +34,9 @@ import (
 const (
 	logMagic = "CPRJRNL" // 7 bytes + 1 version byte
 	// LogVersion is the record-log format version; bump on any framing
-	// change. Readers reject logs from other versions.
-	LogVersion = 1
+	// or payload-encoding change. Readers reject logs from other versions.
+	// Version 2 payloads are JSON; version 1 payloads were varint-encoded.
+	LogVersion = 2
 	// maxRecord bounds a single record; larger lengths mark a corrupt frame.
 	maxRecord = 1 << 28
 )

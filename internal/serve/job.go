@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -355,14 +354,4 @@ func buildResult(j core.Job, res *core.Result, top int) *Result {
 		}
 	}
 	return out
-}
-
-func (r *Result) marshal() []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A Result is plain data; marshal cannot fail. Keep the journal
-		// well-formed regardless.
-		b = []byte(`{"top_patches":[]}`)
-	}
-	return b
 }

@@ -19,9 +19,9 @@ import (
 // with resume on; their engine checkpoints (one directory per job) carry
 // the partial work.
 const (
-	recAccepted      uint8 = 1 // id, seq, spec JSON
+	recAccepted      uint8 = 1 // id, seq, spec
 	recAttemptFailed uint8 = 2 // id, attempt ordinal, error
-	recDone          uint8 = 3 // id, result JSON
+	recDone          uint8 = 3 // id, result
 	recCancelled     uint8 = 4 // id
 	recDeadLetter    uint8 = 5 // id, error
 	recExpired       uint8 = 6 // id, reason
@@ -29,11 +29,21 @@ const (
 
 const jobLogName = "jobs.log"
 
+// logRecord is the JSON payload of one job-log record; the record's kind
+// says which fields it carries.
+type logRecord struct {
+	ID      string   `json:"id"`
+	Seq     uint64   `json:"seq,omitempty"`
+	Spec    *JobSpec `json:"spec,omitempty"`
+	Attempt int      `json:"attempt,omitempty"`
+	Msg     string   `json:"msg,omitempty"`
+	Result  *Result  `json:"result,omitempty"`
+}
+
 // jobJournal serializes writes to the job record log.
 type jobJournal struct {
-	mu  sync.Mutex
-	w   *journal.LogWriter
-	enc journal.Encoder
+	mu sync.Mutex
+	w  *journal.LogWriter
 }
 
 func openJobJournal(dir string) (*jobJournal, error) {
@@ -47,48 +57,36 @@ func openJobJournal(dir string) (*jobJournal, error) {
 	return &jobJournal{w: w}, nil
 }
 
-// append frames, writes, and fsyncs one record. Every record the daemon
+// append encodes, writes, and fsyncs one record. Every record the daemon
 // writes is a promise (job accepted, job finished); none may be lost to a
 // crash after being acted on, so the sync is unconditional.
-func (jl *jobJournal) append(kind uint8, fields func(e *journal.Encoder)) error {
+func (jl *jobJournal) append(kind uint8, rec logRecord) error {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	jl.enc.Reset()
-	fields(&jl.enc)
-	if err := jl.w.Append(kind, jl.enc.Bytes()); err != nil {
+	if err := jl.w.Append(kind, payload); err != nil {
 		return err
 	}
 	return jl.w.Sync()
 }
 
-func (jl *jobJournal) accepted(j *job, specJSON []byte) error {
-	return jl.append(recAccepted, func(e *journal.Encoder) {
-		e.Str(j.id)
-		e.U64(j.submitSeq)
-		e.Raw(specJSON)
-	})
+func (jl *jobJournal) accepted(j *job) error {
+	return jl.append(recAccepted, logRecord{ID: j.id, Seq: j.submitSeq, Spec: &j.spec})
 }
 
 func (jl *jobJournal) attemptFailed(id string, attempt int, errMsg string) error {
-	return jl.append(recAttemptFailed, func(e *journal.Encoder) {
-		e.Str(id)
-		e.Int(attempt)
-		e.Str(errMsg)
-	})
+	return jl.append(recAttemptFailed, logRecord{ID: id, Attempt: attempt, Msg: errMsg})
 }
 
-func (jl *jobJournal) done(id string, resultJSON []byte) error {
-	return jl.append(recDone, func(e *journal.Encoder) {
-		e.Str(id)
-		e.Raw(resultJSON)
-	})
+func (jl *jobJournal) done(id string, res *Result) error {
+	return jl.append(recDone, logRecord{ID: id, Result: res})
 }
 
 func (jl *jobJournal) terminal(kind uint8, id, msg string) error {
-	return jl.append(kind, func(e *journal.Encoder) {
-		e.Str(id)
-		e.Str(msg)
-	})
+	return jl.append(kind, logRecord{ID: id, Msg: msg})
 }
 
 func (jl *jobJournal) close() error {
@@ -125,54 +123,43 @@ func replayJobLog(dir string, warn func(string)) ([]*replayedJob, error) {
 	byID := map[string]*replayedJob{}
 	var order []*replayedJob
 	for _, rec := range recs {
-		d := journal.NewDecoder(rec.Payload)
-		id := d.Str()
-		if d.Err() != nil {
-			warnf("serve: journal record (kind %d) undecodable, skipped: %v", rec.Kind, d.Err())
+		var lr logRecord
+		if err := json.Unmarshal(rec.Payload, &lr); err != nil {
+			warnf("serve: journal record (kind %d) undecodable, skipped: %v", rec.Kind, err)
 			continue
 		}
 		if rec.Kind == recAccepted {
-			rj := &replayedJob{id: id, seq: d.U64()}
-			specJSON := d.Raw()
-			if d.Err() != nil {
-				warnf("serve: accepted record for %s undecodable, skipped: %v", id, d.Err())
+			if lr.Spec == nil {
+				warnf("serve: accepted record for %s carries no spec, skipped", lr.ID)
 				continue
 			}
-			if err := json.Unmarshal(specJSON, &rj.spec); err != nil {
-				warnf("serve: accepted record for %s carries bad spec JSON, skipped: %v", id, err)
-				continue
-			}
-			byID[id] = rj
+			rj := &replayedJob{id: lr.ID, seq: lr.Seq, spec: *lr.Spec}
+			byID[lr.ID] = rj
 			order = append(order, rj)
 			continue
 		}
-		rj := byID[id]
+		rj := byID[lr.ID]
 		if rj == nil {
-			warnf("serve: journal record (kind %d) for unknown job %s, skipped", rec.Kind, id)
+			warnf("serve: journal record (kind %d) for unknown job %s, skipped", rec.Kind, lr.ID)
 			continue
 		}
 		switch rec.Kind {
 		case recAttemptFailed:
-			rj.attempts = d.Int()
-			rj.lastErr = d.Str()
+			rj.attempts, rj.lastErr = lr.Attempt, lr.Msg
 		case recDone:
-			var res Result
-			if err := json.Unmarshal(d.Raw(), &res); err != nil {
-				warnf("serve: done record for %s carries bad result JSON, job re-enqueued: %v", id, err)
+			if lr.Result == nil {
+				warnf("serve: done record for %s carries no result, job re-enqueued", lr.ID)
 				continue
 			}
-			rj.state, rj.result = StateDone, &res
+			rj.state, rj.result = StateDone, lr.Result
 		case recCancelled:
 			rj.state = StateCancelled
 		case recDeadLetter:
-			rj.state, rj.lastErr = StateDeadLetter, d.Str()
+			rj.state, rj.lastErr = StateDeadLetter, lr.Msg
 		case recExpired:
-			rj.state, rj.lastErr = StateExpired, d.Str()
+			rj.state, rj.lastErr = StateExpired, lr.Msg
 		default:
-			warnf("serve: unknown journal record kind %d for job %s, skipped", rec.Kind, id)
-		}
-		if d.Err() != nil {
-			warnf("serve: journal record (kind %d) for %s undecodable past id, skipped: %v", rec.Kind, id, d.Err())
+			warnf("serve: unknown journal record kind %d for job %s, skipped", rec.Kind, lr.ID)
 		}
 	}
 	return order, nil

@@ -1,10 +1,17 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"cpr/internal/journal"
 )
 
 // divZeroProgram mirrors the paper's §2 example (and the core test suite):
@@ -275,6 +282,46 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 				t.Fatalf("replay-only drain: %v", err)
 			}
 		})
+	}
+}
+
+// TestJobLogVersionOneRefused: a state directory whose job log was
+// written as record-log version 1 (varint-encoded records) must be
+// refused with journal.ErrVersion, with and without Resume, rather than
+// replayed record by record: such a directory is finished by the build
+// that wrote it.
+func TestJobLogVersionOneRefused(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := json.Marshal(divZeroSpec("alice", "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A version-1 accepted record: id, submit seq, spec JSON.
+	body := []byte{recAccepted}
+	body = binary.AppendUvarint(body, uint64(len("j-000000")))
+	body = append(body, "j-000000"...)
+	body = binary.AppendUvarint(body, 0)
+	body = binary.AppendUvarint(body, uint64(len(spec)))
+	body = append(body, spec...)
+	log := append([]byte("CPRJRNL"), 1)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(body)))
+	log = append(log, body...)
+	log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(filepath.Join(dir, jobLogName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		var warns []string
+		s, err := New(Config{StateDir: dir, Resume: resume, Warn: func(msg string) { warns = append(warns, msg) }})
+		if !errors.Is(err, journal.ErrVersion) {
+			t.Errorf("resume=%v: New err = %v, want journal.ErrVersion", resume, err)
+		}
+		if s != nil {
+			s.Drain(time.Second)
+		}
+		if len(warns) != 0 {
+			t.Errorf("resume=%v: version-1 log replayed with warnings %q", resume, warns)
+		}
 	}
 }
 

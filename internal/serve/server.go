@@ -25,7 +25,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -372,11 +371,6 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 		s.mu.Unlock()
 		return StatusView{}, &AdmissionError{Status: 400, Msg: err.Error()}
 	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return StatusView{}, &AdmissionError{Status: 400, Msg: fmt.Sprintf("spec: %v", err)}
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.tenantLocked(spec.Tenant)
@@ -426,7 +420,7 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	// storage before the job becomes visible. The fsync runs under the
 	// server lock, which serializes admissions — acceptable at repair-job
 	// request rates, and it keeps journal order identical to seq order.
-	if err := s.jl.accepted(j, specJSON); err != nil {
+	if err := s.jl.accepted(j); err != nil {
 		return StatusView{}, &AdmissionError{Status: 500, Msg: fmt.Sprintf("journal: %v", err)}
 	}
 	s.jobs[j.id] = j
@@ -728,7 +722,7 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 	var jerr error
 	switch state {
 	case StateDone:
-		jerr = s.jl.done(j.id, j.result.marshal())
+		jerr = s.jl.done(j.id, j.result)
 		ts.stats.Done++
 		s.global.Done++
 	case StateCancelled:

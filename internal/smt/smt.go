@@ -31,7 +31,6 @@ import (
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
-	"cpr/internal/journal"
 	"cpr/internal/smt/cache"
 	"cpr/internal/smt/guard"
 	"cpr/internal/smt/lia"
@@ -171,8 +170,8 @@ type Stats struct {
 	// procedure, ValidateTime in verdict validation (model replays and
 	// sampled unsat cross-checks, including the trusted re-solves they
 	// trigger). Aggregated race-free from atomic nanosecond counters.
-	// Wall-clock measurements, never run state: the snapshot codec skips
-	// them.
+	// Wall-clock measurements, never run state: engine snapshots carry
+	// the solver aggregate with these three zeroed.
 	SatTime      time.Duration `json:"sat_ns"`
 	LIATime      time.Duration `json:"lia_ns"`
 	ValidateTime time.Duration `json:"validate_ns"`
@@ -218,33 +217,6 @@ func (a Stats) Add(b Stats) Stats {
 	a.RebuildRetries += b.RebuildRetries
 	a.BreakerTrips += b.BreakerTrips
 	return a
-}
-
-// snapFields lists the run-state counters of s in snapshot order; the
-// wall-time fields are not run state and are left out.
-func (s *Stats) snapFields() []*uint64 {
-	return []*uint64{
-		&s.SolverQueries, &s.TheoryRounds, &s.SatAnswers, &s.UnsatAnswers, &s.Unknowns, &s.Panics,
-		&s.CacheHits, &s.CacheMisses, &s.EncodeCacheHits, &s.EncodeCacheMisses,
-		&s.ClausesLearned, &s.ClausesKept, &s.ClausesDeleted,
-		&s.Validations, &s.ValidationFailures, &s.Quarantines, &s.FallbackSolves, &s.RebuildRetries, &s.BreakerTrips,
-	}
-}
-
-// EncodeSolverStats writes s to a snapshot, and DecodeSolverStats reads it
-// back. Engine and baseline snapshots both carry their solver aggregate in
-// this form.
-func EncodeSolverStats(m *journal.Encoder, s Stats) {
-	for _, p := range s.snapFields() {
-		m.U64(*p)
-	}
-}
-
-// DecodeSolverStats is the inverse of EncodeSolverStats.
-func DecodeSolverStats(d *journal.Decoder, s *Stats) {
-	for _, p := range s.snapFields() {
-		*p = d.U64()
-	}
 }
 
 // solverStats is the live, atomically-updated form of Stats, so Stats()
