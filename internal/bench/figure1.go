@@ -61,7 +61,8 @@ func Figure1() ([]Figure1Step, error) {
 		if phi != nil {
 			kept := pool.Patches[:0]
 			for _, p := range pool.Patches {
-				psi := p.Formula(out, snapshot)
+				holes := []patch.Hole{p.Instantiate(out, snapshot)}
+				psi := patch.Psi(holes)
 				pi := expr.And(phi, psi, p.ConstraintTerm())
 				pb := boundsPlus(bounds, p)
 				sat, err := solver.IsSat(pi, pb)
@@ -73,7 +74,7 @@ func Figure1() ([]Figure1Step, error) {
 					continue
 				}
 				refiner.InputBounds = bounds
-				refined, err := refiner.Refine(phi, psi, sigma, p, p.Constraint)
+				refined, err := refiner.Refine(phi, psi, sigma, p, p.Constraint, holes)
 				if err != nil {
 					return Figure1Step{}, err
 				}

@@ -763,7 +763,7 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 
 	unknown := false
 	for _, p := range e.pool.Ranked() {
-		psi := e.patchFormula(p, flip.HoleHits)
+		psi := patch.Psi(patchHoles(p, flip.HoleHits))
 		query := expr.And(cons, psi, p.ConstraintTerm())
 		b := e.boundsWithParams(bounds, p)
 		model, ok, err := solver.GetModel(query, b)
@@ -778,12 +778,14 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 	return workItem{}, false, unknown
 }
 
-func (e *engine) patchFormula(p *patch.Patch, hits []concolic.HoleHit) *expr.Term {
-	psis := make([]*expr.Term, len(hits))
+// patchHoles instantiates p at every hole hit, in hit order: patch.Psi of
+// the result is ψρ, and Refine evaluates the holes' definitions.
+func patchHoles(p *patch.Patch, hits []concolic.HoleHit) []patch.Hole {
+	holes := make([]patch.Hole, len(hits))
 	for i, h := range hits {
-		psis[i] = p.Formula(h.Out, h.Snapshot)
+		holes[i] = p.Instantiate(h.Out, h.Snapshot)
 	}
-	return expr.And(psis...)
+	return holes
 }
 
 func (e *engine) boundsWithParams(bounds map[string]interval.Interval, p *patch.Patch) map[string]interval.Interval {
@@ -865,7 +867,8 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver) ReduceOutcome {
 	var out ReduceOutcome
 	solver.BeginEpoch() // scope cache-write journaling to this patch
-	psi := e.patchFormula(p, rc.HoleHits)
+	holes := patchHoles(p, rc.HoleHits)
+	psi := patch.Psi(holes)
 	pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
 	b := e.boundsWithParams(e.curBounds, p)
 	sat, err := solver.IsSat(pi, b)
@@ -874,7 +877,7 @@ func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver)
 	}
 	if rc.HitBug {
 		ref := &patch.Refiner{Solver: solver, InputBounds: e.curBounds}
-		refined, err := ref.Refine(rc.Phi, psi, rc.Sigma, p, p.Constraint)
+		refined, err := ref.Refine(rc.Phi, psi, rc.Sigma, p, p.Constraint, holes)
 		if e.noteSolverErr(err) {
 			return out // refinement budget: leave the patch untouched
 		}

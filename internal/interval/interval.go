@@ -4,9 +4,13 @@
 // Regions are the representation of abstract-patch parameter constraints
 // Tρ(A) in the repair system (paper §4): refinement removes counterexample
 // points from a region, splitting the containing box into at most 3ⁿ−1
-// pieces, and Merge re-coalesces adjacent boxes. Because boxes are
-// disjoint, exact model counting (the number of concrete patches an
-// abstract patch covers) is a sum of box volumes.
+// pieces (a one-parameter region may lose many points per counterexample,
+// see patch.Refiner.Refine), and Merge re-coalesces adjacent boxes. In one
+// dimension Merge returns the sorted maximal intervals, a function of the
+// point set alone; in more, it coalesces pair by pair, so its boxes depend
+// on the order points were removed in. Because boxes are disjoint, exact
+// model counting (the number of concrete patches an abstract patch
+// covers) is a sum of box volumes.
 package interval
 
 import (

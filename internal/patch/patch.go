@@ -85,19 +85,42 @@ func (p *Patch) ConstraintTerm() *expr.Term {
 	return p.Constraint.ToTerm(p.Params)
 }
 
-// Formula builds ψρ for one patch-location hit: out ⇔ θρ[vars ↦ snapshot]
-// for boolean holes, out = θρ[…] for integer holes. Program variables
-// missing from the snapshot are left free (they then range over their
-// bounds, a sound over-approximation).
-func (p *Patch) Formula(out *expr.Term, snapshot map[string]*expr.Term) *expr.Term {
+// Hole is a patch instantiated at one patch-location hit: the patch-output
+// symbol the executor introduced there and its definition θρ[vars ↦
+// snapshot]. A later hit's definition may mention an earlier hit's output.
+type Hole struct {
+	Out, Def *expr.Term
+}
+
+// Instantiate builds the hole for one hit. Program variables missing from
+// the snapshot are left free (they then range over their bounds, a sound
+// over-approximation); parameters are never substituted.
+func (p *Patch) Instantiate(out *expr.Term, snapshot map[string]*expr.Term) Hole {
 	sub := make(map[string]*expr.Term, len(snapshot))
 	for name, val := range snapshot {
 		if !p.IsParam(name) {
 			sub[name] = val
 		}
 	}
-	inst := expr.Subst(p.Expr, sub)
-	return expr.Eq(out, inst)
+	return Hole{Out: out, Def: expr.Subst(p.Expr, sub)}
+}
+
+// Formula is the hole's conjunct of ψρ: out ⇔ Def for boolean holes,
+// out = Def for integer holes.
+func (h Hole) Formula() *expr.Term { return expr.Eq(h.Out, h.Def) }
+
+// Psi conjoins the holes' formulas in hit order: ψρ for one path.
+func Psi(holes []Hole) *expr.Term {
+	parts := make([]*expr.Term, len(holes))
+	for i, h := range holes {
+		parts[i] = h.Formula()
+	}
+	return expr.And(parts...)
+}
+
+// Formula builds ψρ for one patch-location hit (see Instantiate).
+func (p *Patch) Formula(out *expr.Term, snapshot map[string]*expr.Term) *expr.Term {
+	return p.Instantiate(out, snapshot).Formula()
 }
 
 // IsParam reports whether name is one of the patch's template parameters.

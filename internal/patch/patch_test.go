@@ -73,26 +73,48 @@ func TestFormulaInstantiation(t *testing.T) {
 	}
 }
 
+// figHoles instantiates a Figure 1 patch at the example's one hole hit,
+// where x and y still hold the inputs.
+func figHoles(p *Patch) []Hole {
+	return []Hole{p.Instantiate(out, map[string]*expr.Term{"x": x, "y": y})}
+}
+
 // TestFigure1Step2Patch1 reproduces the paper's §2 refinement of patch 1
 // (x ≥ a) on input partition P1 (x > 3 ∧ y ≤ 5): the values {5, 6, 7} are
-// removed from a ∈ [-10, 7], leaving a ∈ [-10, 4].
+// removed from a ∈ [-10, 7], leaving a ∈ [-10, 4]. The first ωfail model's
+// input (x = 4, y = 0) violates all three values, so with the hole
+// definition the refinement asks four queries (ωpass1, ωpass2, one model,
+// the final unsat) where the one-point-per-model loop asks six.
 func TestFigure1Step2Patch1(t *testing.T) {
-	p := New(1, expr.Ge(x, a), map[string]interval.Interval{"a": interval.New(-10, 7)})
 	phi := expr.And(
 		expr.Gt(x, expr.Int(3)),
 		expr.Le(y, expr.Int(5)),
 		expr.Eq(out, expr.False()), // the crashing path takes the guard's false side
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
-	ref, err := newRefiner().Refine(phi, psi, figSpec(), p, p.Constraint)
-	if err != nil {
-		t.Fatalf("Refine: %v", err)
-	}
-	if ref.Count() != 15 { // [-10, 4]
-		t.Fatalf("refined count %d (%v), want 15", ref.Count(), ref)
-	}
-	if ref.Contains([]int64{5}) || !ref.Contains([]int64{4}) || !ref.Contains([]int64{-10}) {
-		t.Fatalf("refined region wrong: %v", ref)
+	for _, tc := range []struct {
+		name    string
+		holes   bool
+		queries uint64
+	}{{"witness", true, 4}, {"per-point", false, 6}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(1, expr.Ge(x, a), map[string]interval.Interval{"a": interval.New(-10, 7)})
+			holes := figHoles(p)
+			r := newRefiner()
+			var given []Hole
+			if tc.holes {
+				given = holes
+			}
+			ref, err := r.Refine(phi, Psi(holes), figSpec(), p, p.Constraint, given)
+			if err != nil {
+				t.Fatalf("Refine: %v", err)
+			}
+			if got := ref.String(); got != "[-10,4]" {
+				t.Fatalf("refined region %s, want [-10,4]", got)
+			}
+			if got := r.Solver.Stats().SolverQueries; got != tc.queries {
+				t.Fatalf("%d solver queries, want %d", got, tc.queries)
+			}
+		})
 	}
 }
 
@@ -105,8 +127,8 @@ func TestFigure1Step2Patch2(t *testing.T) {
 		expr.Le(y, expr.Int(5)),
 		expr.Eq(out, expr.False()),
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
-	ref, err := newRefiner().Refine(phi, psi, figSpec(), p, p.Constraint)
+	holes := figHoles(p)
+	ref, err := newRefiner().Refine(phi, Psi(holes), figSpec(), p, p.Constraint, holes)
 	if err != nil {
 		t.Fatalf("Refine: %v", err)
 	}
@@ -125,8 +147,8 @@ func TestFigure1Step3Patch2(t *testing.T) {
 		expr.Gt(y, expr.Int(5)),
 		expr.Eq(out, expr.False()),
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
-	ref, err := newRefiner().Refine(phi, psi, figSpec(), p, p.Constraint)
+	holes := figHoles(p)
+	ref, err := newRefiner().Refine(phi, Psi(holes), figSpec(), p, p.Constraint, holes)
 	if err != nil {
 		t.Fatalf("Refine: %v", err)
 	}
@@ -144,8 +166,8 @@ func TestFigure1Step3Patch1(t *testing.T) {
 		expr.Gt(y, expr.Int(5)),
 		expr.Eq(out, expr.False()),
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
-	ref, err := newRefiner().Refine(phi, psi, figSpec(), p, p.Constraint)
+	holes := figHoles(p)
+	ref, err := newRefiner().Refine(phi, Psi(holes), figSpec(), p, p.Constraint, holes)
 	if err != nil {
 		t.Fatalf("Refine: %v", err)
 	}
@@ -179,8 +201,8 @@ func TestFigure1Patch3(t *testing.T) {
 		expr.Le(y, expr.Int(5)),
 		expr.Eq(out, expr.False()),
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
-	ref, err := newRefiner().Refine(phi, psi, figSpec(), p, p.Constraint)
+	holes := figHoles(p)
+	ref, err := newRefiner().Refine(phi, Psi(holes), figSpec(), p, p.Constraint, holes)
 	if err != nil {
 		t.Fatalf("Refine: %v", err)
 	}
@@ -190,6 +212,35 @@ func TestFigure1Patch3(t *testing.T) {
 	}
 	if !ref.Contains([]int64{7, 0}) || ref.Contains([]int64{7, 3}) {
 		t.Fatalf("refined region wrong: %v", ref)
+	}
+}
+
+// TestTwoParameterRefineIgnoresHoles: a two-parameter region keeps the
+// one-point-per-model loop even when the hole definitions are given, so
+// its boxes, and the queries that produced them, match the loop's.
+func TestTwoParameterRefineIgnoresHoles(t *testing.T) {
+	p := New(3, expr.Or(expr.Eq(x, a), expr.Eq(y, b)), map[string]interval.Interval{
+		"a": interval.New(-3, 3),
+		"b": interval.New(-3, 3),
+	})
+	phi := expr.And(expr.Gt(x, expr.Int(3)), expr.Le(y, expr.Int(5)), expr.Eq(out, expr.False()))
+	holes := figHoles(p)
+	run := func(given []Hole) (string, uint64) {
+		r := newRefiner()
+		r.observe = func(expr.Model, []int64) { t.Fatal("a two-parameter region was swept") }
+		ref, err := r.Refine(phi, Psi(holes), figSpec(), p, p.Constraint, given)
+		if err != nil {
+			t.Fatalf("Refine: %v", err)
+		}
+		return ref.String(), r.Solver.Stats().SolverQueries
+	}
+	gotRegion, gotQueries := run(holes)
+	wantRegion, wantQueries := run(nil)
+	if gotRegion != wantRegion || gotQueries != wantQueries {
+		t.Fatalf("with holes %s in %d queries, without %s in %d", gotRegion, gotQueries, wantRegion, wantQueries)
+	}
+	if wantQueries < 4 {
+		t.Fatalf("only %d queries: the loop removed no point", wantQueries)
 	}
 }
 
@@ -204,11 +255,11 @@ func TestRefineDiscardsWhenNoParamsWork(t *testing.T) {
 		expr.Eq(y, expr.Int(0)),
 		expr.Eq(out, expr.True()), // guard true side
 	)
-	psi := p.Formula(out, map[string]*expr.Term{"x": x, "y": y})
+	holes := figHoles(p)
 	// σ: the guard must not be taken (out = false) — impossible here for
 	// any b since y=0 < b for all b ∈ [1,3].
 	sigma := expr.Not(out)
-	ref, err := newRefiner().Refine(phi, psi, sigma, p, p.Constraint)
+	ref, err := newRefiner().Refine(phi, Psi(holes), sigma, p, p.Constraint, holes)
 	if err != nil {
 		t.Fatalf("Refine: %v", err)
 	}

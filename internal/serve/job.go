@@ -303,9 +303,6 @@ type job struct {
 	result   *Result
 	retryAt  time.Time
 
-	// resume tells the next attempt to load the engine checkpoint left by
-	// a previous attempt (journal replay, drain, or a failed attempt).
-	resume bool
 	// drained marks a running attempt cut by Drain: its outcome is
 	// discarded and the job is left non-terminal for the next process.
 	drained bool

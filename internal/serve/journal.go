@@ -15,9 +15,9 @@ import (
 // accepted job is journaled (and fsynced) before its 202 is sent, and every
 // terminal transition is journaled before it is reported — so a daemon
 // killed at any instant can replay the log and knows exactly which jobs are
-// owed a result. Jobs with no terminal record are re-enqueued on restart
-// with resume on; their engine checkpoints (one directory per job) carry
-// the partial work.
+// owed a result. Jobs with no terminal record are re-enqueued on restart;
+// their engine checkpoints (one directory per job, present once a job has
+// written a snapshot) carry the partial work.
 const (
 	recAccepted      uint8 = 1 // id, seq, spec
 	recAttemptFailed uint8 = 2 // id, attempt ordinal, error
@@ -102,7 +102,7 @@ type replayedJob struct {
 	spec     JobSpec
 	attempts int
 	lastErr  string
-	state    State   // zero ("") means live: re-enqueue with resume
+	state    State   // zero ("") means live: re-enqueue
 	result   *Result // for StateDone
 }
 

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,10 +226,15 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 				ids = append(ids, mustSubmit(t, s1, spec).ID)
 			}
 			s1.Start()
-			// Let the first job get well into its run, then drain: the
-			// first job is cut mid-exploration (it resumes from its last
-			// periodic checkpoint), the second never leaves the queue.
-			time.Sleep(350 * time.Millisecond)
+			// Drain once the first job has written a checkpoint: it is cut
+			// mid-exploration (it resumes from its last periodic
+			// checkpoint), the second never leaves the queue.
+			for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				v, _ := s1.Status(ids[0])
+				if _, err := os.Stat(filepath.Join(dir, "ckpt", ids[0])); err == nil || v.State.Terminal() {
+					break
+				}
+			}
 			if err := s1.Drain(30 * time.Second); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -243,7 +250,10 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 				t.Log("note: both jobs finished before the drain; differential still checked")
 			}
 
-			s2 := newTestServer(t, Config{StateDir: dir, Resume: true, Runners: 1, EngineWorkers: workers, CheckpointInterval: 2})
+			// The second job never started, so it has no checkpoint and
+			// must simply start: no "resume unavailable" warning.
+			warns := &warnLog{t: t}
+			s2 := newTestServer(t, Config{StateDir: dir, Resume: true, Runners: 1, EngineWorkers: workers, CheckpointInterval: 2, Warn: warns.warn})
 			s2.Start()
 			for i, id := range ids {
 				v := waitTerminal(t, s2, id, 60*time.Second)
@@ -262,6 +272,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 			if err := s2.Drain(10 * time.Second); err != nil {
 				t.Fatalf("second drain: %v", err)
 			}
+			warns.refuse("resume unavailable")
 
 			// A third process sees only terminal jobs and serves their
 			// recorded results without re-running anything.
@@ -283,6 +294,55 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// warnLog collects a server's warnings (runners warn concurrently) and
+// logs each one.
+type warnLog struct {
+	t    *testing.T
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (w *warnLog) warn(msg string) {
+	w.t.Logf("warn: %s", msg)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.msgs = append(w.msgs, msg)
+}
+
+// refuse fails the test if any warning so far contains substr.
+func (w *warnLog) refuse(substr string) {
+	w.t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, msg := range w.msgs {
+		if strings.Contains(msg, substr) {
+			w.t.Fatalf("unexpected warning: %s", msg)
+		}
+	}
+}
+
+// TestReplayedQueuedJobStartsFresh: a job journaled by a daemon that never
+// ran it has no checkpoint, so after a restart with Resume it starts fresh
+// without a "resume unavailable" warning and still finishes.
+func TestReplayedQueuedJobStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Config{StateDir: dir, Runners: -1})
+	id := mustSubmit(t, s1, divZeroSpec("alice", "queued")).ID
+	if err := s1.Drain(time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	warns := &warnLog{t: t}
+	s2 := newTestServer(t, Config{StateDir: dir, Resume: true, Runners: 1, CheckpointInterval: 2, Warn: warns.warn})
+	s2.Start()
+	if v := waitTerminal(t, s2, id, 60*time.Second); v.State != StateDone {
+		t.Fatalf("replayed job %s: state %s (err %q)", id, v.State, v.Error)
+	}
+	if err := s2.Drain(10 * time.Second); err != nil {
+		t.Fatalf("second drain: %v", err)
+	}
+	warns.refuse("resume unavailable")
 }
 
 // TestJobLogVersionOneRefused: a state directory whose job log was

@@ -263,8 +263,8 @@ type Server struct {
 
 // New opens (or creates) the daemon state in cfg.StateDir and, with
 // cfg.Resume, replays the job journal: jobs with recorded outcomes serve
-// them from memory, unfinished jobs re-enqueue with engine resume on.
-// Runners do not start until Start.
+// them from memory, unfinished jobs re-enqueue and resume from their
+// engine checkpoints where they have one. Runners do not start until Start.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StateDir == "" {
@@ -301,7 +301,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // restoreJob installs one replayed job: terminal ones keep serving their
-// recorded outcome, live ones re-enqueue for a resumed attempt.
+// recorded outcome, live ones re-enqueue (their next attempt resumes if
+// they wrote a checkpoint).
 func (s *Server) restoreJob(rj *replayedJob) {
 	if rj.seq >= s.nextSeq {
 		s.nextSeq = rj.seq + 1
@@ -334,7 +335,6 @@ func (s *Server) restoreJob(rj *replayedJob) {
 	}
 	j.core = cj
 	j.state = StateQueued
-	j.resume = true
 	j.enqueuedAt = s.cfg.Now()
 	s.jobs[j.id] = j
 	ts.q = append(ts.q, j)
@@ -650,7 +650,6 @@ func (s *Server) runJob(j *job) {
 	j.state = StateRunning
 	j.attempts++
 	attempt := j.attempts
-	resume := j.resume
 	base := cancel.New()
 	j.tok = base
 	run := base
@@ -660,16 +659,13 @@ func (s *Server) runJob(j *job) {
 	s.notifyLocked(j)
 	s.mu.Unlock()
 
-	res, err := s.attempt(j, run, resume)
+	res, err := s.attempt(j, run)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.tenantLocked(j.spec.Tenant)
 	ts.running--
 	j.tok = nil
-	// Whatever happens next, checkpoints from this attempt are on disk:
-	// later attempts continue from them.
-	j.resume = true
 	defer s.cond.Broadcast()
 
 	switch {
@@ -753,8 +749,11 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 	s.notifyLocked(j)
 }
 
-// attempt runs the engine once, panic-isolated at the job boundary.
-func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Result, err error) {
+// attempt runs the engine once, panic-isolated at the job boundary. It
+// resumes exactly when the job's checkpoint directory exists: a previous
+// attempt, in this process or one before a drain or crash, got far enough
+// to write a snapshot. A job that never started simply starts.
+func (s *Server) attempt(j *job, tok *cancel.Token) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: job attempt panicked: %v", r)
@@ -774,10 +773,12 @@ func (s *Server) attempt(j *job, tok *cancel.Token, resume bool) (res *core.Resu
 	opts.SMT.Incremental = s.cfg.Incremental
 	opts.SMT.Guard.Paranoid = s.cfg.Paranoid
 	opts.Govern = s.cfg.Govern
+	dir := s.ckptDir(j.id)
+	_, statErr := os.Stat(dir)
 	opts.Checkpoint = core.CheckpointOptions{
-		Dir:      s.ckptDir(j.id),
+		Dir:      dir,
 		Interval: s.cfg.CheckpointInterval,
-		Resume:   resume,
+		Resume:   statErr == nil,
 		Warn:     s.cfg.Warn,
 	}
 	return core.Repair(cj, opts)
