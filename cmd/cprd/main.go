@@ -1,6 +1,8 @@
 // Command cprd is the repair daemon: a multi-tenant HTTP/JSON service that
 // queues and runs concolic-repair jobs on a shared scheduler with admission
-// control, backpressure, retry, and graceful drain.
+// control, backpressure, and graceful drain. Each job runs once: an attempt
+// that fails (a panic at the job boundary) ends the job failed with its
+// error, since the deterministic engine would fail the same way again.
 //
 // Start a daemon:
 //
@@ -60,14 +62,10 @@ func main() {
 		rate      = flag.Float64("rate", 0, "per-tenant submit rate limit in jobs/second (0 = unlimited)")
 		burst     = flag.Int("burst", 4, "per-tenant submit burst size (with -rate)")
 
-		attempts  = flag.Int("max-attempts", 3, "attempts before a failing job dead-letters")
-		retryBase = flag.Duration("retry-base", 200*time.Millisecond, "base backoff between attempts (jittered exponential)")
-		retryMax  = flag.Duration("retry-max", 10*time.Second, "backoff cap")
-
 		queueTO = flag.Duration("queue-timeout", 0, "expire jobs queued longer than this (0 = never)")
 		runTO   = flag.Duration("run-timeout", 0, "wall-clock bound per attempt (0 = none)")
 
-		memHigh  = flag.String("mem-high", "", "high memory watermark (e.g. 512M): jobs shrink verdict caches to a quarter, and new submits shed while a retry backlog drains")
+		memHigh  = flag.String("mem-high", "", "high memory watermark (e.g. 512M): jobs shrink verdict caches to a quarter")
 		memLimit = flag.String("mem-limit", "", "process memory ceiling: sets the Go runtime soft limit (GOMEMLIMIT) and derives unset watermarks (70/85%); at critical pressure new submits shed with 503 + Retry-After")
 
 		ckptIvl  = flag.Int("checkpoint-interval", 4, "generation barriers between job checkpoints")
@@ -85,11 +83,14 @@ func main() {
 		return
 	}
 	// Each of these is a count or a bound: serve.Config would read a
-	// negative one as "never run a job" or "refuse every submit".
+	// negative one as "never run a job" or "refuse every submit", and the
+	// engine would silently read a negative worker count or checkpoint
+	// interval as its own default.
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"runners", *runners}, {"queue-max", *queueMax}, {"tenant-max", *tenantOut}, {"tenant-running", *tenantRun}, {"burst", *burst}} {
+	}{{"runners", *runners}, {"engine-workers", *workers}, {"queue-max", *queueMax}, {"tenant-max", *tenantOut},
+		{"tenant-running", *tenantRun}, {"burst", *burst}, {"checkpoint-interval", *ckptIvl}} {
 		if f.v < 0 {
 			log.Printf("-%s must not be negative, got %d", f.name, f.v)
 			os.Exit(2)
@@ -144,9 +145,6 @@ func main() {
 		TenantRunning:        *tenantRun,
 		RatePerSec:           *rate,
 		Burst:                *burst,
-		MaxAttempts:          *attempts,
-		RetryBase:            *retryBase,
-		RetryMax:             *retryMax,
 		QueueTimeout:         *queueTO,
 		RunTimeout:           *runTO,
 		CheckpointInterval:   *ckptIvl,

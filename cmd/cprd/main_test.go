@@ -20,12 +20,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestNegativeCountFlagsRejected: a negative runner count, queue bound,
-// tenant quota, tenant running bound or burst is a usage error — cprd
-// exits 2 naming the flag instead of starting a daemon that never runs a
-// job or refuses every submit.
+// TestNegativeCountFlagsRejected: a negative runner count, engine worker
+// count, queue bound, tenant quota, tenant running bound, burst or
+// checkpoint interval is a usage error — cprd exits 2 naming the flag
+// instead of starting a daemon that never runs a job, refuses every
+// submit, or silently runs the engine's default in its place.
 func TestNegativeCountFlagsRejected(t *testing.T) {
-	for _, flagName := range []string{"runners", "tenant-running", "queue-max", "tenant-max", "burst"} {
+	for _, flagName := range []string{"runners", "engine-workers", "tenant-running", "queue-max", "tenant-max", "burst", "checkpoint-interval"} {
 		t.Run(flagName, func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -94,17 +94,12 @@ type Plan struct {
 	// or a real self-SIGKILL (subprocess harness). A nil Crash disables
 	// crash injection regardless of the counters.
 	Crash func()
-	// JobPanicEvery makes every Nth dispatched service job attempt panic
-	// at the daemon's runner boundary (0 disables). Unlike ExecPanicEvery,
-	// which the engine recovers internally and degrades to a skipped flip,
-	// a job-level panic escapes the whole engine — it exists to exercise
-	// the daemon's retry/backoff/dead-letter machinery (internal/serve).
-	JobPanicEvery int
-	// JobPanicMatch restricts job-level panics to attempts whose job key
-	// contains the substring (empty matches every job). With
-	// JobPanicEvery=1 and a key match, the job is a poison job: every
-	// attempt panics and the daemon must dead-letter it after its bounded
-	// retries.
+	// JobPanicMatch makes every service job attempt whose job key contains
+	// the substring panic at the daemon's runner boundary (empty
+	// disables). Unlike ExecPanicEvery, which the engine recovers
+	// internally and degrades to a skipped flip, a job-level panic escapes
+	// the whole engine: a matching job is a poison job, and the daemon
+	// (internal/serve) must fail it without disturbing its neighbours.
 	JobPanicMatch string
 	// MemRungEvery makes every Nth memory-governor poll report the forced
 	// rung MemRung regardless of real heap usage (0 disables). Because the
@@ -128,7 +123,6 @@ type Plan struct {
 	execRuns     int
 	lieCalls     int
 	barrierCalls int
-	jobStarts    int
 	memPolls     int
 	memSamples   int
 }
@@ -213,21 +207,11 @@ func CrashPoint() {
 
 // JobStart is called by the daemon's scheduler (internal/serve) when a job
 // attempt begins; a true return tells the runner to panic(PanicMsg) at the
-// job boundary. Only attempts whose key matches JobPanicMatch advance the
-// counter, so "every Nth attempt of the poison job" is deterministic even
-// when healthy jobs interleave.
+// job boundary. It matches on the job key alone, so healthy jobs that
+// interleave with the poison job never panic.
 func JobStart(key string) bool {
 	p := active.Load()
-	if p == nil || p.JobPanicEvery <= 0 {
-		return false
-	}
-	if p.JobPanicMatch != "" && !strings.Contains(key, p.JobPanicMatch) {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.jobStarts++
-	return p.jobStarts%p.JobPanicEvery == 0
+	return p != nil && p.JobPanicMatch != "" && strings.Contains(key, p.JobPanicMatch)
 }
 
 // MemRung is called by the memory governor on every poll; it returns the

@@ -1,8 +1,7 @@
 // Package govern is the memory governor: it samples the Go runtime's heap
 // figures (runtime/metrics) and classifies them against two watermarks:
 //
-//	high     → the engine shrinks its verdict cache to a quarter; cprd
-//	           sheds new submits while a retry backlog drains
+//	high     → the engine shrinks its verdict cache to a quarter
 //	critical → the engine empties its verdict cache and cprd sheds every
 //	           new submit; sustained critical makes the engine fall back
 //	           to its anytime best-so-far result, exactly like a budget

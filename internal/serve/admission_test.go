@@ -127,24 +127,3 @@ func TestDrainingRejectsSubmits(t *testing.T) {
 		t.Fatalf("draining rejection not counted: %+v", sv)
 	}
 }
-
-func TestRetryWaitCountsAgainstQuota(t *testing.T) {
-	// A job parked in retry-wait is still the daemon's obligation: it must
-	// count against the tenant's outstanding quota, or a crashing tenant
-	// could pile up unbounded retry state.
-	s := newTestServer(t, Config{Runners: -1, TenantMaxOutstanding: 2})
-	defer s.Drain(time.Second)
-	v := mustSubmit(t, s, quickSpec("alice", "a"))
-	s.mu.Lock()
-	j := s.jobs[v.ID]
-	ts := s.tenantLocked("alice")
-	s.removeQueuedLocked(ts, j)
-	j.state = StateRetryWait
-	ts.retrying++
-	s.mu.Unlock()
-
-	mustSubmit(t, s, quickSpec("alice", "b"))
-	if _, aerr := s.Submit(quickSpec("alice", "c")); aerr == nil || aerr.Status != 429 {
-		t.Fatalf("retry-wait job did not count against quota: %+v", aerr)
-	}
-}

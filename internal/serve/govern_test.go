@@ -109,37 +109,37 @@ func TestMemoryStormShedsAndSurvives(t *testing.T) {
 	}
 }
 
-// TestMemShedPrefersDrainingRetries: at the high rung the daemon stops
-// admitting only while it still owes retries; with no retry backlog the
-// high rung admits normally, and critical always sheds.
-func TestMemShedPrefersDrainingRetries(t *testing.T) {
+// TestMemShedHighAdmitsCriticalSheds: the high rung only shrinks the
+// running jobs' caches, so submits are admitted there; the critical rung
+// sheds every submit with 503 + Retry-After, and pressure clearing to
+// none admits again.
+func TestMemShedHighAdmitsCriticalSheds(t *testing.T) {
 	defer faultinject.Deactivate()
 	g := govern.New(stormWatermarks())
 	s := newTestServer(t, Config{Runners: -1, Govern: g, GovernTick: -1})
+	defer s.Drain(time.Second)
 
-	// High rung, no backlog: admit.
 	spike(t, g, 1<<41, govern.RungHigh)
-	mustSubmit(t, s, quickSpec("t1", "high-no-backlog"))
+	mustSubmit(t, s, quickSpec("t1", "high"))
 
-	// High rung with a retry backlog: shed until the backlog drains.
-	s.mu.Lock()
-	s.tenantLocked("t2").retrying = 1
-	s.mu.Unlock()
-	if _, aerr := s.Submit(quickSpec("t1", "high-backlog")); aerr == nil || aerr.Status != 503 {
-		t.Fatalf("high rung with retry backlog: got %+v, want 503", aerr)
-	}
-	s.mu.Lock()
-	s.tenantLocked("t2").retrying = 0
-	s.mu.Unlock()
-	mustSubmit(t, s, quickSpec("t1", "high-backlog-drained"))
-
-	// Critical: shed unconditionally.
 	spike(t, g, 1<<43, govern.RungCritical)
-	if _, aerr := s.Submit(quickSpec("t1", "critical")); aerr == nil || aerr.Status != 503 {
-		t.Fatalf("critical rung: got %+v, want 503", aerr)
+	for _, tenant := range []string{"t1", "t2"} {
+		_, aerr := s.Submit(quickSpec(tenant, "critical"))
+		if aerr == nil || aerr.Status != 503 || aerr.RetryAfter <= 0 {
+			t.Fatalf("critical rung, tenant %s: got %+v, want 503 with Retry-After", tenant, aerr)
+		}
 	}
-	if got := s.Stats().Jobs.RejectedMemory; got != 2 {
-		t.Errorf("RejectedMemory = %d, want 2", got)
+
+	spike(t, g, 0, govern.RungNone)
+	mustSubmit(t, s, quickSpec("t2", "cleared"))
+
+	sv := s.Stats()
+	if sv.Jobs.RejectedMemory != 2 || sv.Jobs.Accepted != 2 {
+		t.Errorf("RejectedMemory = %d, Accepted = %d; want 2 and 2", sv.Jobs.RejectedMemory, sv.Jobs.Accepted)
+	}
+	if sv.Tenants["t1"].RejectedMemory != 1 || sv.Tenants["t2"].RejectedMemory != 1 {
+		t.Errorf("per-tenant RejectedMemory: t1 %d, t2 %d; want 1 each",
+			sv.Tenants["t1"].RejectedMemory, sv.Tenants["t2"].RejectedMemory)
 	}
 }
 

@@ -229,18 +229,14 @@ func buildJob(spec JobSpec) (core.Job, error) {
 // State is a job's lifecycle state.
 type State string
 
-// Job lifecycle states. Queued, Running, RetryWait, and Interrupted are
-// live; the rest are terminal. An accepted job always reaches a terminal
-// state — if not in this daemon process, then in the one that resumes the
-// journal.
+// Job lifecycle states. Queued, Running, and Interrupted are live; the
+// rest are terminal. An accepted job always reaches a terminal state — if
+// not in this daemon process, then in the one that resumes the journal.
 const (
 	// StateQueued: accepted, durable in the journal, waiting for a runner.
 	StateQueued State = "queued"
-	// StateRunning: an attempt is executing on a runner.
+	// StateRunning: the job's attempt is executing on a runner.
 	StateRunning State = "running"
-	// StateRetryWait: the last attempt failed transiently; a backoff timer
-	// will requeue it.
-	StateRetryWait State = "retry-wait"
 	// StateInterrupted: the attempt was cut by a drain; the job resumes
 	// from its engine checkpoint after a restart.
 	StateInterrupted State = "interrupted"
@@ -248,9 +244,11 @@ const (
 	StateDone State = "done"
 	// StateCancelled: cancelled by the client.
 	StateCancelled State = "cancelled"
-	// StateDeadLetter: every attempt failed; the job is parked with its
-	// last error and will not run again.
-	StateDeadLetter State = "dead-letter"
+	// StateFailed: the attempt failed (it panicked or returned an error);
+	// the job keeps the error and does not run again. The engine is
+	// deterministic, so a second attempt from the same checkpoint would
+	// fail the same way.
+	StateFailed State = "failed"
 	// StateExpired: the job exceeded the queue-wait timeout before any
 	// runner picked it up (load shedding of stale work).
 	StateExpired State = "expired"
@@ -259,7 +257,7 @@ const (
 // Terminal reports whether a state is final.
 func (s State) Terminal() bool {
 	switch s {
-	case StateDone, StateCancelled, StateDeadLetter, StateExpired:
+	case StateDone, StateCancelled, StateFailed, StateExpired:
 		return true
 	}
 	return false
@@ -279,14 +277,12 @@ type Result struct {
 // StatusView is the wire form of a job's state: GET /jobs/{id}, list
 // entries, and stream events.
 type StatusView struct {
-	ID       string  `json:"id"`
-	Tenant   string  `json:"tenant"`
-	Label    string  `json:"label,omitempty"`
-	State    State   `json:"state"`
-	Attempts int     `json:"attempts"`
-	Error    string  `json:"error,omitempty"`
-	RetryAt  int64   `json:"retry_at_unix_ms,omitempty"`
-	Result   *Result `json:"result,omitempty"`
+	ID     string  `json:"id"`
+	Tenant string  `json:"tenant"`
+	Label  string  `json:"label,omitempty"`
+	State  State   `json:"state"`
+	Error  string  `json:"error,omitempty"`
+	Result *Result `json:"result,omitempty"`
 }
 
 // job is the scheduler's mutable record for one accepted job. All fields
@@ -297,11 +293,9 @@ type job struct {
 	core      core.Job
 	submitSeq uint64
 
-	state    State
-	attempts int
-	lastErr  string
-	result   *Result
-	retryAt  time.Time
+	state   State
+	lastErr string
+	result  *Result
 
 	// drained marks a running attempt cut by Drain: its outcome is
 	// discarded and the job is left non-terminal for the next process.
@@ -310,8 +304,6 @@ type job struct {
 	cancelRequested bool
 	// tok cancels the in-flight attempt.
 	tok *cancel.Token
-	// enqueuedAt drives the queue-wait timeout.
-	enqueuedAt time.Time
 	// watchers receive state transitions for /jobs/{id}/stream. Sends are
 	// non-blocking: a slow or stuck client loses intermediate events, never
 	// stalls the scheduler.
@@ -319,19 +311,14 @@ type job struct {
 }
 
 func (j *job) view() StatusView {
-	v := StatusView{
-		ID:       j.id,
-		Tenant:   j.spec.Tenant,
-		Label:    j.spec.Label,
-		State:    j.state,
-		Attempts: j.attempts,
-		Error:    j.lastErr,
-		Result:   j.result,
+	return StatusView{
+		ID:     j.id,
+		Tenant: j.spec.Tenant,
+		Label:  j.spec.Label,
+		State:  j.state,
+		Error:  j.lastErr,
+		Result: j.result,
 	}
-	if j.state == StateRetryWait && !j.retryAt.IsZero() {
-		v.RetryAt = j.retryAt.UnixMilli()
-	}
-	return v
 }
 
 // buildResult renders the engine outcome into the wire form.

@@ -18,13 +18,18 @@ import (
 // owed a result. Jobs with no terminal record are re-enqueued on restart;
 // their engine checkpoints (one directory per job, present once a job has
 // written a snapshot) carry the partial work.
+//
+// Kind 2 once journaled a failed attempt that was going to be retried. It
+// is retired and its number is not reused: replay skips an old kind-2
+// record with a warning, so a job that has nothing after it runs once
+// more. Kind 5 was the dead-letter record, so an old dead-lettered job
+// replays as failed.
 const (
-	recAccepted      uint8 = 1 // id, seq, spec
-	recAttemptFailed uint8 = 2 // id, attempt ordinal, error
-	recDone          uint8 = 3 // id, result
-	recCancelled     uint8 = 4 // id
-	recDeadLetter    uint8 = 5 // id, error
-	recExpired       uint8 = 6 // id, reason
+	recAccepted  uint8 = 1 // id, seq, spec
+	recDone      uint8 = 3 // id, result
+	recCancelled uint8 = 4 // id
+	recFailed    uint8 = 5 // id, error
+	recExpired   uint8 = 6 // id, reason
 )
 
 const jobLogName = "jobs.log"
@@ -32,12 +37,11 @@ const jobLogName = "jobs.log"
 // logRecord is the JSON payload of one job-log record; the record's kind
 // says which fields it carries.
 type logRecord struct {
-	ID      string   `json:"id"`
-	Seq     uint64   `json:"seq,omitempty"`
-	Spec    *JobSpec `json:"spec,omitempty"`
-	Attempt int      `json:"attempt,omitempty"`
-	Msg     string   `json:"msg,omitempty"`
-	Result  *Result  `json:"result,omitempty"`
+	ID     string   `json:"id"`
+	Seq    uint64   `json:"seq,omitempty"`
+	Spec   *JobSpec `json:"spec,omitempty"`
+	Msg    string   `json:"msg,omitempty"`
+	Result *Result  `json:"result,omitempty"`
 }
 
 // jobJournal serializes writes to the job record log.
@@ -77,10 +81,6 @@ func (jl *jobJournal) accepted(j *job) error {
 	return jl.append(recAccepted, logRecord{ID: j.id, Seq: j.submitSeq, Spec: &j.spec})
 }
 
-func (jl *jobJournal) attemptFailed(id string, attempt int, errMsg string) error {
-	return jl.append(recAttemptFailed, logRecord{ID: id, Attempt: attempt, Msg: errMsg})
-}
-
 func (jl *jobJournal) done(id string, res *Result) error {
 	return jl.append(recDone, logRecord{ID: id, Result: res})
 }
@@ -97,13 +97,12 @@ func (jl *jobJournal) close() error {
 
 // replayedJob is one job's state recovered from the log.
 type replayedJob struct {
-	id       string
-	seq      uint64
-	spec     JobSpec
-	attempts int
-	lastErr  string
-	state    State   // zero ("") means live: re-enqueue
-	result   *Result // for StateDone
+	id      string
+	seq     uint64
+	spec    JobSpec
+	lastErr string
+	state   State   // zero ("") means live: re-enqueue
+	result  *Result // for StateDone
 }
 
 // replayJobLog folds the record log into per-job states, in submit order.
@@ -144,8 +143,6 @@ func replayJobLog(dir string, warn func(string)) ([]*replayedJob, error) {
 			continue
 		}
 		switch rec.Kind {
-		case recAttemptFailed:
-			rj.attempts, rj.lastErr = lr.Attempt, lr.Msg
 		case recDone:
 			if lr.Result == nil {
 				warnf("serve: done record for %s carries no result, job re-enqueued", lr.ID)
@@ -154,8 +151,8 @@ func replayJobLog(dir string, warn func(string)) ([]*replayedJob, error) {
 			rj.state, rj.result = StateDone, lr.Result
 		case recCancelled:
 			rj.state = StateCancelled
-		case recDeadLetter:
-			rj.state, rj.lastErr = StateDeadLetter, lr.Msg
+		case recFailed:
+			rj.state, rj.lastErr = StateFailed, lr.Msg
 		case recExpired:
 			rj.state, rj.lastErr = StateExpired, lr.Msg
 		default:

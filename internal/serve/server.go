@@ -8,12 +8,12 @@
 //     outstanding-job quotas answer 429 with Retry-After; a bounded global
 //     queue sheds load with 503. A job is journaled (fsync) before its 202
 //     is sent — an accepted job is never silently dropped.
-//   - Fault isolation: each attempt runs panic-recovered on a runner; a
-//     failed attempt retries with jittered exponential backoff until a
-//     bounded attempt count, then parks in a dead-letter state with its
-//     error recorded. One tenant's poison job cannot take the daemon down,
-//     and the PR 4 self-healing ladder's health counters are attributed to
-//     the tenant whose job incurred them.
+//   - Fault isolation: each job runs panic-recovered on a runner, once per
+//     process. A failed attempt is terminal: the job ends failed with its
+//     error recorded, because a deterministic engine resumed from the same
+//     checkpoint fails the same way again. One tenant's poison job cannot
+//     take the daemon down, and the solver's self-healing health counters
+//     are attributed to the tenant whose job incurred them.
 //   - Graceful drain: SIGTERM (via Drain) stops admission, cooperatively
 //     cancels in-flight jobs — each resumes later from its last clean
 //     periodic checkpoint — and leaves interrupted jobs non-terminal in the
@@ -26,9 +26,9 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -60,8 +60,8 @@ type Config struct {
 	// QueueMax bounds the global queued-job count (default 64); submits
 	// beyond it are shed with 503.
 	QueueMax int
-	// TenantMaxOutstanding bounds one tenant's queued+running+retrying
-	// jobs (default 8); submits beyond it get 429.
+	// TenantMaxOutstanding bounds one tenant's queued+running jobs
+	// (default 8); submits beyond it get 429.
 	TenantMaxOutstanding int
 	// TenantRunning bounds one tenant's concurrently running jobs
 	// (default max(1, Runners/2)), so a single tenant cannot monopolize
@@ -71,14 +71,6 @@ type Config struct {
 	// (default: no rate limit; Burst defaults to 4 when a rate is set).
 	RatePerSec float64
 	Burst      int
-
-	// MaxAttempts bounds a job's attempts before dead-lettering
-	// (default 3).
-	MaxAttempts int
-	// RetryBase and RetryMax shape the jittered exponential backoff
-	// between attempts (defaults 200ms and 10s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 
 	// QueueTimeout expires jobs that waited in the queue longer than this
 	// (0 = never): stale work is shed instead of running long after the
@@ -103,15 +95,13 @@ type Config struct {
 	// is purely a wall-clock lever, like EngineWorkers.
 	NewDistributor func(core.Job, core.Options) (core.Distributor, error)
 
-	// Govern, when non-nil, makes the daemon memory-aware: submits are
-	// shed with 503 + Retry-After under pressure (every submit at the
-	// critical rung; at the high rung while a retry backlog is still
-	// draining — finishing accepted work beats admitting new work), and
-	// every job attempt runs governed (core.Options.Govern: verdict-cache
-	// shrinks and the anytime stop). cmd/cprd builds one from its -mem-*
-	// flags. Every shrink and shed is result-neutral:
-	// a shed client retries later to the same answer an unpressured daemon
-	// would have produced.
+	// Govern, when non-nil, makes the daemon memory-aware: at the critical
+	// rung every submit is shed with 503 + Retry-After (finishing accepted
+	// work beats admitting new work), and every job attempt runs governed
+	// (core.Options.Govern: verdict-cache shrinks and the anytime stop).
+	// cmd/cprd builds one from its -mem-* flags. Every shrink and shed is
+	// result-neutral: a shed client retries later to the same answer an
+	// unpressured daemon would have produced.
 	Govern *govern.Governor
 	// GovernTick is the governor's background polling interval, keeping
 	// admission decisions fresh even when no engine barrier has polled
@@ -119,11 +109,9 @@ type Config struct {
 	// ticker — tests poll deterministically instead).
 	GovernTick time.Duration
 
-	// Seed seeds the retry jitter (0 = seeded from the clock).
+	// Seed is ignored: no job is retried, so no backoff needs jitter. It
+	// stays declared only because the benchmark harness still sets it.
 	Seed int64
-	// RetryAfterHint is the Retry-After value for quota and queue-full
-	// rejections, where no natural token-refill time exists (default 1s).
-	RetryAfterHint time.Duration
 	// Warn receives non-fatal diagnostics (journal/checkpoint trouble).
 	Warn func(msg string)
 	// Now overrides the clock for tests.
@@ -155,20 +143,8 @@ func (c Config) withDefaults() Config {
 	if c.Burst == 0 {
 		c.Burst = 4
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 200 * time.Millisecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 10 * time.Second
-	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 4
-	}
-	if c.RetryAfterHint == 0 {
-		c.RetryAfterHint = time.Second
 	}
 	if c.Govern != nil && c.GovernTick == 0 {
 		c.GovernTick = 250 * time.Millisecond
@@ -187,14 +163,15 @@ func (c Config) warnf(format string, args ...any) {
 
 // GlobalStats is the daemon-wide slice of the /stats payload.
 type GlobalStats struct {
-	Accepted          uint64 `json:"accepted"`
-	Resumed           uint64 `json:"resumed"`
-	Done              uint64 `json:"done"`
-	Cancelled         uint64 `json:"cancelled"`
-	DeadLetter        uint64 `json:"dead_letter"`
-	Expired           uint64 `json:"expired"`
-	AttemptsFailed    uint64 `json:"attempts_failed"`
-	Retries           uint64 `json:"retries"`
+	Accepted  uint64 `json:"accepted"`
+	Resumed   uint64 `json:"resumed"`
+	Done      uint64 `json:"done"`
+	Cancelled uint64 `json:"cancelled"`
+	Failed    uint64 `json:"failed"`
+	Expired   uint64 `json:"expired"`
+	// Retries is always zero: no job is retried. It stays declared, and
+	// out of the JSON, only because the benchmark harness still reads it.
+	Retries           uint64 `json:"-"`
 	RejectedInvalid   uint64 `json:"rejected_invalid"`
 	RejectedRate      uint64 `json:"rejected_rate"`
 	RejectedQuota     uint64 `json:"rejected_quota"`
@@ -209,14 +186,13 @@ type GlobalStats struct {
 
 // StatsView is the GET /stats payload.
 type StatsView struct {
-	UptimeMS     int64                  `json:"uptime_ms"`
-	Ready        bool                   `json:"ready"`
-	Draining     bool                   `json:"draining"`
-	Queued       int                    `json:"queued"`
-	Running      int                    `json:"running"`
-	RetryWaiting int                    `json:"retry_waiting"`
-	Jobs         GlobalStats            `json:"jobs"`
-	Tenants      map[string]TenantStats `json:"tenants"`
+	UptimeMS int64                  `json:"uptime_ms"`
+	Ready    bool                   `json:"ready"`
+	Draining bool                   `json:"draining"`
+	Queued   int                    `json:"queued"`
+	Running  int                    `json:"running"`
+	Jobs     GlobalStats            `json:"jobs"`
+	Tenants  map[string]TenantStats `json:"tenants"`
 	// Engine sums the core.Stats of every completed attempt with
 	// core.Stats.Add, under the same keys as a job's result.stats.
 	Engine core.Stats `json:"engine"`
@@ -236,6 +212,10 @@ type AdmissionError struct {
 
 func (e *AdmissionError) Error() string { return e.Msg }
 
+// retryAfterHint is the Retry-After value for rejections that have no
+// natural token-refill time: draining, quota, queue-full and memory sheds.
+const retryAfterHint = time.Second
+
 // Server is the repair daemon: scheduler, job table, journal, and HTTP
 // handler (see http.go). Construct with New, launch runners with Start,
 // shut down with Drain.
@@ -253,7 +233,6 @@ type Server struct {
 	nextSeq     uint64
 	draining    bool
 	stopRunners bool
-	rng         *rand.Rand
 	global      GlobalStats
 	agg         core.Stats
 
@@ -270,15 +249,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("serve: Config.StateDir is required")
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	s := &Server{
 		cfg:     cfg,
 		jobs:    map[string]*job{},
 		tenants: map[string]*tenantState{},
-		rng:     rand.New(rand.NewSource(seed)),
 		start:   cfg.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -301,8 +275,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // restoreJob installs one replayed job: terminal ones keep serving their
-// recorded outcome, live ones re-enqueue (their next attempt resumes if
-// they wrote a checkpoint).
+// recorded outcome, live ones re-enqueue (their attempt resumes if they
+// wrote a checkpoint).
 func (s *Server) restoreJob(rj *replayedJob) {
 	if rj.seq >= s.nextSeq {
 		s.nextSeq = rj.seq + 1
@@ -311,7 +285,6 @@ func (s *Server) restoreJob(rj *replayedJob) {
 		id:        rj.id,
 		spec:      rj.spec,
 		submitSeq: rj.seq,
-		attempts:  rj.attempts,
 		lastErr:   rj.lastErr,
 		result:    rj.result,
 	}
@@ -324,18 +297,17 @@ func (s *Server) restoreJob(rj *replayedJob) {
 	cj, err := buildJob(rj.spec)
 	if err != nil {
 		// The spec was validated at admission; failing now means the
-		// catalog or language changed under the journal. Dead-letter it
-		// in memory (the journal stays as-is; a later replay with the
+		// catalog or language changed under the journal. Fail it in
+		// memory (the journal stays as-is; a later replay with the
 		// original build would still see it live).
-		s.cfg.warnf("serve: replayed job %s no longer buildable, dead-lettered: %v", j.id, err)
-		j.state = StateDeadLetter
+		s.cfg.warnf("serve: replayed job %s no longer buildable, failed: %v", j.id, err)
+		j.state = StateFailed
 		j.lastErr = fmt.Sprintf("replay: %v", err)
 		s.jobs[j.id] = j
 		return
 	}
 	j.core = cj
 	j.state = StateQueued
-	j.enqueuedAt = s.cfg.Now()
 	s.jobs[j.id] = j
 	ts.q = append(ts.q, j)
 	ts.queued++
@@ -377,18 +349,16 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	if s.draining || s.stopRunners {
 		ts.stats.RejectedDraining++
 		s.global.RejectedDraining++
-		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: s.cfg.RetryAfterHint, Msg: "draining"}
+		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "draining"}
 	}
-	// Memory shed: at the critical rung every new submit is refused; at
-	// the high rung new submits are refused while a retry backlog exists —
-	// the daemon prefers draining work it already owes over taking on
-	// more. 503 + Retry-After, like queue-full: the condition is the
-	// daemon's, not the client's.
-	if rung := s.cfg.Govern.Rung(); rung == govern.RungCritical ||
-		(rung == govern.RungHigh && s.retryBacklogLocked() > 0) {
+	// Memory shed: at the critical rung every new submit is refused — the
+	// daemon finishes work it already owes before taking on more. 503 +
+	// Retry-After, like queue-full: the condition is the daemon's, not the
+	// client's. The high rung only shrinks the running jobs' caches.
+	if s.cfg.Govern.Rung() == govern.RungCritical {
 		ts.stats.RejectedMemory++
 		s.global.RejectedMemory++
-		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: s.cfg.RetryAfterHint, Msg: "memory pressure"}
+		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "memory pressure"}
 	}
 	if ok, wait := ts.bucket.take(s.cfg.Now()); !ok {
 		ts.stats.RejectedRate++
@@ -398,23 +368,22 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	if ts.outstanding() >= s.cfg.TenantMaxOutstanding {
 		ts.stats.RejectedQuota++
 		s.global.RejectedQuota++
-		return StatusView{}, &AdmissionError{Status: 429, RetryAfter: s.cfg.RetryAfterHint, Msg: "tenant quota exhausted"}
+		return StatusView{}, &AdmissionError{Status: 429, RetryAfter: retryAfterHint, Msg: "tenant quota exhausted"}
 	}
 	if s.queued >= s.cfg.QueueMax {
 		ts.stats.RejectedQueueFull++
 		s.global.RejectedQueueFull++
-		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: s.cfg.RetryAfterHint, Msg: "queue full"}
+		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "queue full"}
 	}
 
 	seq := s.nextSeq
 	s.nextSeq++
 	j := &job{
-		id:         fmt.Sprintf("j-%06d", seq),
-		spec:       spec,
-		core:       cj,
-		submitSeq:  seq,
-		state:      StateQueued,
-		enqueuedAt: s.cfg.Now(),
+		id:        fmt.Sprintf("j-%06d", seq),
+		spec:      spec,
+		core:      cj,
+		submitSeq: seq,
+		state:     StateQueued,
 	}
 	// Durability before acknowledgment: the accepted record hits stable
 	// storage before the job becomes visible. The fsync runs under the
@@ -449,25 +418,24 @@ func (s *Server) Status(id string) (StatusView, bool) {
 func (s *Server) List(tenant string) []StatusView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	views := make([]StatusView, 0, len(s.jobs))
+	var js []*job
 	for _, j := range s.jobs {
 		if tenant == "" || j.spec.Tenant == tenant {
-			views = append(views, j.view())
+			js = append(js, j)
 		}
 	}
-	// Submit order, recovered from ids (j-%06d sorts with seq).
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && views[k].ID < views[k-1].ID; k-- {
-			views[k], views[k-1] = views[k-1], views[k]
-		}
+	sort.Slice(js, func(a, b int) bool { return js[a].submitSeq < js[b].submitSeq })
+	views := make([]StatusView, len(js))
+	for i, j := range js {
+		views[i] = j.view()
 	}
 	return views
 }
 
-// Cancel cancels a job: queued and retry-waiting jobs terminate
-// immediately, a running job's attempt is cooperatively cancelled and
-// finalized by its runner. Terminal jobs are left as they are. The second
-// return is false when the id is unknown.
+// Cancel cancels a job: a queued job terminates immediately, a running
+// job's attempt is cooperatively cancelled and finalized by its runner.
+// Terminal jobs are left as they are. The second return is false when the
+// id is unknown.
 func (s *Server) Cancel(id string) (StatusView, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -479,9 +447,6 @@ func (s *Server) Cancel(id string) (StatusView, bool) {
 	switch j.state {
 	case StateQueued:
 		s.removeQueuedLocked(ts, j)
-		s.finishLocked(j, ts, StateCancelled, "")
-	case StateRetryWait:
-		ts.retrying--
 		s.finishLocked(j, ts, StateCancelled, "")
 	case StateRunning:
 		j.cancelRequested = true
@@ -535,7 +500,6 @@ func (s *Server) Stats() StatsView {
 	for name, ts := range s.tenants {
 		sv.Tenants[name] = ts.stats
 		sv.Running += ts.running
-		sv.RetryWaiting += ts.retrying
 	}
 	if g := s.cfg.Govern; g != nil {
 		c := g.Snapshot()
@@ -543,17 +507,6 @@ func (s *Server) Stats() StatsView {
 		sv.Mem = &c
 	}
 	return sv
-}
-
-// retryBacklogLocked is the count of jobs parked in retry-wait across all
-// tenants — the "work the daemon still owes" that memory-pressure
-// admission prefers to drain before accepting new jobs.
-func (s *Server) retryBacklogLocked() int {
-	n := 0
-	for _, ts := range s.tenants {
-		n += ts.retrying
-	}
-	return n
 }
 
 // Drain is the graceful shutdown: stop admitting, cooperatively cancel
@@ -644,12 +597,10 @@ func (s *Server) pickLocked() *job {
 	return nil
 }
 
-// runJob executes one attempt and finalizes its outcome.
+// runJob executes the job's attempt and finalizes its outcome.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = StateRunning
-	j.attempts++
-	attempt := j.attempts
 	base := cancel.New()
 	j.tok = base
 	run := base
@@ -678,24 +629,7 @@ func (s *Server) runJob(j *job) {
 	case j.cancelRequested:
 		s.finishLocked(j, ts, StateCancelled, "")
 	case err != nil:
-		j.lastErr = err.Error()
-		ts.stats.AttemptsFailed++
-		s.global.AttemptsFailed++
-		if jerr := s.jl.attemptFailed(j.id, attempt, j.lastErr); jerr != nil {
-			s.cfg.warnf("serve: journal attempt-failed for %s: %v", j.id, jerr)
-		}
-		if attempt >= s.cfg.MaxAttempts {
-			s.finishLocked(j, ts, StateDeadLetter, j.lastErr)
-			return
-		}
-		delay := s.backoffLocked(attempt)
-		j.state = StateRetryWait
-		j.retryAt = s.cfg.Now().Add(delay)
-		ts.retrying++
-		ts.stats.Retries++
-		s.global.Retries++
-		s.notifyLocked(j)
-		time.AfterFunc(delay, func() { s.requeueRetry(j) })
+		s.finishLocked(j, ts, StateFailed, err.Error())
 	default:
 		out := buildResult(j.core, res, j.spec.Top)
 		j.result = out
@@ -725,10 +659,10 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 		jerr = s.jl.terminal(recCancelled, j.id, msg)
 		ts.stats.Cancelled++
 		s.global.Cancelled++
-	case StateDeadLetter:
-		jerr = s.jl.terminal(recDeadLetter, j.id, msg)
-		ts.stats.DeadLetter++
-		s.global.DeadLetter++
+	case StateFailed:
+		jerr = s.jl.terminal(recFailed, j.id, msg)
+		ts.stats.Failed++
+		s.global.Failed++
 	case StateExpired:
 		jerr = s.jl.terminal(recExpired, j.id, msg)
 		ts.stats.Expired++
@@ -750,9 +684,9 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 }
 
 // attempt runs the engine once, panic-isolated at the job boundary. It
-// resumes exactly when the job's checkpoint directory exists: a previous
-// attempt, in this process or one before a drain or crash, got far enough
-// to write a snapshot. A job that never started simply starts.
+// resumes exactly when the job's checkpoint directory exists: the job's
+// attempt in a process before a drain or crash got far enough to write a
+// snapshot. A job that never started simply starts.
 func (s *Server) attempt(j *job, tok *cancel.Token) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -788,57 +722,21 @@ func (s *Server) ckptDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "ckpt", id)
 }
 
-// backoffLocked computes the jittered exponential delay before the next
-// attempt: base·2^(attempt−1) capped at RetryMax, then jittered to
-// [½d, 1½d) so synchronized failures do not retry in lockstep.
-func (s *Server) backoffLocked(attempt int) time.Duration {
-	d := s.cfg.RetryBase
-	for i := 1; i < attempt && d < s.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.RetryMax {
-		d = s.cfg.RetryMax
-	}
-	return d/2 + time.Duration(s.rng.Int63n(int64(d)))
-}
-
-// requeueRetry moves a retry-waiting job back into its tenant queue when
-// its backoff expires. During a drain it does nothing: the job stays
-// non-terminal and the next process picks it up.
-func (s *Server) requeueRetry(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != StateRetryWait || s.draining || s.stopRunners {
-		return
-	}
-	ts := s.tenantLocked(j.spec.Tenant)
-	ts.retrying--
-	j.state = StateQueued
-	j.enqueuedAt = s.cfg.Now()
-	ts.q = append(ts.q, j)
-	ts.queued++
-	s.queued++
-	s.armQueueTimeout(j)
-	s.notifyLocked(j)
-	s.cond.Signal()
-}
-
 // armQueueTimeout schedules queue-wait expiry for a just-enqueued job.
 func (s *Server) armQueueTimeout(j *job) {
 	if s.cfg.QueueTimeout <= 0 {
 		return
 	}
-	at := j.enqueuedAt
-	time.AfterFunc(s.cfg.QueueTimeout, func() { s.expireQueued(j, at) })
+	time.AfterFunc(s.cfg.QueueTimeout, func() { s.expireQueued(j) })
 }
 
-// expireQueued sheds a job that sat in the queue past QueueTimeout. The
-// enqueue timestamp disambiguates re-enqueues: a retry that re-entered the
-// queue later is not expired by the earlier timer.
-func (s *Server) expireQueued(j *job, enqueuedAt time.Time) {
+// expireQueued sheds a job that sat in the queue past QueueTimeout. A job
+// enters the queue at most once per process, so a job still queued when
+// its timer fires has waited the whole timeout.
+func (s *Server) expireQueued(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.state != StateQueued || !j.enqueuedAt.Equal(enqueuedAt) || s.draining || s.stopRunners {
+	if j.state != StateQueued || s.draining || s.stopRunners {
 		return
 	}
 	ts := s.tenantLocked(j.spec.Tenant)

@@ -47,13 +47,10 @@ type TenantStats struct {
 	RejectedDraining  uint64 `json:"rejected_draining"`
 	RejectedMemory    uint64 `json:"rejected_memory"`
 	// Lifecycle outcomes.
-	Done       uint64 `json:"done"`
-	Cancelled  uint64 `json:"cancelled"`
-	DeadLetter uint64 `json:"dead_letter"`
-	Expired    uint64 `json:"expired"`
-	// Retry machinery.
-	AttemptsFailed uint64 `json:"attempts_failed"`
-	Retries        uint64 `json:"retries"`
+	Done      uint64 `json:"done"`
+	Cancelled uint64 `json:"cancelled"`
+	Failed    uint64 `json:"failed"`
+	Expired   uint64 `json:"expired"`
 	// Engine sums the core.Stats of this tenant's completed attempts, so
 	// one tenant's solver traffic and quarantine storms are visible as
 	// theirs; TimedOutRuns counts those attempts that ended on a budget.
@@ -65,18 +62,17 @@ type TenantStats struct {
 // jobs, its live counts against the quotas, its rate limiter, and its
 // stats. Guarded by the server mutex.
 type tenantState struct {
-	name     string
-	q        []*job // FIFO of queued jobs
-	queued   int    // == len(q)
-	running  int
-	retrying int // jobs parked in retry-wait backoff
-	bucket   tokenBucket
-	stats    TenantStats
+	name    string
+	q       []*job // FIFO of queued jobs
+	queued  int    // == len(q)
+	running int
+	bucket  tokenBucket
+	stats   TenantStats
 }
 
 // outstanding is the tenant's admission-control load: jobs the daemon is
-// still obligated to run. RetryWait jobs count — they will run again.
-func (ts *tenantState) outstanding() int { return ts.queued + ts.running + ts.retrying }
+// still obligated to run.
+func (ts *tenantState) outstanding() int { return ts.queued + ts.running }
 
 func (s *Server) tenantLocked(name string) *tenantState {
 	ts := s.tenants[name]
