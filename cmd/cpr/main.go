@@ -25,10 +25,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -115,10 +117,15 @@ func main() {
 	// Ctrl-C / SIGTERM cancel the run cooperatively: the engine stops at
 	// the next barrier and the best-so-far pool is still printed; with
 	// -checkpoint-dir set, the periodic snapshots already on disk make the
-	// run resumable with -resume. A second signal terminates immediately.
-	tok, stopSignals := cpr.WithSignalCancel(nil, os.Interrupt, syscall.SIGTERM)
+	// run resumable with -resume. The first signal releases the handler,
+	// so a second one terminates immediately.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	opts := cpr.Options{Workers: *workers, Cancel: tok}
+	go func() {
+		<-ctx.Done()
+		stopSignals()
+	}()
+	opts := cpr.Options{Workers: *workers, Context: ctx}
 	gov, err := govern.Setup(*memHigh, *memLimit, func(format string, args ...any) { log.Printf(format, args...) })
 	if err != nil {
 		log.Fatal(err)
@@ -253,7 +260,9 @@ func runJob(job cpr.Job, dev *cpr.Term, top int, withCEGIS bool, opts cpr.Option
 		switch {
 		case st.MemStopped:
 			fmt.Println("memory pressure stayed critical: showing the best-so-far (anytime) pool; raise -mem-limit or narrow the job to finish it")
-		case opts.Cancel.Err() == cpr.ErrCancelled:
+		case opts.Context.Err() != nil:
+			// A signal cancelled the CLI's own context; a -timeout expiry
+			// only ends the engine's run context derived from it.
 			fmt.Println("interrupted: showing the best-so-far (anytime) pool; with -checkpoint-dir the run is resumable with -resume")
 		default:
 			fmt.Println("wall-clock budget expired: showing the best-so-far (anytime) pool")

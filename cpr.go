@@ -25,10 +25,7 @@
 package cpr
 
 import (
-	"os"
-
 	"cpr/internal/bench"
-	"cpr/internal/cancel"
 	"cpr/internal/cegis"
 	"cpr/internal/core"
 	"cpr/internal/expr"
@@ -48,13 +45,11 @@ type (
 	// inputs, synthesis components, input bounds, and budget.
 	Job = core.Job
 	// Budget bounds the anytime repair loop: deterministic iteration
-	// budgets plus an optional wall-clock MaxDuration/Deadline. On expiry
-	// Repair returns the best-so-far pool with Stats.TimedOut set.
+	// budgets plus an optional wall-clock MaxDuration. On expiry Repair
+	// returns the best-so-far pool with Stats.TimedOut set.
 	Budget = core.Budget
-	// CancelToken cooperatively winds a repair run down from the outside
-	// (e.g. a signal handler); install it in Options.Cancel.
-	CancelToken = cancel.Token
-	// Options tunes the repair engine.
+	// Options tunes the repair engine. A run stops from the outside (a
+	// signal handler, a caller's deadline) through Options.Context.
 	Options = core.Options
 	// CheckpointOptions configures the durable run journal: snapshot
 	// directory, barrier interval, and resume; see Options.Checkpoint.
@@ -163,27 +158,6 @@ func ParseSpecTyped(src string, vars map[string]bool) (*Term, error) {
 
 // NewInterval returns the closed interval [lo, hi] for bounds maps.
 func NewInterval(lo, hi int64) Interval { return interval.New(lo, hi) }
-
-// NewCancelToken returns a fresh cancellation token. Install it in
-// Options.Cancel (or FuzzOptions.Cancel / CEGISOptions.Cancel) and call
-// its Cancel method to wind the run down; the run then returns its
-// best-so-far result with Stats.TimedOut set.
-func NewCancelToken() *CancelToken { return cancel.New() }
-
-// ErrCancelled is what CancelToken.Err reports after an explicit Cancel
-// (as opposed to a deadline expiry) — e.g. to tell an interrupted run from
-// a timed-out one.
-var ErrCancelled = cancel.ErrCancelled
-
-// WithSignalCancel derives a cancel token that is cancelled when one of
-// the OS signals arrives, so an interrupted run (Ctrl-C, SIGTERM) winds
-// down cooperatively: with checkpointing on, the engine commits a final
-// snapshot at the cut point and a -resume rerun continues from the exact
-// iteration. A second signal terminates immediately. The returned stop
-// function releases the signal registration.
-func WithSignalCancel(parent *CancelToken, sigs ...os.Signal) (*CancelToken, func()) {
-	return cancel.WithSignals(parent, sigs...)
-}
 
 // FindFailingInput fuzzes the program (with the hole filled by original,
 // which may be nil for hole-free programs) for a crash-exposing input —

@@ -234,13 +234,10 @@ func (s *Subject) Job(budget core.Budget) (core.Job, error) {
 	if budget.MaxIterations == 0 {
 		// Fall back to the subject's iteration defaults but keep any
 		// caller-supplied wall-clock cap.
-		dur, dl := budget.MaxDuration, budget.Deadline
+		dur := budget.MaxDuration
 		budget = s.Budget
 		if dur > 0 {
 			budget.MaxDuration = dur
-		}
-		if !dl.IsZero() {
-			budget.Deadline = dl
 		}
 	}
 	return core.Job{

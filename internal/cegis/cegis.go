@@ -11,9 +11,9 @@
 package cegis
 
 import (
+	"context"
 	"errors"
 
-	"cpr/internal/cancel"
 	"cpr/internal/concolic"
 	"cpr/internal/core"
 	"cpr/internal/expr"
@@ -40,9 +40,10 @@ type Options struct {
 	// RefinementIterations bounds phase 2 candidate/verify rounds
 	// (default: the other half).
 	RefinementIterations int
-	// Cancel, when non-nil, winds the baseline down cooperatively; it is
-	// combined with the job's MaxDuration/Deadline like core.Repair.
-	Cancel *cancel.Token
+	// Context winds the baseline down once it is done, like the job's
+	// Budget.MaxDuration: Stats.TimedOut is set and the result so far is
+	// returned. Nil means context.Background().
+	Context context.Context
 }
 
 // Stats mirrors the CEGIS columns of Table 1.
@@ -137,12 +138,16 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	if opts.RefinementIterations == 0 {
 		opts.RefinementIterations = budget.MaxIterations - opts.ExplorationIterations
 	}
-	tok := cancel.WithBudget(opts.Cancel, budget.MaxDuration, 0)
-	if !budget.Deadline.IsZero() {
-		tok = cancel.WithDeadline(tok, budget.Deadline)
+	if opts.Context == nil {
+		opts.Context = context.Background()
 	}
-	opts.Cancel = tok
-	opts.SMT.Cancel = tok
+	if budget.MaxDuration > 0 {
+		var cancel context.CancelFunc
+		opts.Context, cancel = context.WithTimeout(opts.Context, budget.MaxDuration)
+		defer cancel()
+	}
+	opts.SMT.Context = opts.Context
+	done := opts.Context.Done()
 	if opts.SMT.Cache == nil {
 		// Counterexample checks re-solve the same verification constraint
 		// under successively blocked parameter vectors; the verdict cache
@@ -170,12 +175,12 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 	}
 	rounds := 0
 	for idx, p := range pool.Patches {
-		if tok.Expired() {
+		if stopped(done) {
 			break
 		}
 		var blocked []*expr.Term // constraints on A are per-template
 		for rounds < opts.RefinementIterations {
-			if tok.Expired() {
+			if stopped(done) {
 				break
 			}
 			// A crash-test barrier, as in core's explore loop; the baseline
@@ -206,7 +211,7 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 			if cex == nil {
 				remaining[idx] = countFeasible(p, blocked)
 				stats.PFinal = sumExcept(remaining, -1)
-				stats.TimedOut = tok.Expired()
+				stats.TimedOut = opts.Context.Err() != nil
 				stats.Stats = solver.Stats()
 				return &Result{Patch: p, Params: params, Stats: stats}, nil
 			}
@@ -219,9 +224,19 @@ func Repair(job core.Job, opts Options) (*Result, error) {
 		}
 	}
 	stats.PFinal = sumExcept(remaining, -1)
-	stats.TimedOut = tok.Expired()
+	stats.TimedOut = opts.Context.Err() != nil
 	stats.Stats = solver.Stats()
 	return &Result{Stats: stats}, nil
+}
+
+// stopped reports, without blocking, whether done is closed.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 func sumExcept(counts []int64, skip int) int64 {
@@ -301,8 +316,9 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 		queue = append(queue, exploreItem{input: fi, guard: expr.False(), bound: 0})
 		queue = append(queue, exploreItem{input: fi, guard: expr.True(), bound: 0})
 	}
+	done := opts.Context.Done()
 	for iter := 0; iter < opts.ExplorationIterations && len(queue) > 0; iter++ {
-		if opts.Cancel.Expired() {
+		if stopped(done) {
 			stats.TimedOut = true
 			return obs
 		}
@@ -312,7 +328,7 @@ func explorePaths(job core.Job, solver *smt.Solver, bounds map[string]interval.I
 		exec, panicked := safeExecute(job.Program, it.input, concolic.Options{
 			Patch:    it.guard,
 			MaxSteps: maxStepsPerRun,
-			Stop:     opts.Cancel.Expired,
+			Stop:     func() bool { return stopped(done) },
 		})
 		if panicked {
 			stats.ExecPanics++

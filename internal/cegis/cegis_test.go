@@ -1,10 +1,10 @@
 package cegis
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/core"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
@@ -146,16 +146,17 @@ func TestCEGISCorrectnessCheck(t *testing.T) {
 	}
 }
 
-// TestCEGISTimedOut: an expired wall-clock budget winds the baseline down
-// with TimedOut set and a valid (patchless) best-so-far result — never an
+// TestCEGISTimedOut: an expired deadline winds the baseline down with
+// TimedOut set and a valid (patchless) best-so-far result — never an
 // error. The deadline is already past at the start, so no run can finish
 // inside it.
 func TestCEGISTimedOut(t *testing.T) {
 	job := divZeroJob()
 	job.Budget.MaxIterations = 1 << 20
-	job.Budget.Deadline = time.Now().Add(-time.Second)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	start := time.Now()
-	res, err := Repair(job, Options{})
+	res, err := Repair(job, Options{Context: ctx})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -170,11 +171,11 @@ func TestCEGISTimedOut(t *testing.T) {
 	}
 }
 
-// TestCEGISCancelled: a pre-cancelled token has the same effect.
+// TestCEGISCancelled: a pre-cancelled context has the same effect.
 func TestCEGISCancelled(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
-	res, err := Repair(divZeroJob(), Options{Cancel: tok})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Repair(divZeroJob(), Options{Context: ctx})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
-	"cpr/internal/cancel"
+	"cpr/internal/journal"
 	"cpr/internal/smt"
 )
 
@@ -16,19 +18,18 @@ func TestBudgetWithDefaults(t *testing.T) {
 	if b.ValidationIterations != 8 {
 		t.Errorf("ValidationIterations default = %d, want 8", b.ValidationIterations)
 	}
-	if b.MaxDuration != 0 || !b.Deadline.IsZero() {
+	if b.MaxDuration != 0 {
 		t.Errorf("wall-clock budget must stay unbounded by default: %+v", b)
 	}
 	c := Budget{
 		MaxIterations:        3,
 		ValidationIterations: 2,
 		MaxDuration:          time.Second,
-		Deadline:             time.Unix(1, 0),
 	}.withDefaults()
 	if c.MaxIterations != 3 || c.ValidationIterations != 2 {
 		t.Errorf("explicit iteration budget overwritten: %+v", c)
 	}
-	if c.MaxDuration != time.Second || !c.Deadline.Equal(time.Unix(1, 0)) {
+	if c.MaxDuration != time.Second {
 		t.Errorf("explicit wall-clock budget overwritten: %+v", c)
 	}
 }
@@ -63,12 +64,12 @@ func TestRepairMaxDurationTimesOut(t *testing.T) {
 	}
 }
 
-// TestRepairCancelledBeforeStart: a pre-cancelled token degrades the whole
-// run to "return the initial pool": anytime semantics at the extreme.
+// TestRepairCancelledBeforeStart: a pre-cancelled context degrades the
+// whole run to "return the initial pool": anytime semantics at the extreme.
 func TestRepairCancelledBeforeStart(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
-	res, err := Repair(divZeroJob(), Options{Cancel: tok})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Repair(divZeroJob(), Options{Context: ctx})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -105,15 +106,18 @@ func (d *deadlineDist) RunReduce(ReduceBatch) []ReduceOutcome { return nil }
 func (d *deadlineDist) SolverStats() smt.Stats                { return smt.Stats{} }
 func (d *deadlineDist) Close() error                          { return nil }
 
-// TestRepairDeadlineMidExplore: expire the clock partway through so the
-// explore loop is entered and then interrupted; the pool must stay intact,
-// ranked, and no larger than the validated pool (monotone reduction).
+// TestRepairDeadlineMidExplore: a deadline on the caller's context expires
+// partway through, so the explore loop is entered and then interrupted;
+// the pool must stay intact, ranked, and no larger than the validated pool
+// (monotone reduction).
 func TestRepairDeadlineMidExplore(t *testing.T) {
 	job := divZeroJob()
 	job.Budget.MaxIterations = 1 << 20
-	job.Budget.Deadline = time.Now().Add(300 * time.Millisecond)
-	dist := &deadlineDist{deadline: job.Budget.Deadline}
-	res, err := Repair(job, Options{NewDistributor: func(Job, Options) (Distributor, error) { return dist, nil }})
+	deadline := time.Now().Add(300 * time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	dist := &deadlineDist{deadline: deadline}
+	res, err := Repair(job, Options{Context: ctx, NewDistributor: func(Job, Options) (Distributor, error) { return dist, nil }})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -131,5 +135,71 @@ func TestRepairDeadlineMidExplore(t *testing.T) {
 	}
 	if len(res.Ranked) != len(res.Pool.Patches) {
 		t.Fatalf("ranking inconsistent with pool")
+	}
+}
+
+// TestResumeRebasesWallClock: a resumed run gets only the wall-clock
+// budget its snapshot had not spent. A crashed run's latest snapshot is
+// stamped as having spent an hour, the way FuzzResumeSnapshot stamps its
+// inputs. Resumed under a one-hour MaxDuration the run must stop at once —
+// TimedOut, with no iteration beyond the snapshot's — and under two hours
+// it must finish with the uninterrupted run's result.
+func TestResumeRebasesWallClock(t *testing.T) {
+	base, err := Repair(divZeroJob(), Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("Repair (baseline): %v", err)
+	}
+	for _, budget := range []time.Duration{time.Hour, 2 * time.Hour} {
+		t.Run(budget.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			if !runToCrash(t, divZeroJob(), ckptOptions(dir, 1, 2, false, nil), 7) {
+				t.Fatal("crash injection never fired; raise the barrier budget")
+			}
+			snap, err := journal.LoadLatest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st snapshot
+			if err := json.Unmarshal(snap.Payload, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Phase != len(divZeroJob().FailingInputs) {
+				t.Fatalf("snapshot is in validation phase %d; crash later so it holds main-loop state", st.Phase)
+			}
+			st.Elapsed = time.Hour
+			payload, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := journal.WriteSnapshot(dir, snap.Barrier, payload); err != nil {
+				t.Fatal(err)
+			}
+
+			job := divZeroJob()
+			job.Budget.MaxDuration = budget
+			var warns []string
+			res, err := Repair(job, ckptOptions(dir, 1, 2, true, &warns))
+			if err != nil {
+				t.Fatalf("Repair (resume): %v", err)
+			}
+			for _, w := range warns {
+				t.Errorf("unexpected resume warning: %s", w)
+			}
+			if budget == time.Hour {
+				if !res.Stats.TimedOut {
+					t.Fatal("resume with its whole budget spent did not time out")
+				}
+				if res.Stats.PathsExplored != st.Stats.PathsExplored {
+					t.Fatalf("spent resume explored %d paths, its snapshot %d", res.Stats.PathsExplored, st.Stats.PathsExplored)
+				}
+				return
+			}
+			if res.Stats.TimedOut {
+				t.Fatal("resume with an hour left timed out")
+			}
+			if got, want := fingerprint(res), fingerprint(base); got != want {
+				t.Fatalf("resumed result diverged from uninterrupted run:\n--- resumed\n%s--- baseline\n%s", got, want)
+			}
+		})
 	}
 }

@@ -10,13 +10,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/concolic"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
@@ -59,10 +59,11 @@ type Job struct {
 
 // Budget bounds the repair loop. The iteration bounds are deterministic
 // (the paper's wall-clock budgets map to iteration budgets for
-// reproducibility); MaxDuration and Deadline add the paper's literal
-// anytime semantics on top: when the wall clock expires, every layer
-// winds down and Repair returns the best-so-far pool with Stats.TimedOut
-// set — never an error, never a partial data structure.
+// reproducibility); MaxDuration adds the paper's literal anytime semantics
+// on top: when the wall clock expires, every layer winds down and Repair
+// returns the best-so-far pool with Stats.TimedOut set — never an error,
+// never a partial data structure. A deadline on Options.Context acts the
+// same way.
 type Budget struct {
 	// MaxIterations bounds main-loop concolic executions (default 100).
 	MaxIterations int
@@ -70,11 +71,8 @@ type Budget struct {
 	// validate the initial pool against each failing input (default 8).
 	ValidationIterations int
 	// MaxDuration bounds the whole repair run's wall-clock time
-	// (0 = unbounded).
+	// (0 = unbounded). A resumed run gets what its snapshot had not spent.
 	MaxDuration time.Duration
-	// Deadline is an absolute wall-clock cutoff (zero = none). When both
-	// MaxDuration and Deadline are set, the earlier cutoff applies.
-	Deadline time.Time
 }
 
 func (b Budget) withDefaults() Budget {
@@ -102,17 +100,18 @@ type Options struct {
 	// Queue selects the exploration frontier policy (ablation of the
 	// §3.4 input ranking; default QueueRanked).
 	Queue QueuePolicy
-	// Cancel, when non-nil, aborts the run cooperatively (e.g. from a
-	// signal handler or another goroutine): like a deadline expiry it
-	// yields the best-so-far Result with Stats.TimedOut set.
-	Cancel *cancel.Token
+	// Context stops the run cooperatively once it is done (a signal
+	// handler's cancel, a caller's deadline): like a MaxDuration expiry it
+	// yields the best-so-far Result with Stats.TimedOut set. Nil means
+	// context.Background().
+	Context context.Context
 	// Workers sizes the exploration worker pool (0 = runtime.NumCPU()).
 	// Per-item solver work — flip feasibility queries and per-patch pool
 	// reduction — fans out across the workers and merges back through the
 	// coordinator in a seeded order, so the plausible-patch pool is
 	// identical for every worker count; Workers=1 additionally replays the
-	// sequential engine's exact call sequence. Only wall-clock budgets
-	// (MaxDuration/Deadline/Cancel) make runs scheduling-dependent.
+	// sequential engine's exact call sequence. Only wall-clock stops
+	// (MaxDuration, Context) make runs scheduling-dependent.
 	Workers int
 	// Checkpoint configures the durable run journal: with a directory set,
 	// the engine snapshots its repair state at deterministic generation
@@ -172,9 +171,10 @@ var ErrNoFailingInput = errors.New("core: job has no failing input (generate one
 
 // Repair runs concolic program repair on the job (Algorithm 1).
 //
-// Repair is an anytime algorithm with a failure discipline: on wall-clock
-// expiry (Budget.MaxDuration / Budget.Deadline / Options.Cancel) it
-// returns the pool reduced so far with Stats.TimedOut set; solver budget
+// Repair is an anytime algorithm with a failure discipline: when the run
+// stops (Budget.MaxDuration expires, Options.Context is done, or the
+// memory governor stops it) it returns the pool reduced so far with
+// Stats.TimedOut set; solver budget
 // exhaustion degrades to skipped flips (dropped, and counted in
 // Stats.FlipsDropped and Stats.PathsSkipped); and a panic in subject
 // execution or inside a solver query degrades to a skipped flip/query,
@@ -194,8 +194,8 @@ func Repair(job Job, opts Options) (*Result, error) {
 	}
 	opts.Checkpoint = opts.Checkpoint.withDefaults()
 
-	// Resume, step 1: load the latest intact snapshot before the budget
-	// token is derived, so the wall-clock budget can be re-based on the
+	// Resume, step 1: load the latest intact snapshot before the run
+	// context is derived, so the wall-clock budget can be re-based on the
 	// time the killed run already spent. Any load failure degrades to a
 	// fresh start with a warning.
 	var rs *snapshot
@@ -206,22 +206,30 @@ func Repair(job Job, opts Options) (*Result, error) {
 			rs = loadResume(job, opts, fp)
 		}
 	}
-	var spent time.Duration
-	if rs != nil {
-		spent = rs.Elapsed
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	tok := cancel.WithBudget(opts.Cancel, job.Budget.MaxDuration, spent)
-	if !job.Budget.Deadline.IsZero() {
-		tok = cancel.WithDeadline(tok, job.Budget.Deadline)
+	if left := job.Budget.MaxDuration; left > 0 {
+		// A resumed run gets what the killed one had not spent of the
+		// budget; one that had spent it all starts expired.
+		if rs != nil {
+			left -= rs.Elapsed
+		}
+		var stopClock context.CancelFunc
+		ctx, stopClock = context.WithTimeout(ctx, left)
+		defer stopClock()
 	}
+	var stop context.CancelFunc
 	if opts.Govern != nil {
-		// The governor's sustained-critical stop cancels the run's token;
-		// derive one the engine owns so the caller's token is untouched.
-		tok = cancel.WithParent(tok)
+		// The governor's stop cancels a context the engine owns, not the
+		// caller's. Ungoverned, an unstoppable run keeps a nil Done channel.
+		ctx, stop = context.WithCancel(ctx)
+		defer stop()
 	}
-	// The run-level token also bounds every solver query, so a single
-	// hard query cannot overrun the deadline.
-	opts.SMT.Cancel = tok
+	// The run context also bounds every solver query, so a single hard
+	// query cannot overrun the deadline.
+	opts.SMT.Context = ctx
 	// Every solver of the run shares one verdict cache: the repair loop
 	// re-poses structurally identical feasibility queries constantly, and
 	// under parallelism the cache also lets workers reuse each other's
@@ -235,14 +243,14 @@ func Repair(job Job, opts Options) (*Result, error) {
 	cacheStart := opts.SMT.Cache.Stats()
 
 	// Phase 1: patch pool construction (§3.3). A resumed run re-derives
-	// the template list with no cancellation token: enumeration is
-	// deterministic, so the full list is a superset of whatever prefix the
-	// killed run synthesized, and the snapshot intersect below recovers
-	// exactly its pool. Fresh runs enumerate under the budget token.
+	// the template list with no run context: enumeration is deterministic,
+	// so the full list is a superset of whatever prefix the killed run
+	// synthesized, and the snapshot intersect below recovers exactly its
+	// pool. Fresh runs enumerate under the run context.
 	if rs == nil {
-		job.Components.Cancel = tok
+		job.Components.Context = ctx
 	} else {
-		job.Components.Cancel = nil
+		job.Components.Context = nil
 	}
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
@@ -261,7 +269,8 @@ func Repair(job Job, opts Options) (*Result, error) {
 		opts:   opts,
 		solver: smt.NewSolver(opts.SMT),
 		pool:   pool,
-		tok:    tok,
+		done:   ctx.Done(),
+		stop:   stop,
 	}
 	eng.cacheStart = cacheStart
 	eng.workers = eng.newWorkers(opts.Workers)
@@ -304,7 +313,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	// one checkpoint phase; a resumed run re-enters the interrupted phase
 	// with its restored frontier and partial per-phase stats.
 	for pi := startPhase; pi < numVal; pi++ {
-		if eng.tok.Expired() {
+		if eng.stopped() {
 			break
 		}
 		fi := job.FailingInputs[pi]
@@ -336,7 +345,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 
 	// Phases 2+3: the repair loop over the full input space, seeded by
 	// the failing tests and any passing tests.
-	if pool.Size() > 0 && !eng.tok.Expired() {
+	if pool.Size() > 0 && !eng.stopped() {
 		st := &exploreState{}
 		if resumeSt != nil && startPhase == numVal {
 			st = resumeSt
@@ -352,7 +361,7 @@ func Repair(job Job, opts Options) (*Result, error) {
 	stats.PoolFinal = pool.Size()
 	stats.Refinements = int(eng.refinements.Load())
 	stats.Removals = int(eng.removals.Load())
-	stats.TimedOut = eng.tok.Expired()
+	stats.TimedOut = ctx.Err() != nil
 	stats.SolverUnknowns = int(eng.solverUnknowns.Load())
 	stats.SolverPanics = int(eng.solverPanics.Load())
 	stats.ExecPanics = int(eng.execPanics.Load())
@@ -383,7 +392,12 @@ type engine struct {
 	opts   Options
 	solver *smt.Solver
 	pool   *patch.Pool
-	tok    *cancel.Token
+	// done is the run context's Done channel, fetched once: every poll is
+	// a non-blocking receive on it. stop cancels the run context (the
+	// governor's stop; nil without a governor). Both are nil on a
+	// WorkerEngine replica.
+	done <-chan struct{}
+	stop context.CancelFunc
 	// workers hold the per-worker solvers; workers[0] is solver. See
 	// parallel.go.
 	workers []*smt.Solver
@@ -420,6 +434,16 @@ type engine struct {
 	// Memory-governor state (see govern.go); coordinator-only.
 	lastRung govern.Rung
 	mem      MemStats
+}
+
+// stopped reports, without blocking, whether the run context is done.
+func (e *engine) stopped() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // noteSolverErr classifies and counts a degraded solver answer; it
@@ -515,10 +539,10 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		cmp = lessFIFO
 	}
 	for ; st.Iter < maxIter && len(st.Queue) > 0 && e.pool.Size() > 0; st.Iter++ {
-		if e.tok.Expired() {
+		if e.stopped() {
 			// Anytime: keep the pool reduced so far. Deliberately NO snapshot
 			// is written here: the cancellation raced the generation that just
-			// merged — its in-flight solver queries saw the expired token and
+			// merged — its in-flight solver queries saw the done context and
 			// degraded to Unknown — so the state at this exit is a valid
 			// anytime answer but not the state an uninterrupted run passes
 			// through. A resumed run (CLI -resume, daemon restart) must replay
@@ -591,20 +615,19 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 			fresh = append(fresh, flip)
 			keys = append(keys, key)
 		}
-		verdicts := make([]flipVerdict, len(fresh))
+		verdicts := make([]FlipOutcome, len(fresh))
 		if !e.distributeFlips(fresh, bounds, verdicts) {
 			e.fanOut(len(fresh), func(w *smt.Solver, i int) {
-				child, ok, unknown := e.pickNewInput(fresh[i], bounds, w)
-				verdicts[i] = flipVerdict{child: child, ok: ok, unknown: unknown}
+				verdicts[i] = e.pickNewInput(fresh[i], bounds, w)
 			})
 		}
 		for i, v := range verdicts {
-			if !v.ok {
+			if !v.OK {
 				// Infeasible for every pool patch, or undecided: a solver
 				// budget, deadline or panic on this flip drops it, counted.
 				// The solver is deterministic, so re-posing the same query
 				// could not answer it.
-				if v.unknown {
+				if v.Unknown {
 					e.flipsDropped.Add(1)
 				}
 				stats.PathsSkipped++
@@ -619,16 +642,8 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 	}
 }
 
-// flipVerdict is one flip's path-reduction outcome, computed on a worker
-// and merged by the coordinator.
-type flipVerdict struct {
-	child   workItem
-	ok      bool
-	unknown bool
-}
-
-// safeExecute runs one concolic execution with the run token plumbed in
-// and panics recovered at this boundary: a crash in the interpreter or in
+// safeExecute runs one concolic execution that stops with the run, with
+// panics recovered at this boundary: a crash in the interpreter or in
 // patch evaluation degrades to a skipped path, counted in Stats.ExecPanics.
 func (e *engine) safeExecute(input map[string]int64, pt *patch.Patch, params expr.Model) (exec *concolic.Execution, panicked bool) {
 	defer func() {
@@ -641,7 +656,7 @@ func (e *engine) safeExecute(input map[string]int64, pt *patch.Patch, params exp
 		Patch:       pt.Expr,
 		PatchParams: params,
 		MaxSteps:    maxStepsPerRun,
-		Stop:        e.tok.Expired,
+		Stop:        e.stopped,
 	}), false
 }
 
@@ -707,10 +722,10 @@ func (e *engine) resolvePatch(item workItem) (*patch.Patch, expr.Model, bool) {
 // pickNewInput implements the path-reduction step of §3.4: a flip is only
 // queued if some pool patch admits the flipped path; the satisfying model
 // provides both the new input t and the patch ρ (with parameter values).
-// The third result reports a degraded (Unknown) solver answer, which the
-// caller counts as a dropped flip — distinct from a clean unsat, which
-// proves the flip infeasible.
-func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Interval, solver *smt.Solver) (workItem, bool, bool) {
+// An Unknown outcome reports a degraded solver answer, which the caller
+// counts as a dropped flip — distinct from a clean unsat, which proves the
+// flip infeasible.
+func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Interval, solver *smt.Solver) FlipOutcome {
 	solver.BeginEpoch() // scope cache-write journaling to this flip
 	cons := flip.Constraint()
 	inputNames := e.job.Program.Inputs()
@@ -739,26 +754,26 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 		// on): solve the path alone and attach the best-ranked patch.
 		model, ok, err := solver.GetModel(cons, bounds)
 		if e.noteSolverErr(err) {
-			return workItem{}, false, true
+			return FlipOutcome{Unknown: true}
 		}
 		if !ok {
-			return workItem{}, false, false
+			return FlipOutcome{}
 		}
 		ranked := e.pool.Ranked()
 		if len(ranked) == 0 {
-			return workItem{}, false, false
+			return FlipOutcome{}
 		}
 		p := ranked[0]
 		params, ok := p.AnyParams()
 		if !ok {
-			return workItem{}, false, false
+			return FlipOutcome{}
 		}
 		it := buildItem(model, p)
 		for k, v := range params {
 			it.Params[k] = v
 		}
 		it.PatchID = p.ID
-		return it, true, false
+		return FlipOutcome{OK: true, child: it}
 	}
 
 	unknown := false
@@ -772,10 +787,10 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 			continue
 		}
 		if ok {
-			return buildItem(model, p), true, false
+			return FlipOutcome{OK: true, child: buildItem(model, p)}
 		}
 	}
-	return workItem{}, false, unknown
+	return FlipOutcome{Unknown: unknown}
 }
 
 // patchHoles instantiates p at every hole hit, in hit order: patch.Psi of

@@ -227,21 +227,21 @@ func TestPickNewInputPathReduction(t *testing.T) {
 		}},
 	}
 	e := mkEngine(false)
-	if _, ok, unknown := e.pickNewInput(flip, e.inputBounds(), e.solver); ok || unknown {
+	if o := e.pickNewInput(flip, e.inputBounds(), e.solver); o.OK || o.Unknown {
 		t.Fatal("path reduction should prune: no pool patch admits ¬out ∧ x≠0 ∧ y=0")
 	}
 	e = mkEngine(true)
-	item, ok, _ := e.pickNewInput(flip, e.inputBounds(), e.solver)
-	if !ok {
+	o := e.pickNewInput(flip, e.inputBounds(), e.solver)
+	if !o.OK {
 		t.Fatal("ablation should admit the input-feasible path")
 	}
-	if item.Input["y"] != 0 || item.Input["x"] == 0 {
-		t.Fatalf("ablation model should satisfy the path: %v", item.Input)
+	if in := o.child.Input; in["y"] != 0 || in["x"] == 0 {
+		t.Fatalf("ablation model should satisfy the path: %v", in)
 	}
 	// A flip every patch admits is kept either way.
 	flip.Negated = expr.Ne(y, expr.Int(0))
 	e = mkEngine(false)
-	if _, ok, _ := e.pickNewInput(flip, e.inputBounds(), e.solver); !ok {
+	if !e.pickNewInput(flip, e.inputBounds(), e.solver).OK {
 		t.Fatal("feasible flip wrongly pruned")
 	}
 }

@@ -53,18 +53,16 @@ type FlipBatch struct {
 	Pool   []PatchState
 }
 
-// FlipOutcome mirrors one pickNewInput result. Unknowns/Panics are the
-// solver-degradation counts observed while computing it, so the
-// engine's counters match a local run's.
+// FlipOutcome is one flip's path-reduction outcome (pickNewInput's
+// result): OK when some pool patch admits the flipped path, Unknown when a
+// degraded solver answer left it undecided. Unknowns/Panics are the
+// solver-degradation counts observed while computing it, so the engine's
+// counters match a local run's.
 type FlipOutcome struct {
 	OK, Unknown bool
-	Input       map[string]int64
-	PatchID     int
-	Params      expr.Model
-	Score       int
-	Bound       int
 	Unknowns    int64
 	Panics      int64
+	child       workItem // the frontier item to queue, when OK
 }
 
 // ReduceContext is the shared, read-only input of one pool reduction
@@ -119,29 +117,19 @@ func (e *engine) poolState() []PatchState {
 // distributeFlips hands one generation's flip scan to the distributor.
 // False means the caller must compute the batch locally (no distributor,
 // or the distributor could not complete the batch).
-func (e *engine) distributeFlips(fresh []concolic.Flip, bounds map[string]interval.Interval, verdicts []flipVerdict) bool {
+func (e *engine) distributeFlips(fresh []concolic.Flip, bounds map[string]interval.Interval, outs []FlipOutcome) bool {
 	if e.dist == nil || len(fresh) == 0 {
 		return false
 	}
-	outs := e.dist.RunFlips(FlipBatch{Flips: fresh, Bounds: bounds, Pool: e.poolState()})
-	if len(outs) != len(fresh) {
+	got := e.dist.RunFlips(FlipBatch{Flips: fresh, Bounds: bounds, Pool: e.poolState()})
+	if len(got) != len(outs) {
 		return false
 	}
-	for i, o := range outs {
+	for _, o := range got {
 		e.solverUnknowns.Add(o.Unknowns)
 		e.solverPanics.Add(o.Panics)
-		v := flipVerdict{ok: o.OK, unknown: o.Unknown}
-		if o.OK {
-			v.child = workItem{
-				Input:   o.Input,
-				PatchID: o.PatchID,
-				Params:  o.Params,
-				Score:   o.Score,
-				Bound:   o.Bound,
-			}
-		}
-		verdicts[i] = v
 	}
+	copy(outs, got)
 	return true
 }
 

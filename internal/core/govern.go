@@ -10,7 +10,7 @@ import "cpr/internal/govern"
 //	high     → shrink the cache to a quarter of its entries
 //	critical → empty the cache; pressure sustained across
 //	           CriticalStopPolls consecutive polls cancels the engine's
-//	           own token — the run ends with its anytime best-so-far
+//	           own context — the run ends with its anytime best-so-far
 //	           result, exactly like a budget expiry
 //
 // The frontier is not a rung action: path reduction (§3.4) keeps it
@@ -47,9 +47,9 @@ func (e *engine) governAtBarrier(st *exploreState) {
 		e.mem.MemCacheShrinks++
 	}
 	// Sustained critical: fall back to the anytime result. Cancelling the
-	// engine-owned token is byte-for-byte the budget-expiry path.
+	// engine-owned context is byte-for-byte the budget-expiry path.
 	if rung == govern.RungCritical && !e.mem.MemStopped && g.ShouldStop() {
 		e.mem.MemStopped = true
-		e.tok.Cancel()
+		e.stop()
 	}
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
@@ -122,14 +122,15 @@ func TestGovernUnpressuredGovernorChangesNothing(t *testing.T) {
 // TestGovernSustainedCriticalStopsRun: pressure critical at every poll
 // with a low stop threshold makes the run fall back to its anytime
 // best-so-far result — Stats.TimedOut exactly as a budget expiry — while
-// the caller's own cancel token stays untouched.
+// the caller's own context stays untouched.
 func TestGovernSustainedCriticalStopsRun(t *testing.T) {
 	faultinject.Activate(&faultinject.Plan{MemRungEvery: 1, MemRung: int(govern.RungCritical)})
 	defer faultinject.Deactivate()
 	g := govern.New(govern.Config{CriticalStopPolls: 2})
-	parent := cancel.New()
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	opts := governedOpts(1, g)
-	opts.Cancel = parent
+	opts.Context = parent
 	res, err := Repair(divZeroJob(), opts)
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
@@ -147,8 +148,8 @@ func TestGovernSustainedCriticalStopsRun(t *testing.T) {
 	if st.MemRungCritical < 2 {
 		t.Fatalf("MemRungCritical = %d, want >= 2", st.MemRungCritical)
 	}
-	if parent.Expired() {
-		t.Fatal("governor stop cancelled the caller's token")
+	if parent.Err() != nil {
+		t.Fatal("governor stop cancelled the caller's context")
 	}
 	if !g.ShouldStop() {
 		t.Fatal("governor does not report the stop")

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
-	"cpr/internal/cancel"
 	"cpr/internal/smt"
 	"cpr/internal/smt/cache"
 )
@@ -116,11 +116,11 @@ func TestWorkersSharedCacheInstance(t *testing.T) {
 }
 
 // TestWorkersCancelled: cancellation composes with the pool — a
-// pre-cancelled token still returns the intact initial pool.
+// pre-cancelled context still returns the intact initial pool.
 func TestWorkersCancelled(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
-	res, err := Repair(divZeroJob(), Options{Workers: testWorkers(), Cancel: tok})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Repair(divZeroJob(), Options{Workers: testWorkers(), Context: ctx})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}

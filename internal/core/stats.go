@@ -35,9 +35,9 @@ type Stats struct {
 	// Removals counts discarded patches.
 	Refinements int `json:"refinements"`
 	Removals    int `json:"removals"`
-	// TimedOut reports that the wall-clock budget (Budget.MaxDuration /
-	// Budget.Deadline) or the cancellation token fired and the run
-	// returned its best-so-far pool early.
+	// TimedOut reports that the run stopped early and returned its
+	// best-so-far pool: Budget.MaxDuration expired, Options.Context was
+	// done, or the memory governor stopped it (MemStopped).
 	TimedOut bool `json:"timed_out,omitempty"`
 	// SolverUnknowns and SolverPanics count the verdicts the engine
 	// degraded on: solver errors that reached the repair loop, as an

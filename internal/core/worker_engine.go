@@ -43,11 +43,10 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 	opts.Workers = 1
 	opts.Checkpoint = CheckpointOptions{}
 	opts.NewDistributor = nil
-	opts.Cancel = nil
-	opts.SMT.Cancel = nil
+	opts.SMT.Context = nil
 	opts.SMT.Cache = cache.New()
 
-	job.Components.Cancel = nil
+	job.Components.Context = nil
 	templates := synth.Synthesize(job.Components, job.Program.HoleType)
 	pool := synth.BuildPool(templates, job.Components)
 	eng := &engine{
@@ -55,7 +54,6 @@ func NewWorkerEngine(job Job, opts Options) (*WorkerEngine, error) {
 		opts:   opts,
 		solver: smt.NewSolver(opts.SMT),
 		pool:   pool,
-		tok:    nil,
 	}
 	eng.workers = eng.newWorkers(1)
 	eng.curBounds = eng.inputBounds()
@@ -91,20 +89,9 @@ func (we *WorkerEngine) RunFlips(flips []concolic.Flip) []FlipOutcome {
 	outs := make([]FlipOutcome, len(flips))
 	for i := range flips {
 		u0, p0 := e.solverUnknowns.Load(), e.solverPanics.Load()
-		child, ok, unknown := e.pickNewInput(flips[i], e.curBounds, e.solver)
-		o := FlipOutcome{
-			OK:       ok,
-			Unknown:  unknown,
-			Unknowns: e.solverUnknowns.Load() - u0,
-			Panics:   e.solverPanics.Load() - p0,
-		}
-		if ok {
-			o.Input = child.Input
-			o.PatchID = child.PatchID
-			o.Params = child.Params
-			o.Score = child.Score
-			o.Bound = child.Bound
-		}
+		o := e.pickNewInput(flips[i], e.curBounds, e.solver)
+		o.Unknowns = e.solverUnknowns.Load() - u0
+		o.Panics = e.solverPanics.Load() - p0
 		outs[i] = o
 	}
 	return outs

@@ -10,10 +10,9 @@
 package fuzz
 
 import (
+	"context"
 	"math/rand"
-	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
 	"cpr/internal/lang"
@@ -37,11 +36,10 @@ type Options struct {
 	MaxSteps int
 	// Population is the number of seeds kept (default 32).
 	Population int
-	// MaxDuration bounds the campaign's wall-clock time (0 = unbounded);
-	// on expiry the campaign returns with TimedOut set.
-	MaxDuration time.Duration
-	// Cancel, when non-nil, winds the campaign down cooperatively.
-	Cancel *cancel.Token
+	// Context winds the campaign down once it is done (deadline or
+	// cancellation); the campaign then returns with TimedOut set. Nil
+	// means context.Background().
+	Context context.Context
 }
 
 func (o Options) withDefaults() Options {
@@ -54,6 +52,9 @@ func (o Options) withDefaults() Options {
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 1 << 16
 	}
+	if o.Context == nil {
+		o.Context = context.Background()
+	}
 	return o
 }
 
@@ -65,8 +66,8 @@ type Campaign struct {
 	Runs int
 	// BugHits counts executions that reached the bug location.
 	BugHits int
-	// TimedOut reports the campaign stopped on its wall-clock budget or
-	// cancellation token rather than MaxRuns.
+	// TimedOut reports the campaign stopped because its Context was done
+	// rather than on MaxRuns.
 	TimedOut bool
 	// Panics counts interpreter panics recovered at the run boundary
 	// (the run scores zero; the campaign continues).
@@ -83,9 +84,14 @@ type seed struct {
 // Failing field is nil when the budget is exhausted without a crash.
 func FindFailing(prog *lang.Program, opts Options) Campaign {
 	opts = opts.withDefaults()
-	tok := opts.Cancel
-	if opts.MaxDuration > 0 {
-		tok = cancel.WithTimeout(tok, opts.MaxDuration)
+	done := opts.Context.Done()
+	stopped := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	bounds := func(name string) interval.Interval {
@@ -165,7 +171,7 @@ func FindFailing(prog *lang.Program, opts Options) Campaign {
 		return interp.Run(prog, in, interp.Options{
 			MaxSteps: opts.MaxSteps,
 			Hole:     opts.Original,
-			Stop:     tok.Expired,
+			Stop:     stopped,
 		}), false
 	}
 	run := func(in map[string]int64) (int, bool) {
@@ -205,7 +211,7 @@ func FindFailing(prog *lang.Program, opts Options) Campaign {
 		initial = append(initial, randomInput())
 	}
 	for _, in := range initial {
-		if tok.Expired() {
+		if stopped() {
 			camp.TimedOut = true
 			return camp
 		}
@@ -221,7 +227,7 @@ func FindFailing(prog *lang.Program, opts Options) Campaign {
 	}
 
 	for camp.Runs < opts.MaxRuns {
-		if tok.Expired() {
+		if stopped() {
 			camp.TimedOut = true
 			return camp
 		}

@@ -1,10 +1,10 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
@@ -109,11 +109,13 @@ void main(bool flag, int x) {
 	}
 }
 
-// TestFindFailingTimedOut: the wall-clock budget stops an otherwise long
+// TestFindFailingTimedOut: a context deadline stops an otherwise long
 // campaign with TimedOut set.
 func TestFindFailingTimedOut(t *testing.T) {
 	prog := lang.MustParse(`void main(int x) { int y = x + 1; }`) // never crashes
-	camp := FindFailing(prog, Options{Seed: 1, MaxRuns: 1 << 30, MaxDuration: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	camp := FindFailing(prog, Options{Seed: 1, MaxRuns: 1 << 30, Context: ctx})
 	if !camp.TimedOut {
 		t.Fatalf("TimedOut not set after %d runs", camp.Runs)
 	}
@@ -122,13 +124,13 @@ func TestFindFailingTimedOut(t *testing.T) {
 	}
 }
 
-// TestFindFailingCancelled: a pre-cancelled token stops the campaign
+// TestFindFailingCancelled: a pre-cancelled context stops the campaign
 // before any run.
 func TestFindFailingCancelled(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	prog := lang.MustParse(`void main(int x) { int y = x + 1; }`)
-	camp := FindFailing(prog, Options{Seed: 1, Cancel: tok})
+	camp := FindFailing(prog, Options{Seed: 1, Context: ctx})
 	if !camp.TimedOut || camp.Runs != 0 {
 		t.Fatalf("cancelled campaign ran: %+v", camp)
 	}

@@ -176,3 +176,34 @@ func TestGovernedDaemonBitIdentical(t *testing.T) {
 		t.Error("no cache shrinks aggregated under forced high pressure")
 	}
 }
+
+// TestShedSubmitsBuildNothing: a submit shed at the critical rung or by a
+// drain is refused before the job is built — no parse, lowering or term
+// interning — so all it allocates is its AdmissionError.
+func TestShedSubmitsBuildNothing(t *testing.T) {
+	defer faultinject.Deactivate()
+	g := govern.New(stormWatermarks())
+	critical := newTestServer(t, Config{Runners: -1, Govern: g, GovernTick: -1})
+	spike(t, g, 1<<43, govern.RungCritical)
+	draining := newTestServer(t, Config{Runners: -1})
+	if err := draining.Drain(time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	spec := divZeroSpec("acme", "shed")
+	for _, tc := range []struct {
+		name string
+		s    *Server
+	}{{"critical", critical}, {"draining", draining}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, aerr := tc.s.Submit(spec); aerr == nil || aerr.Status != 503 {
+				t.Fatalf("%s submit: %+v, want 503", tc.name, aerr)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s shed allocated %.0f times per submit, want at most 1 (the AdmissionError)", tc.name, allocs)
+		}
+	}
+	if err := critical.Drain(time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}

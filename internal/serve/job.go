@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"cpr/internal/bench"
-	"cpr/internal/cancel"
 	"cpr/internal/core"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
@@ -302,8 +302,8 @@ type job struct {
 	drained bool
 	// cancelRequested marks a client cancel of a running attempt.
 	cancelRequested bool
-	// tok cancels the in-flight attempt.
-	tok *cancel.Token
+	// cancel cancels the in-flight attempt's context.
+	cancel context.CancelFunc
 	// watchers receive state transitions for /jobs/{id}/stream. Sends are
 	// non-blocking: a slow or stuck client loses intermediate events, never
 	// stalls the scheduler.

@@ -8,12 +8,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cpr/internal/faultinject"
 	"cpr/internal/journal"
 )
 
@@ -708,5 +710,49 @@ func TestSubjectJobRuns(t *testing.T) {
 	})
 	if final = waitTerminal(t, s, v.ID, 60*time.Second); final.State != StateDone {
 		t.Fatalf("job after the huge-top job: %s (err %q)", final.State, final.Error)
+	}
+}
+
+// TestTerminalJobsDropLoweredJob: a terminal job keeps only what its view
+// shows — spec, state, error and result — and none of its lowered job
+// (parsed program, spec term, inputs, components), whichever way it ended:
+// done, failed, cancelled or expired.
+func TestTerminalJobsDropLoweredJob(t *testing.T) {
+	faultinject.Activate(&faultinject.Plan{JobPanicMatch: "poison"})
+	defer faultinject.Deactivate()
+	s := newTestServer(t, Config{Runners: 1})
+	s.Start()
+	want := map[string]State{}
+	want[mustSubmit(t, s, quickSpec("alice", "done")).ID] = StateDone
+	want[mustSubmit(t, s, quickSpec("alice", "poison")).ID] = StateFailed
+	cancelled := mustSubmit(t, s, quickSpec("alice", "cancelled")).ID
+	want[cancelled] = StateCancelled
+	if _, ok := s.Cancel(cancelled); !ok {
+		t.Fatal("cancel: unknown id")
+	}
+	idle := newTestServer(t, Config{Runners: -1, QueueTimeout: 30 * time.Millisecond})
+	idle.Start()
+	expired := mustSubmit(t, idle, quickSpec("alice", "stale")).ID
+
+	check := func(s *Server, id string, state State) {
+		t.Helper()
+		if v := waitTerminal(t, s, id, 30*time.Second); v.State != state {
+			t.Fatalf("job %s ended %s, want %s", id, v.State, state)
+		}
+		s.mu.Lock()
+		lowered := !reflect.ValueOf(s.jobs[id].core).IsZero()
+		s.mu.Unlock()
+		if lowered {
+			t.Errorf("%s job %s still holds its lowered job", state, id)
+		}
+	}
+	for id, state := range want {
+		check(s, id, state)
+	}
+	check(idle, expired, StateExpired)
+	for _, srv := range []*Server{s, idle} {
+		if err := srv.Drain(10 * time.Second); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
 	}
 }

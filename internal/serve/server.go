@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/core"
 	"cpr/internal/faultinject"
 	"cpr/internal/govern"
@@ -331,10 +331,18 @@ func (s *Server) Start() {
 
 // Submit admits one job. On success the job is durably journaled and
 // queued, and its initial view is returned; on rejection the AdmissionError
-// carries the HTTP status and Retry-After for the transport layer.
+// carries the HTTP status and Retry-After for the transport layer. A shed
+// submit is refused before the job is built (parsed, lowered, interned);
+// an invalid spec gets its 400 before the rate check takes a token.
 func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
+	}
+	s.mu.Lock()
+	aerr := s.shedLocked(spec.Tenant)
+	s.mu.Unlock()
+	if aerr != nil {
+		return StatusView{}, aerr
 	}
 	cj, err := buildJob(spec)
 	if err != nil {
@@ -345,21 +353,10 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if aerr := s.shedLocked(spec.Tenant); aerr != nil { // a drain may have begun meanwhile
+		return StatusView{}, aerr
+	}
 	ts := s.tenantLocked(spec.Tenant)
-	if s.draining || s.stopRunners {
-		ts.stats.RejectedDraining++
-		s.global.RejectedDraining++
-		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "draining"}
-	}
-	// Memory shed: at the critical rung every new submit is refused — the
-	// daemon finishes work it already owes before taking on more. 503 +
-	// Retry-After, like queue-full: the condition is the daemon's, not the
-	// client's. The high rung only shrinks the running jobs' caches.
-	if s.cfg.Govern.Rung() == govern.RungCritical {
-		ts.stats.RejectedMemory++
-		s.global.RejectedMemory++
-		return StatusView{}, &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "memory pressure"}
-	}
 	if ok, wait := ts.bucket.take(s.cfg.Now()); !ok {
 		ts.stats.RejectedRate++
 		s.global.RejectedRate++
@@ -401,6 +398,24 @@ func (s *Server) Submit(spec JobSpec) (StatusView, *AdmissionError) {
 	s.armQueueTimeout(j)
 	s.cond.Signal()
 	return j.view(), nil
+}
+
+// shedLocked refuses a submit whatever its spec: the daemon is draining,
+// or memory pressure is critical (it finishes work it owes before taking
+// on more; the high rung only shrinks the running jobs' caches). Both are
+// 503 + Retry-After, like queue-full: the condition is the daemon's.
+func (s *Server) shedLocked(tenant string) *AdmissionError {
+	if s.draining || s.stopRunners {
+		s.tenantLocked(tenant).stats.RejectedDraining++
+		s.global.RejectedDraining++
+		return &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "draining"}
+	}
+	if s.cfg.Govern.Rung() == govern.RungCritical {
+		s.tenantLocked(tenant).stats.RejectedMemory++
+		s.global.RejectedMemory++
+		return &AdmissionError{Status: 503, RetryAfter: retryAfterHint, Msg: "memory pressure"}
+	}
+	return nil
 }
 
 // Status returns a job's current view.
@@ -450,7 +465,7 @@ func (s *Server) Cancel(id string) (StatusView, bool) {
 		s.finishLocked(j, ts, StateCancelled, "")
 	case StateRunning:
 		j.cancelRequested = true
-		j.tok.Cancel()
+		j.cancel()
 	}
 	return j.view(), true
 }
@@ -524,9 +539,9 @@ func (s *Server) Drain(timeout time.Duration) error {
 	s.draining = true
 	s.stopRunners = true
 	for _, j := range s.jobs {
-		if j.state == StateRunning && j.tok != nil {
+		if j.state == StateRunning && j.cancel != nil {
 			j.drained = true
-			j.tok.Cancel()
+			j.cancel()
 		}
 	}
 	s.cond.Broadcast()
@@ -601,22 +616,24 @@ func (s *Server) pickLocked() *job {
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = StateRunning
-	base := cancel.New()
-	j.tok = base
-	run := base
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j.cancel = cancel
 	if s.cfg.RunTimeout > 0 {
-		run = cancel.WithTimeout(base, s.cfg.RunTimeout)
+		var stopClock context.CancelFunc
+		ctx, stopClock = context.WithTimeout(ctx, s.cfg.RunTimeout)
+		defer stopClock()
 	}
 	s.notifyLocked(j)
 	s.mu.Unlock()
 
-	res, err := s.attempt(j, run)
+	res, err := s.attempt(j, ctx)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.tenantLocked(j.spec.Tenant)
 	ts.running--
-	j.tok = nil
+	j.cancel = nil
 	defer s.cond.Broadcast()
 
 	switch {
@@ -646,8 +663,8 @@ func (s *Server) runJob(j *job) {
 }
 
 // finishLocked journals and applies a terminal transition, updates the
-// tenant and global tallies, drops the job's checkpoint directory, and
-// notifies watchers.
+// tenant and global tallies, drops the job's lowered form and checkpoint
+// directory, and notifies watchers.
 func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) {
 	var jerr error
 	switch state {
@@ -677,6 +694,9 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 	if msg != "" {
 		j.lastErr = msg
 	}
+	// A terminal view needs only the spec, state, error and result: drop
+	// the lowered job (program, spec term, inputs, components).
+	j.core = core.Job{}
 	if err := os.RemoveAll(s.ckptDir(j.id)); err != nil {
 		s.cfg.warnf("serve: checkpoint cleanup for %s: %v", j.id, err)
 	}
@@ -687,7 +707,7 @@ func (s *Server) finishLocked(j *job, ts *tenantState, state State, msg string) 
 // resumes exactly when the job's checkpoint directory exists: the job's
 // attempt in a process before a drain or crash got far enough to write a
 // snapshot. A job that never started simply starts.
-func (s *Server) attempt(j *job, tok *cancel.Token) (res *core.Result, err error) {
+func (s *Server) attempt(j *job, ctx context.Context) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: job attempt panicked: %v", r)
@@ -698,11 +718,11 @@ func (s *Server) attempt(j *job, tok *cancel.Token) (res *core.Result, err error
 	}
 	cj := j.core
 	if j.spec.TimeoutMS > 0 {
-		// Through Budget (not a bare token) so a resumed attempt re-bases
-		// the remaining wall clock on the time already spent.
+		// Through Budget (not a context deadline) so a resumed attempt
+		// re-bases the remaining wall clock on the time already spent.
 		cj.Budget.MaxDuration = time.Duration(j.spec.TimeoutMS) * time.Millisecond
 	}
-	opts := core.Options{Workers: s.cfg.EngineWorkers, Cancel: tok}
+	opts := core.Options{Workers: s.cfg.EngineWorkers, Context: ctx}
 	opts.NewDistributor = s.cfg.NewDistributor
 	opts.SMT.Incremental = s.cfg.Incremental
 	opts.SMT.Guard.Paranoid = s.cfg.Paranoid

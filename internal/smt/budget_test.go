@@ -1,11 +1,11 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
@@ -110,40 +110,41 @@ func TestBudgetErrorContext(t *testing.T) {
 	}
 }
 
-// TestMaxQueryDuration: an already-expired per-query deadline yields
-// Unknown with stage "deadline" — never a verdict, never a panic.
-func TestMaxQueryDuration(t *testing.T) {
-	s := NewSolver(Options{MaxQueryDuration: time.Nanosecond})
-	f, bounds := hardFormula()
-	res, err := s.Check(f, bounds)
-	if err == nil || !errors.Is(err, ErrBudget) {
-		t.Fatalf("want budget error, got %v (status %v)", err, res.Status)
-	}
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Stage != "deadline" {
-		t.Fatalf("want deadline stage, got %v", err)
-	}
-	if res.Status != Unknown {
-		t.Fatalf("status %v, want unknown", res.Status)
-	}
-	if s.Stats().Unknowns == 0 {
-		t.Error("Unknowns counter not bumped")
-	}
-}
-
-// TestCancelTokenAbortsQuery: a cancelled run-level token aborts in-flight
-// queries the same way a deadline does.
-func TestCancelTokenAbortsQuery(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
-	s := NewSolver(Options{Cancel: tok})
-	f, bounds := hardFormula()
-	res, err := s.Check(f, bounds)
-	if err == nil || !errors.Is(err, ErrBudget) {
-		t.Fatalf("want budget error, got %v (status %v)", err, res.Status)
-	}
-	if res.Status != Unknown {
-		t.Fatalf("status %v, want unknown", res.Status)
+// TestContextAbortsQuery: a run context that is already done — past its
+// deadline or cancelled — aborts a query with Unknown and a deadline-stage
+// *BudgetError carrying the context's error: never a verdict, never a
+// panic.
+func TestContextAbortsQuery(t *testing.T) {
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"deadline", expired, context.DeadlineExceeded},
+		{"cancelled", cancelled, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver(Options{Context: tc.ctx})
+			f, bounds := hardFormula()
+			res, err := s.Check(f, bounds)
+			if err == nil || !errors.Is(err, ErrBudget) {
+				t.Fatalf("want budget error, got %v (status %v)", err, res.Status)
+			}
+			var be *BudgetError
+			if !errors.As(err, &be) || be.Stage != "deadline" || !errors.Is(be.Detail, tc.want) {
+				t.Fatalf("want deadline stage with detail %v, got %v", tc.want, err)
+			}
+			if res.Status != Unknown {
+				t.Fatalf("status %v, want unknown", res.Status)
+			}
+			if s.Stats().Unknowns == 0 {
+				t.Error("Unknowns counter not bumped")
+			}
+		})
 	}
 }
 

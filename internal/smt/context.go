@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
 	"cpr/internal/smt/cache"
@@ -168,7 +167,7 @@ func (c *Context) syncClauseStats() {
 
 // decide runs the DPLL(T) loop for f under bounds on the persistent state
 // and returns the verdict.
-func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Status, error) {
+func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, query uint64) (Status, error) {
 	defer c.syncClauseStats()
 
 	f, ok := pinBools(f, bounds)
@@ -201,13 +200,10 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		assumps = append(assumps, g.sel)
 	}
 
+	done := c.opts.Context.Done()
 	lopts := c.opts.LIA
-	var stop func() bool
-	if qtok != nil {
-		stop = qtok.Expired
-		lopts.Stop = qtok.Expired
-	}
-	c.enc.sat.MaxConflicts, c.enc.sat.Stop = c.opts.MaxConflicts, stop
+	lopts.Stop = stopper(done)
+	c.enc.sat.MaxConflicts, c.enc.sat.Stop = c.opts.MaxConflicts, lopts.Stop
 
 	conflictsAtStart := c.enc.sat.Statist.Conflicts
 	budgetErr := func(stage string, round int, detail error) error {
@@ -226,8 +222,8 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 	var cons []lia.Constraint
 	var block []sat.Lit
 	for round := 0; round < c.opts.MaxTheoryRounds; round++ {
-		if qtok.Expired() {
-			return Unknown, budgetErr("deadline", round, qtok.Err())
+		if isDone(done) {
+			return Unknown, budgetErr("deadline", round, c.opts.Context.Err())
 		}
 		c.stats.theoryRounds.Add(1)
 		satStart := time.Now()
@@ -238,7 +234,7 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 			return Unsat, nil
 		case sat.Unknown:
 			stage := "sat-conflicts"
-			if qtok.Expired() {
+			if isDone(done) {
 				stage = "deadline"
 			}
 			return Unknown, budgetErr(stage, round, nil)
@@ -272,7 +268,7 @@ func (c *Context) decide(f *expr.Term, bounds map[string]interval.Interval, qtok
 		if err != nil {
 			if errors.Is(err, lia.ErrBudget) {
 				stage := "lia"
-				if qtok.Expired() {
+				if isDone(done) {
 					stage = "deadline"
 				}
 				return Unknown, budgetErr(stage, round, err)

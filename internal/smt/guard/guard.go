@@ -16,7 +16,7 @@
 //     offending layer is quarantined and the query is transparently retried
 //     one rung down: incremental context → scratch solve → cache-bypass
 //     scratch solve. A quarantined incremental context is rebuilt only
-//     after a bounded exponential backoff (a cancel.Token deadline), and
+//     after a bounded exponential backoff (a wall-clock deadline), and
 //     repeated failures trip a per-worker circuit breaker that pins that
 //     worker to scratch mode for the rest of the run.
 //   - Health accounting. Counters() snapshots validations, failures,
@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
 )
@@ -137,7 +136,7 @@ type Guard struct {
 	// Quarantine state for the incremental rung; only the owning solver's
 	// query goroutine touches these.
 	failStreak int
-	backoff    *cancel.Token
+	backoff    time.Time // zero when not quarantined
 }
 
 // New returns a guard with the given configuration.
@@ -222,11 +221,11 @@ func (g *Guard) RungAvailable() bool {
 	if g.breakerOpen.Load() {
 		return false
 	}
-	if g.backoff != nil {
-		if !g.backoff.Expired() {
+	if !g.backoff.IsZero() {
+		if time.Now().Before(g.backoff) {
 			return false
 		}
-		g.backoff = nil
+		g.backoff = time.Time{}
 		g.rebuilds.Add(1)
 	}
 	return true
@@ -244,7 +243,7 @@ func (g *Guard) QuarantineRung() {
 	g.quarantines.Add(1)
 	g.failStreak++
 	if g.failStreak >= g.cfg.BreakerThreshold {
-		g.backoff = nil
+		g.backoff = time.Time{}
 		if !g.breakerOpen.Swap(true) {
 			g.trips.Add(1)
 		}
@@ -254,7 +253,7 @@ func (g *Guard) QuarantineRung() {
 	if d > g.cfg.RebuildBackoffMax {
 		d = g.cfg.RebuildBackoffMax
 	}
-	g.backoff = cancel.WithTimeout(nil, d)
+	g.backoff = time.Now().Add(d)
 }
 
 // BreakerOpen reports whether the circuit breaker has tripped.

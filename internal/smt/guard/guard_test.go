@@ -142,7 +142,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	// Consume three quarantines; the third backoff would be 40ms uncapped.
 	for i := 0; i < 3; i++ {
 		g.QuarantineRung()
-		g.backoff = nil // skip the wait; we only probe the durations below
+		g.backoff = time.Time{} // skip the wait; we only probe the durations below
 	}
 	g.failStreak = 2
 	g.QuarantineRung() // failStreak 3 → 10ms<<2 = 40ms, capped to 20ms

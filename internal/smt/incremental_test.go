@@ -1,11 +1,11 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
@@ -196,13 +196,12 @@ func TestIncrementalBudgetDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestIncrementalCancellation: an expired token degrades incremental
-// queries to Unknown with a budget error; a fresh solver with no token is
-// unaffected.
+// TestIncrementalCancellation: a cancelled run context degrades
+// incremental queries to Unknown with a budget error.
 func TestIncrementalCancellation(t *testing.T) {
-	tok := cancel.New()
-	tok.Cancel()
-	s := NewSolver(Options{Incremental: true, Cancel: tok})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewSolver(Options{Incremental: true, Context: ctx})
 	x := expr.IntVar("x")
 	f := expr.Gt(x, expr.Int(0))
 	st, err := s.Decide(f, nil)

@@ -127,7 +127,7 @@ type Options struct {
 	MaxConstraints int
 	// Stop, when non-nil, is polled periodically inside the
 	// branch-and-bound/enumeration loop; a true return aborts the query
-	// with ErrBudget. The SMT layer uses it for per-query deadlines.
+	// with ErrBudget. The SMT layer uses it to stop a query with its run.
 	Stop func() bool
 }
 

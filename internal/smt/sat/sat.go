@@ -152,7 +152,7 @@ type Solver struct {
 	// Stop, when non-nil, is polled periodically during search (every few
 	// dozen conflicts and every few hundred decisions); a true return
 	// aborts the current Solve with Unknown. This is the check-on-conflict
-	// cancellation hook the SMT layer uses for per-query deadlines.
+	// cancellation hook the SMT layer uses to stop a query with its run.
 	Stop func() bool
 
 	polls uint64

@@ -20,6 +20,7 @@
 package smt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/faultinject"
 	"cpr/internal/interval"
@@ -79,14 +79,11 @@ type Options struct {
 	MaxTheoryRounds int
 	// MaxConflicts bounds SAT conflicts per query (0 = unbounded).
 	MaxConflicts uint64
-	// MaxQueryDuration bounds the wall-clock time of a single query
-	// (0 = unbounded). An expired query returns Unknown with a
-	// *BudgetError, never a wrong verdict.
-	MaxQueryDuration time.Duration
-	// Cancel, when non-nil, aborts in-flight queries once it expires
-	// (deadline or explicit cancellation). The repair engine installs its
-	// run-level token here so solver work stops with the run.
-	Cancel *cancel.Token
+	// Context stops in-flight queries once it is done (deadline or
+	// cancellation): they return Unknown with a *BudgetError, never a
+	// wrong verdict. The repair engine installs its run context here so
+	// solver work stops with the run. Nil means context.Background().
+	Context context.Context
 	// Cache, when non-nil, memoizes decisive verdicts (and sat models)
 	// across queries. A cache may be shared by any number of solvers;
 	// hits return exactly what re-solving would, so sharing does not
@@ -129,7 +126,31 @@ func (o Options) withDefaults() Options {
 	if o.MaxTheoryRounds == 0 {
 		o.MaxTheoryRounds = 10000
 	}
+	if o.Context == nil {
+		o.Context = context.Background()
+	}
 	return o
+}
+
+// isDone reports, without blocking, whether done is closed. A nil done
+// (context.Background's) never is. Pollers fetch done once per query:
+// Context.Err would take the context's mutex, which every worker shares.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// stopper returns a Stop callback for the sat and lia tiers that polls
+// done, or nil when done can never close.
+func stopper(done <-chan struct{}) func() bool {
+	if done == nil {
+		return nil
+	}
+	return func() bool { return isDone(done) }
 }
 
 // Stats accumulates query counts across a Solver's lifetime. It is the
@@ -389,7 +410,7 @@ const auxPrefix = "!aux"
 //
 // Check never propagates a panic and never exceeds its budgets by more
 // than a polling interval: resource exhaustion (MaxConflicts, LIA budget,
-// MaxTheoryRounds, MaxQueryDuration, an expired Cancel token) yields
+// MaxTheoryRounds, a done Context) yields
 // Unknown with a *BudgetError, and a panic anywhere below this boundary
 // yields Unknown with an error wrapping ErrSolverPanic.
 func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res Result, err error) {
@@ -447,17 +468,13 @@ func (s *Solver) Check(f *expr.Term, bounds map[string]interval.Interval) (res R
 			s.stats.cacheMisses.Add(1)
 		}
 	}
-	qtok := s.opts.Cancel
-	if s.opts.MaxQueryDuration > 0 {
-		qtok = cancel.WithTimeout(qtok, s.opts.MaxQueryDuration)
-	}
-	return s.solve(f, bounds, qtok, query)
+	return s.solve(f, bounds, query)
 }
 
 // solve runs one scratch solve and settles its verdict: vetted (unless this
 // is the trusted rung itself), counted and cached.
-func (s *Solver) solve(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
-	res, err := s.check(f, bounds, qtok, query)
+func (s *Solver) solve(f *expr.Term, bounds map[string]interval.Interval, query uint64) (Result, error) {
+	res, err := s.check(f, bounds, query)
 	if err != nil || res.Status == Unknown {
 		return res, err
 	}
@@ -567,7 +584,7 @@ func (s *Solver) quarantineCtx() {
 }
 
 // trustedScratch returns the child solver the ladder's trusted rungs run
-// on, creating it on first use. It shares budgets and the cancel token but
+// on, creating it on first use. It shares budgets and the run context but
 // has no cache, no incremental context, no fault injection, and no guard
 // of its own.
 func (s *Solver) trustedScratch() *Solver {
@@ -661,7 +678,7 @@ func (s *Solver) incrementalCtx() *Context {
 	return s.ctx
 }
 
-func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *cancel.Token, query uint64) (Result, error) {
+func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, query uint64) (Result, error) {
 	f, ok := pinBools(f, bounds)
 	if !ok {
 		return Result{Status: Unsat}, nil
@@ -697,10 +714,8 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		s.stats.clausesDeleted.Add(st.Deleted)
 	}()
 	root := enc.encode(g)
-	var stop func() bool
-	if qtok != nil {
-		stop = qtok.Expired
-	}
+	done := s.opts.Context.Done()
+	stop := stopper(done)
 	enc.sat.MaxConflicts, enc.sat.Stop = s.opts.MaxConflicts, stop
 	if !enc.sat.AddClause(root) {
 		return Result{Status: Unsat}, nil
@@ -719,9 +734,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		}
 	}
 	lopts := s.opts.LIA
-	if qtok != nil {
-		lopts.Stop = qtok.Expired
-	}
+	lopts.Stop = stop
 
 	// Assemble bounds for all integer variables of the purified formula.
 	allBounds := make(map[string]interval.Interval)
@@ -737,8 +750,8 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 	var cons []lia.Constraint
 	var block []sat.Lit
 	for round := 0; round < s.opts.MaxTheoryRounds; round++ {
-		if qtok.Expired() {
-			return Result{Status: Unknown}, budgetErr("deadline", round, qtok.Err())
+		if isDone(done) {
+			return Result{Status: Unknown}, budgetErr("deadline", round, s.opts.Context.Err())
 		}
 		s.stats.theoryRounds.Add(1)
 		satStart := time.Now()
@@ -749,7 +762,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 			return Result{Status: Unsat}, nil
 		case sat.Unknown:
 			stage := "sat-conflicts"
-			if qtok.Expired() {
+			if isDone(done) {
 				stage = "deadline"
 			}
 			return Result{Status: Unknown}, budgetErr(stage, round, nil)
@@ -784,7 +797,7 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, qtok *
 		if err != nil {
 			if errors.Is(err, lia.ErrBudget) {
 				stage := "lia"
-				if qtok.Expired() {
+				if isDone(done) {
 					stage = "deadline"
 				}
 				return Result{Status: Unknown}, budgetErr(stage, round, err)
@@ -935,19 +948,15 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 		}
 		s.stats.cacheMisses.Add(1)
 	}
-	qtok := s.opts.Cancel
-	if s.opts.MaxQueryDuration > 0 {
-		qtok = cancel.WithTimeout(qtok, s.opts.MaxQueryDuration)
-	}
 	if !s.guard.RungAvailable() {
 		// Quarantined or breaker-pinned: the scratch rung serves the query
 		// (with full vetting and cache participation — a breaker-pinned
 		// worker keeps cache benefits, it only loses the retained context).
 		s.guard.NoteFallback()
-		res, err := s.solve(f, bounds, qtok, query)
+		res, err := s.solve(f, bounds, query)
 		return res.Status, err
 	}
-	st, err = s.incrementalCtx().decide(f, bounds, qtok, query)
+	st, err = s.incrementalCtx().decide(f, bounds, query)
 	st = s.applyLieDecide(st)
 	switch st {
 	case Unknown:
@@ -958,7 +967,7 @@ func (s *Solver) Decide(f *expr.Term, bounds map[string]interval.Interval) (st S
 			s.guard.NoteFailure()
 			s.quarantineCtx()
 			s.guard.NoteFallback()
-			res, err := s.solve(f, bounds, qtok, query)
+			res, err := s.solve(f, bounds, query)
 			return res.Status, err
 		}
 	case Sat:

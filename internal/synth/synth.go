@@ -11,9 +11,9 @@
 package synth
 
 import (
+	"context"
 	"sort"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
 	"cpr/internal/lang"
@@ -49,13 +49,13 @@ type Components struct {
 	// the pool, after the deletion templates. Parse errors panic — the
 	// templates are part of the job's configuration.
 	ExtraTemplates []string
-	// Cancel stops enumeration early when it expires, bounding checkpoint
-	// and shutdown latency on large component grammars. A cancelled
+	// Context stops enumeration early once it is done, bounding checkpoint
+	// and shutdown latency on large component grammars. A stopped
 	// enumeration returns the templates collected so far — always a prefix
 	// of the full deterministic enumeration, so a resumed run that
-	// re-synthesizes with a live token produces a superset in the same
-	// order.
-	Cancel *cancel.Token
+	// re-synthesizes under a live context produces a superset in the same
+	// order. Nil means context.Background().
+	Context context.Context
 }
 
 // DefaultArith, DefaultCmp and DefaultBool are the paper's §3.3 component
@@ -81,6 +81,9 @@ func (c Components) withDefaults() Components {
 	}
 	if c.ParamRange == (interval.Interval{}) {
 		c.ParamRange = interval.New(-10, 10)
+	}
+	if c.Context == nil {
+		c.Context = context.Background()
 	}
 	return c
 }
@@ -236,6 +239,7 @@ func usable(c Components, t *expr.Term) bool {
 // dedupAdd canonicalizes t and appends it if new and usable.
 type collector struct {
 	c    Components
+	done <-chan struct{} // c.Context.Done(), fetched once per enumeration
 	seen map[*expr.Term]bool
 	out  []*expr.Term
 	max  int
@@ -244,8 +248,7 @@ type collector struct {
 
 // cancelStride bounds how many enumeration steps run between cancellation
 // checks: large grammars reject millions of duplicate candidates between
-// accepted templates, and the clock read in an expired-deadline check is
-// too costly for every single step.
+// accepted templates, and the stride keeps the poll off that hot path.
 const cancelStride = 256
 
 func (col *collector) add(t *expr.Term) bool {
@@ -253,8 +256,12 @@ func (col *collector) add(t *expr.Term) bool {
 		return false
 	}
 	col.n++
-	if col.n%cancelStride == 0 && col.c.Cancel.Expired() {
-		return false
+	if col.n%cancelStride == 0 {
+		select {
+		case <-col.done:
+			return false
+		default:
+		}
 	}
 	s := expr.Simplify(t)
 	if col.seen[s] {
@@ -269,7 +276,7 @@ func (col *collector) add(t *expr.Term) bool {
 }
 
 func synthBool(c Components) []*expr.Term {
-	col := &collector{c: c, seen: make(map[*expr.Term]bool), max: c.MaxTemplates}
+	col := &collector{c: c, done: c.Context.Done(), seen: make(map[*expr.Term]bool), max: c.MaxTemplates}
 	// Functionality-deletion templates first (the paper keeps them in the
 	// pool; ranking handles them).
 	if !c.SuppressDeletion {
@@ -390,7 +397,7 @@ func arithCombos(c Components, leaves []*expr.Term) []*expr.Term {
 }
 
 func synthInt(c Components) []*expr.Term {
-	col := &collector{c: c, seen: make(map[*expr.Term]bool), max: c.MaxTemplates}
+	col := &collector{c: c, done: c.Context.Done(), seen: make(map[*expr.Term]bool), max: c.MaxTemplates}
 	for _, t := range parseExtra(c, expr.SortInt) {
 		col.add(t)
 	}

@@ -1,10 +1,10 @@
 package synth
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"cpr/internal/cancel"
 	"cpr/internal/expr"
 	"cpr/internal/interval"
 	"cpr/internal/lang"
@@ -202,16 +202,18 @@ func TestExtraTemplatesPanicOnBadSyntax(t *testing.T) {
 	Synthesize(c, lang.TypeBool)
 }
 
-// TestSynthesizeCancelledIsDeterministicPrefix: an expired token stops
+// TestSynthesizeCancelledIsDeterministicPrefix: an expired context stops
 // enumeration early, and whatever was collected is a prefix of the full
-// deterministic enumeration — so a resumed run that re-synthesizes with a
-// live token sees a superset in the same order, keeping index-based
+// deterministic enumeration — so a resumed run that re-synthesizes under a
+// live context sees a superset in the same order, keeping index-based
 // template references from checkpoints valid.
 func TestSynthesizeCancelledIsDeterministicPrefix(t *testing.T) {
 	full := Synthesize(figComponents(), lang.TypeBool)
 
 	c := figComponents()
-	c.Cancel = cancel.WithDeadline(nil, time.Now().Add(-time.Second))
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	c.Context = expired
 	partial := Synthesize(c, lang.TypeBool)
 	if len(partial) > len(full) {
 		t.Fatalf("cancelled enumeration produced %d templates, full run %d", len(partial), len(full))
@@ -226,15 +228,17 @@ func TestSynthesizeCancelledIsDeterministicPrefix(t *testing.T) {
 		t.Fatalf("cancelled enumeration nondeterministic: %d vs %d templates", len(again), len(partial))
 	}
 
-	// A live token changes nothing.
-	c.Cancel = cancel.WithTimeout(nil, time.Hour)
-	live := Synthesize(c, lang.TypeBool)
-	if len(live) != len(full) {
-		t.Fatalf("live token truncated enumeration: %d vs %d", len(live), len(full))
+	// A live context changes nothing.
+	live, stopLive := context.WithTimeout(context.Background(), time.Hour)
+	defer stopLive()
+	c.Context = live
+	got := Synthesize(c, lang.TypeBool)
+	if len(got) != len(full) {
+		t.Fatalf("live context truncated enumeration: %d vs %d", len(got), len(full))
 	}
-	for i := range live {
-		if live[i] != full[i] {
-			t.Fatalf("live-token enumeration diverged at %d", i)
+	for i := range got {
+		if got[i] != full[i] {
+			t.Fatalf("live-context enumeration diverged at %d", i)
 		}
 	}
 }
