@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -594,8 +595,12 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 				stats.BugLocHits++
 			}
 		}
+		// holes are reduce's per-patch instantiations at this execution's
+		// hole hits; every flip below carries a prefix of those hits. They
+		// die with the iteration: hole symbols repeat in every execution.
+		var holes map[int][]patch.Hole
 		if exec.HitPatch() {
-			e.reduce(exec, stats, validation)
+			holes = e.reduce(exec, stats, validation)
 		}
 		// Generational search children. Dedup against seen prefixes in
 		// generation order first; the surviving flips' feasibility queries
@@ -618,7 +623,7 @@ func (e *engine) explore(seeds []map[string]int64, bounds map[string]interval.In
 		verdicts := make([]FlipOutcome, len(fresh))
 		if !e.distributeFlips(fresh, bounds, verdicts) {
 			e.fanOut(len(fresh), func(w *smt.Solver, i int) {
-				verdicts[i] = e.pickNewInput(fresh[i], bounds, w)
+				verdicts[i] = e.pickNewInput(fresh[i], bounds, holes, w)
 			})
 		}
 		for i, v := range verdicts {
@@ -724,8 +729,10 @@ func (e *engine) resolvePatch(item workItem) (*patch.Patch, expr.Model, bool) {
 // provides both the new input t and the patch ρ (with parameter values).
 // An Unknown outcome reports a degraded solver answer, which the caller
 // counts as a dropped flip — distinct from a clean unsat, which proves the
-// flip infeasible.
-func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Interval, solver *smt.Solver) FlipOutcome {
+// flip infeasible. holes, when non-nil, maps each pool patch's ID to its
+// instantiations at the parent execution's hole hits (reduce's); the
+// flip's hits are a prefix of those.
+func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Interval, holes map[int][]patch.Hole, solver *smt.Solver) FlipOutcome {
 	solver.BeginEpoch() // scope cache-write journaling to this flip
 	cons := flip.Constraint()
 	inputNames := e.job.Program.Inputs()
@@ -776,9 +783,20 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 		return FlipOutcome{OK: true, child: it}
 	}
 
+	// The prefix leaves every hole output free, and each per-patch query
+	// below poses it again with more conjuncts and the same bounds on its
+	// variables (hole outputs get DefaultBounds in both). So an unsat
+	// prefix makes every per-patch query unsat: decide it once. Only a
+	// clean Unsat skips the loop; an Unknown or an error is not counted
+	// and leaves the verdict to the per-patch queries.
+	if !e.paramShadowsPrefix(bounds) {
+		if res, err := solver.Check(cons, bounds); err == nil && res.Status == smt.Unsat {
+			return FlipOutcome{}
+		}
+	}
 	unknown := false
 	for _, p := range e.pool.Ranked() {
-		psi := patch.Psi(patchHoles(p, flip.HoleHits))
+		psi := patch.Psi(flipHoles(p, flip, holes))
 		query := expr.And(cons, psi, p.ConstraintTerm())
 		b := e.boundsWithParams(bounds, p)
 		model, ok, err := solver.GetModel(query, b)
@@ -793,6 +811,20 @@ func (e *engine) pickNewInput(flip concolic.Flip, bounds map[string]interval.Int
 	return FlipOutcome{Unknown: unknown}
 }
 
+// paramShadowsPrefix reports whether a template parameter shares its name
+// with a variable a flip prefix can hold: a program input (a key of
+// bounds) or a hole output. A per-patch query's bounds would then replace
+// that variable's bound with the parameter's, and an unsat prefix would
+// no longer imply an unsat per-patch query.
+func (e *engine) paramShadowsPrefix(bounds map[string]interval.Interval) bool {
+	for _, name := range e.job.Components.Params {
+		if _, ok := bounds[name]; ok || strings.HasPrefix(name, concolic.PatchOutPrefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // patchHoles instantiates p at every hole hit, in hit order: patch.Psi of
 // the result is ψρ, and Refine evaluates the holes' definitions.
 func patchHoles(p *patch.Patch, hits []concolic.HoleHit) []patch.Hole {
@@ -801,6 +833,17 @@ func patchHoles(p *patch.Patch, hits []concolic.HoleHit) []patch.Hole {
 		holes[i] = p.Instantiate(h.Out, h.Snapshot)
 	}
 	return holes
+}
+
+// flipHoles is patchHoles(p, flip.HoleHits). A flip's hits are a prefix
+// of its parent execution's, so when holes (reduce's, keyed by patch ID)
+// has p it is a slice of them; terms are interned, so the slice is
+// pointer-identical to instantiating afresh.
+func flipHoles(p *patch.Patch, flip concolic.Flip, holes map[int][]patch.Hole) []patch.Hole {
+	if hs, ok := holes[p.ID]; ok {
+		return hs[:len(flip.HoleHits)]
+	}
+	return patchHoles(p, flip.HoleHits)
 }
 
 func (e *engine) boundsWithParams(bounds map[string]interval.Interval, p *patch.Patch) map[string]interval.Interval {
@@ -823,7 +866,11 @@ func (e *engine) boundsWithParams(bounds map[string]interval.Interval, p *patch.
 // Deletions — so the per-patch work fans out across the workers. Removals
 // are collected in per-patch slots and committed by the coordinator in
 // pool order, leaving the surviving pool identical for any worker count.
-func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool) {
+//
+// reduce returns each patch's instantiations at the execution's hole hits,
+// keyed by patch ID, for the flip scan of the same execution to reuse; nil
+// when a distributor ran the batch.
+func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool) map[int][]patch.Hole {
 	rc := ReduceContext{
 		Phi:        exec.PathConstraint(),
 		Sigma:      e.instantiateSpec(exec),
@@ -833,10 +880,17 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	}
 	patches := e.pool.Patches
 	outs := make([]ReduceOutcome, len(patches))
+	var holes map[int][]patch.Hole
 	if !e.distributeReduce(rc, outs) {
+		slots := make([][]patch.Hole, len(patches))
 		e.fanOut(len(patches), func(w *smt.Solver, i int) {
-			outs[i] = e.reduceOne(rc, patches[i], w)
+			slots[i] = patchHoles(patches[i], rc.HoleHits)
+			outs[i] = e.reduceOne(rc, patches[i], slots[i], w)
 		})
+		holes = make(map[int][]patch.Hole, len(patches))
+		for i, p := range patches {
+			holes[p.ID] = slots[i]
+		}
 	}
 	// Commit in pool order: patches aliases the pool's backing array and
 	// Remove shifts it in place, so collect the doomed IDs before the
@@ -869,20 +923,21 @@ func (e *engine) reduce(exec *concolic.Execution, stats *Stats, validation bool)
 	for _, id := range doomed {
 		e.pool.Remove(id)
 	}
+	return holes
 }
 
 // reduceOne is Algorithm 2's per-patch body: the feasibility test, the
 // specification-driven refinement, and the ranking update, reported as a
-// ReduceOutcome. It mutates p (its own task owns it) but leaves the
-// engine's removal/refinement counters to the coordinator's commit loop,
-// so the same function serves both the local fan-out and a WorkerEngine
-// replica (which snapshots its own degradation atomics around the call to
-// fill the outcome's Unknowns/Panics; on the local path those stay zero and
-// the commit loop's additions are no-ops).
-func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, solver *smt.Solver) ReduceOutcome {
+// ReduceOutcome; holes are patchHoles(p, rc.HoleHits). It mutates p (its
+// own task owns it) but leaves the engine's removal/refinement counters to
+// the coordinator's commit loop, so the same function serves both the
+// local fan-out and a WorkerEngine replica (which snapshots its own
+// degradation atomics around the call to fill the outcome's
+// Unknowns/Panics; on the local path those stay zero and the commit loop's
+// additions are no-ops).
+func (e *engine) reduceOne(rc ReduceContext, p *patch.Patch, holes []patch.Hole, solver *smt.Solver) ReduceOutcome {
 	var out ReduceOutcome
 	solver.BeginEpoch() // scope cache-write journaling to this patch
-	holes := patchHoles(p, rc.HoleHits)
 	psi := patch.Psi(holes)
 	pi := expr.And(rc.Phi, psi, p.ConstraintTerm())
 	b := e.boundsWithParams(e.curBounds, p)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,11 +229,11 @@ func TestPickNewInputPathReduction(t *testing.T) {
 		}},
 	}
 	e := mkEngine(false)
-	if o := e.pickNewInput(flip, e.inputBounds(), e.solver); o.OK || o.Unknown {
+	if o := e.pickNewInput(flip, e.inputBounds(), nil, e.solver); o.OK || o.Unknown {
 		t.Fatal("path reduction should prune: no pool patch admits ¬out ∧ x≠0 ∧ y=0")
 	}
 	e = mkEngine(true)
-	o := e.pickNewInput(flip, e.inputBounds(), e.solver)
+	o := e.pickNewInput(flip, e.inputBounds(), nil, e.solver)
 	if !o.OK {
 		t.Fatal("ablation should admit the input-feasible path")
 	}
@@ -241,8 +243,138 @@ func TestPickNewInputPathReduction(t *testing.T) {
 	// A flip every patch admits is kept either way.
 	flip.Negated = expr.Ne(y, expr.Int(0))
 	e = mkEngine(false)
-	if !e.pickNewInput(flip, e.inputBounds(), e.solver).OK {
+	if !e.pickNewInput(flip, e.inputBounds(), nil, e.solver).OK {
 		t.Fatal("feasible flip wrongly pruned")
+	}
+	// A flip whose prefix alone is unsat is pruned by one query, however
+	// many patches the pool holds: no patch can make it feasible.
+	a, b := expr.IntVar("a"), expr.IntVar("b")
+	params := map[string]interval.Interval{"a": interval.New(-10, 10), "b": interval.New(-10, 10)}
+	e = mkEngine(false)
+	e.pool = &patch.Pool{Patches: []*patch.Patch{
+		patch.New(1, expr.Eq(x, a), params),
+		patch.New(2, expr.Ge(y, b), params),
+		patch.New(3, expr.Or(expr.Lt(x, a), expr.Eq(y, b)), params),
+	}}
+	dead := flip
+	dead.Prefix = []*expr.Term{expr.Not(out), expr.Gt(x, expr.Int(5))}
+	dead.Negated = expr.Lt(x, expr.Int(0))
+	before := e.solver.Stats().SolverQueries
+	if o := e.pickNewInput(dead, e.inputBounds(), nil, e.solver); o.OK || o.Unknown {
+		t.Fatalf("prefix x>5 ∧ x<0 is unsat, yet the flip was kept: %+v", o)
+	}
+	if n := e.solver.Stats().SolverQueries - before; n != 1 {
+		t.Fatalf("unsat-prefix flip over %d patches cost %d solver queries, want 1", e.pool.Size(), n)
+	}
+	// An undecided prefix proves nothing: the per-patch queries decide,
+	// and only their unknowns are counted (here every query is cut off).
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := e.pool
+	e = mkEngine(false)
+	e.solver, e.pool = smt.NewSolver(smt.Options{Context: ctx}), pool
+	if o := e.pickNewInput(dead, e.inputBounds(), nil, e.solver); !o.Unknown {
+		t.Fatalf("flip whose every query was cut off reported %+v, want Unknown", o)
+	}
+	if n := e.solverUnknowns.Load(); n != int64(pool.Size()) {
+		t.Fatalf("%d solver unknowns counted over %d patches, want one per patch", n, pool.Size())
+	}
+	// A template parameter named like an input replaces that input's bound
+	// in the per-patch queries, so an unsat prefix proves nothing there:
+	// x > 100 is unsat under x's input bound, but a patch whose parameter
+	// x ranges over [101, 200] admits it.
+	e = mkEngine(false)
+	e.job.Components.Params = []string{"x"}
+	e.pool = &patch.Pool{Patches: []*patch.Patch{
+		patch.New(1, expr.Eq(y, x), map[string]interval.Interval{"x": interval.New(101, 200)}),
+	}}
+	shadowed := flip
+	shadowed.Prefix = []*expr.Term{expr.Not(out)}
+	shadowed.Negated = expr.Gt(x, expr.Int(100))
+	if !e.pickNewInput(shadowed, e.inputBounds(), nil, e.solver).OK {
+		t.Fatal("flip admitted by a patch whose parameter shadows the input was pruned")
+	}
+}
+
+// TestFlipScanReusesReduceHoles: the flip scan poses reduce's per-patch
+// hole instantiations of the parent execution. For every flip of a
+// multi-hit execution and every surviving patch they are pointer-identical
+// to instantiating the patch at the flip's hits afresh, and the scan's
+// verdicts equal a scan that instantiates afresh, at 1 and 4 workers.
+func TestFlipScanReusesReduceHoles(t *testing.T) {
+	prog := lang.MustParse(`
+void main(int n) {
+    assume(n >= 0);
+    assume(n <= 6);
+    int i = 0;
+    while (__HOLE__) {
+        i = i + 1;
+        if (i > 10) { break; }
+    }
+    __BUG__;
+    assert(i == n);
+}`)
+	i, n := expr.IntVar("i"), expr.IntVar("n")
+	job := Job{
+		Program: prog,
+		Spec:    expr.Eq(i, n),
+		Components: synth.Components{
+			Vars:       map[string]lang.Type{"i": lang.TypeInt, "n": lang.TypeInt},
+			Params:     []string{"a"},
+			ParamRange: interval.New(-10, 10),
+			Cmp:        []expr.Op{expr.OpLt, expr.OpLe},
+		},
+		InputBounds: map[string]interval.Interval{"n": interval.New(0, 6)},
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := &engine{
+				job:    job,
+				opts:   Options{Workers: workers},
+				solver: smt.NewSolver(smt.Options{}),
+				pool:   synth.BuildPool(synth.Synthesize(job.Components, prog.HoleType), job.Components),
+			}
+			e.workers = e.newWorkers(workers)
+			e.curBounds = e.inputBounds()
+			// i < n with n = 3 evaluates the hole four times.
+			exec := concolic.Execute(prog, map[string]int64{"n": 3}, concolic.Options{Patch: expr.Lt(i, n), MaxSteps: maxStepsPerRun})
+			if len(exec.HoleHits) < 2 {
+				t.Fatalf("want a multi-hit execution, got %d hole hits", len(exec.HoleHits))
+			}
+			holes := e.reduce(exec, &Stats{}, false)
+			flips := concolic.Flips(exec, 0)
+			sliced := 0
+			for _, f := range flips {
+				if k := len(f.HoleHits); k > 0 && k < len(exec.HoleHits) {
+					sliced++
+				}
+				for _, p := range e.pool.Ranked() {
+					got, want := flipHoles(p, f, holes), patchHoles(p, f.HoleHits)
+					if len(got) != len(want) {
+						t.Fatalf("patch %d, flip at depth %d: %d holes, want %d", p.ID, f.Depth, len(got), len(want))
+					}
+					for k := range want {
+						if got[k].Out != want[k].Out || got[k].Def != want[k].Def {
+							t.Fatalf("patch %d, flip at depth %d, hit %d: reused hole %v = %v, fresh %v = %v",
+								p.ID, f.Depth, k, got[k].Out, got[k].Def, want[k].Out, want[k].Def)
+						}
+					}
+				}
+			}
+			if sliced == 0 {
+				t.Fatal("no flip carries a proper prefix of the execution's hole hits")
+			}
+			scan := func(holes map[int][]patch.Hole) []FlipOutcome {
+				outs := make([]FlipOutcome, len(flips))
+				e.fanOut(len(flips), func(w *smt.Solver, k int) {
+					outs[k] = e.pickNewInput(flips[k], e.curBounds, holes, w)
+				})
+				return outs
+			}
+			if reused, fresh := scan(holes), scan(nil); !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("scan with reused holes %+v, with fresh ones %+v", reused, fresh)
+			}
+		})
 	}
 }
 

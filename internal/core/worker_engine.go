@@ -89,7 +89,7 @@ func (we *WorkerEngine) RunFlips(flips []concolic.Flip) []FlipOutcome {
 	outs := make([]FlipOutcome, len(flips))
 	for i := range flips {
 		u0, p0 := e.solverUnknowns.Load(), e.solverPanics.Load()
-		o := e.pickNewInput(flips[i], e.curBounds, e.solver)
+		o := e.pickNewInput(flips[i], e.curBounds, nil, e.solver)
 		o.Unknowns = e.solverUnknowns.Load() - u0
 		o.Panics = e.solverPanics.Load() - p0
 		outs[i] = o
@@ -108,7 +108,7 @@ func (we *WorkerEngine) RunReduce(rc ReduceContext, lo, hi int) []ReduceOutcome 
 	outs := make([]ReduceOutcome, len(chunk))
 	for i, p := range chunk {
 		u0, p0 := e.solverUnknowns.Load(), e.solverPanics.Load()
-		out := e.reduceOne(rc, p, e.solver)
+		out := e.reduceOne(rc, p, patchHoles(p, rc.HoleHits), e.solver)
 		out.Unknowns = e.solverUnknowns.Load() - u0
 		out.Panics = e.solverPanics.Load() - p0
 		outs[i] = out

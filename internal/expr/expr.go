@@ -88,6 +88,16 @@ func (o Op) String() string {
 type Term struct {
 	Op   Op
 	Sort Sort
+
+	// pure and boolVars summarize the term's subterms. They are set once,
+	// at intern time under the shard lock, before the term is published,
+	// and sit in what was padding, so Term does not grow. pure: no subterm
+	// is an ite (of either sort), a div or a rem. boolVars: bit
+	// boolVarBit of every Bool variable below the term, so a clear bit
+	// proves that variable absent.
+	pure     bool
+	boolVars uint32
+
 	Val  int64   // literal value for OpIntConst / OpBoolConst
 	Name string  // variable name for OpVar
 	Args []*Term // operands
@@ -134,9 +144,22 @@ func (sh *internShard) alloc(op Op, sort Sort, val int64, name string, args []*T
 	}
 	t := &sh.slab[0]
 	sh.slab = sh.slab[1:]
-	*t = Term{Op: op, Sort: sort, Val: val, Name: name, Args: sh.copyArgs(args), hash: hash}
+	pure := op != OpIte && op != OpDiv && op != OpRem
+	var boolVars uint32
+	if op == OpVar && sort == SortBool {
+		boolVars = boolVarBit(hash)
+	}
+	for _, a := range args {
+		pure = pure && a.pure
+		boolVars |= a.boolVars
+	}
+	*t = Term{Op: op, Sort: sort, pure: pure, boolVars: boolVars, Val: val, Name: name, Args: sh.copyArgs(args), hash: hash}
 	return t
 }
+
+// boolVarBit is the boolVars bit of the Bool variable whose term hash is
+// h: the hash's top five bits, which FNV's final multiply mixes best.
+func boolVarBit(h uint64) uint32 { return 1 << (h >> 59) }
 
 // copyArgs copies an argument list into arena-backed storage. Oversized
 // lists (wide conjunctions) get their own allocation rather than bloating
@@ -262,6 +285,17 @@ func (t *Term) IsFalse() bool { return t.Op == OpBoolConst && t.Val == 0 }
 
 // Hash returns a stable structural hash of the term.
 func (t *Term) Hash() uint64 { return t.hash }
+
+// Pure reports whether no subterm of t is an ite (of either sort), a div
+// or a rem. Read from a bit set at intern time; no walk.
+func (t *Term) Pure() bool { return t.pure }
+
+// MayHaveBoolVar reports whether the Bool variable called name may occur
+// in t. False is exact; true may be a false positive, since the summary is
+// one 32-bit word per term. No walk.
+func (t *Term) MayHaveBoolVar(name string) bool {
+	return t.boolVars&boolVarBit(hashFields(OpVar, SortBool, 0, name, nil)) != 0
+}
 
 func wantSort(t *Term, s Sort, ctx string) {
 	if t.Sort != s {

@@ -2,8 +2,10 @@ package expr
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInterning(t *testing.T) {
@@ -375,4 +377,111 @@ func BenchmarkIntern(b *testing.B) {
 			Ge(x, Int(int64(i)+1000000))
 		}
 	})
+}
+
+// randSummaryTerm builds a random well-sorted term over x, y and the Bool
+// variables p, q and patch!out!0, with div, rem and ite of both sorts
+// among its operators.
+func randSummaryTerm(r *rand.Rand, depth int, sort Sort) *Term {
+	if depth == 0 || r.Intn(4) == 0 {
+		if sort == SortInt {
+			return []*Term{IntVar("x"), IntVar("y"), Int(int64(r.Intn(7) - 3))}[r.Intn(3)]
+		}
+		return []*Term{BoolVar("p"), BoolVar("q"), BoolVar("patch!out!0"), True()}[r.Intn(4)]
+	}
+	sub := func(s Sort) *Term { return randSummaryTerm(r, depth-1, s) }
+	if sort == SortInt {
+		switch r.Intn(6) {
+		case 0:
+			return Add(sub(SortInt), sub(SortInt))
+		case 1:
+			return Mul(sub(SortInt), sub(SortInt))
+		case 2:
+			return Div(sub(SortInt), sub(SortInt))
+		case 3:
+			return Rem(sub(SortInt), sub(SortInt))
+		case 4:
+			return Neg(sub(SortInt))
+		default:
+			return Ite(sub(SortBool), sub(SortInt), sub(SortInt))
+		}
+	}
+	switch r.Intn(6) {
+	case 0:
+		return And(sub(SortBool), sub(SortBool))
+	case 1:
+		return Or(sub(SortBool), sub(SortBool))
+	case 2:
+		return Not(sub(SortBool))
+	case 3:
+		return Le(sub(SortInt), sub(SortInt))
+	case 4:
+		return Eq(sub(SortBool), sub(SortBool))
+	default:
+		return Ite(sub(SortBool), sub(SortBool), sub(SortBool))
+	}
+}
+
+// TestTermSummaries: the summaries read from bits set at intern time agree
+// with walks of the term. Pure is the absence of div, rem and ite (of
+// either sort), and every Bool variable of a term answers MayHaveBoolVar:
+// a false negative would let smt's pinBools skip a pin.
+func TestTermSummaries(t *testing.T) {
+	check := func(tm *Term) {
+		t.Helper()
+		walk := !ContainsOp(tm, OpDiv) && !ContainsOp(tm, OpRem) && !ContainsOp(tm, OpIte)
+		if tm.Pure() != walk {
+			t.Fatalf("%v: Pure() = %v, walk says %v", tm, tm.Pure(), walk)
+		}
+		for _, v := range Vars(tm) {
+			if v.Sort == SortBool && !tm.MayHaveBoolVar(v.Name) {
+				t.Fatalf("%v: MayHaveBoolVar(%q) = false, but it occurs", tm, v.Name)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(28))
+	pure := 0
+	for i := 0; i < 3000; i++ {
+		for _, s := range []Sort{SortBool, SortInt} {
+			tm := randSummaryTerm(r, 4, s)
+			check(tm)
+			if tm.Pure() {
+				pure++
+			}
+		}
+	}
+	if pure == 0 || pure == 6000 {
+		t.Fatalf("%d of 6000 random terms pure: the check is one-sided", pure)
+	}
+	parsed := 0
+	for _, src := range specSeeds {
+		if tm, err := Parse(src, specSeedVars()); err == nil {
+			check(tm)
+			parsed++
+		}
+	}
+	if parsed < len(specSeeds)-1 {
+		t.Fatalf("only %d of %d spec seeds parse", parsed, len(specSeeds))
+	}
+	// A term with no Bool variable answers false for every name.
+	if tm := Le(Div(IntVar("x"), IntVar("y")), Int(3)); tm.MayHaveBoolVar("p") {
+		t.Fatalf("%v has no Bool variable, yet MayHaveBoolVar(p)", tm)
+	}
+}
+
+// TestTermSize: the summaries fit in padding, so a Term is as large as it
+// would be without them.
+func TestTermSize(t *testing.T) {
+	type plain struct {
+		Op         Op
+		Sort       Sort
+		Val        int64
+		Name       string
+		Args       []*Term
+		hash       uint64
+		simplified atomic.Pointer[Term]
+	}
+	if got, want := unsafe.Sizeof(Term{}), unsafe.Sizeof(plain{}); got != want {
+		t.Fatalf("Term is %d bytes, %d without its summaries", got, want)
+	}
 }

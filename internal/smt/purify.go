@@ -8,7 +8,10 @@ import (
 
 // purifier rewrites a formula so that the arithmetic layer only ever sees
 // +, −, ·, and variables: integer-sorted ite, div, and rem are replaced by
-// fresh variables with defining constraints collected in defs.
+// fresh variables with defining constraints collected in defs. A pure
+// subterm (expr.Term.Pure: no ite of either sort, div or rem below) comes
+// back unchanged before the cache is consulted, so a pure formula costs no
+// map work; aux numbering follows the impure subterms alone.
 type purifier struct {
 	defs  []*expr.Term
 	next  int
@@ -22,6 +25,9 @@ func (p *purifier) fresh() *expr.Term {
 }
 
 func (p *purifier) purify(t *expr.Term) *expr.Term {
+	if t.Pure() {
+		return t
+	}
 	if p.cache == nil {
 		p.cache = make(map[*expr.Term]*expr.Term)
 	}
@@ -30,8 +36,6 @@ func (p *purifier) purify(t *expr.Term) *expr.Term {
 	}
 	var r *expr.Term
 	switch t.Op {
-	case expr.OpIntConst, expr.OpBoolConst, expr.OpVar:
-		r = t
 	case expr.OpIte:
 		cond := p.purify(t.Args[0])
 		a := p.purify(t.Args[1])

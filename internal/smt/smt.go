@@ -7,7 +7,8 @@
 //
 //  1. simplify the formula (canonical linear atoms, package expr),
 //  2. purify: eliminate integer ite, div, and rem by fresh variables with
-//     guarded defining constraints,
+//     guarded defining constraints (a subterm that expr.Term.Pure marks
+//     free of them is returned as is),
 //  3. Tseitin-encode the boolean skeleton over theory atoms,
 //  4. CDCL search (package sat) proposes a skeleton model,
 //  5. the conjunction of asserted theory literals goes to the LIA
@@ -841,11 +842,14 @@ func (s *Solver) check(f *expr.Term, bounds map[string]interval.Interval, query 
 // Bool variable as a bare literal and the LIA tier only sees Int
 // variables, so neither would honour the bound on its own (the engine pins
 // every input during validation phases, bool inputs included). ok is false
-// when a bound admits neither 0 nor 1, which makes f unsat.
+// when a bound admits neither 0 nor 1, which makes f unsat. Only a bound
+// that excludes 0 or 1 on a name f may hold as a Bool variable
+// (expr.Term.MayHaveBoolVar) can pin anything; without one, f comes back
+// with no walk.
 func pinBools(f *expr.Term, bounds map[string]interval.Interval) (g *expr.Term, ok bool) {
 	narrow := false
-	for _, iv := range bounds {
-		if iv.Lo > 0 || iv.Hi < 1 {
+	for name, iv := range bounds {
+		if (iv.Lo > 0 || iv.Hi < 1) && f.MayHaveBoolVar(name) {
 			narrow = true
 			break
 		}
